@@ -344,9 +344,14 @@ def _ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
     not_effect = Not(effect)
     pin = isinstance(setting, CausalSetting)
     cause_vars = free_endogenous(phi) if pin else None
+    # Pinning maps many members to the same tau; a repeat has already failed.
+    tested = set()
     for tau in enumerate_witnesses(lang, setting, cause_pairs):
         if pin:
             tau = _pin_negated_conjuncts(tau, setting.assignment, cause_vars)
+        if tau in tested:
+            continue
+        tested.add(tau)
         if setting.counterfactual(And(not_phi, tau), not_effect, allow_vacuous):
             return tau
     return None

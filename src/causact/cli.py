@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .formula import ExoEvent, FormulaError, format_formula, parse_formula
+from .formula import ExoEvent, FormulaError, format_formula, parse_formula, parse_intervention
 from .model import CausalModel, ModelError, model_to_text, parse_context, parse_model
 from .structure import StructureError, structure_to_text, validate_structure
 from .hp import is_actual_cause_hp
@@ -83,12 +83,7 @@ def cmd_solve(args):
         print("\n".join(lines))
         return 0
     u = parse_context(args.context, m.sig)
-    inter = None
-    if args.intervene:
-        inter = {}
-        for part in args.intervene.split(","):
-            var, _, val = part.partition("<-")
-            inter[var.strip()] = val.strip()
+    inter = parse_intervention(args.intervene, m.sig) if args.intervene else None
     sol = m.solve(u, inter)
     _emit(args, {"assignment": sol}, "\n".join(f"{n} = {sol[n]}" for n in m.sig.all_names()))
     return 0

@@ -363,28 +363,15 @@ def strongly_consistent(
 ) -> bool:
     """(M', s) is strongly consistent with (M, u): strong correspondence
     holds and s agrees with u on the exogenous variables."""
-    report = _strong_report(m2, m, strict)
-    if not report.ok:
+    if not check_correspondence(m2, m, strong=True, strict=strict).ok:
         return False
     ctx = m.validate_context(u)
     return all(m2.interp[s][n] == ctx[n] for n in m.sig.exo_names)
 
 
-_strong_cache: dict = {}
-
-
-def _strong_report(m2, m, strict=False) -> CorrespondenceReport:
-    key = (id(m2), id(m), strict)
-    hit = _strong_cache.get(key)
-    if hit is None:
-        hit = check_correspondence(m2, m, strong=True, strict=strict)
-        _strong_cache[key] = hit
-    return hit
-
-
 def compatible(m: CausalModel, m2: CfStructure, strict: bool = False) -> bool:
     """Every context has a strongly consistent state and vice versa."""
-    if not _strong_report(m2, m, strict).ok:
+    if not check_correspondence(m2, m, strong=True, strict=strict).ok:
         return False
     contexts = list(m.sig.assignments(m.sig.exo_names))
     exo_of = lambda s: tuple(m2.interp[s][n] for n in m.sig.exo_names)

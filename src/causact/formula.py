@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 
@@ -42,25 +43,34 @@ class Signature:
             if len(set(rng)) != len(rng):
                 raise FormulaError(f"duplicate values in range of {name}")
 
-    @property
+    # Lookup tables, computed on first use and kept on the (frozen) instance.
+    @cached_property
+    def _ranges(self) -> dict[str, tuple[str, ...]]:
+        return dict(self.exogenous + self.endogenous)
+
+    @cached_property
+    def _endo_ranges(self) -> dict[str, tuple[str, ...]]:
+        return dict(self.endogenous)
+
+    @cached_property
     def exo_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.exogenous)
 
-    @property
+    @cached_property
     def endo_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.endogenous)
 
     def is_exogenous(self, name: str) -> bool:
-        return any(n == name for n, _ in self.exogenous)
+        return name in self._ranges and name not in self._endo_ranges
 
     def is_endogenous(self, name: str) -> bool:
-        return any(n == name for n, _ in self.endogenous)
+        return name in self._endo_ranges
 
     def range_of(self, name: str) -> tuple[str, ...]:
-        for n, rng in self.exogenous + self.endogenous:
-            if n == name:
-                return rng
-        raise FormulaError(f"unknown variable {name!r}")
+        rng = self._ranges.get(name)
+        if rng is None:
+            raise FormulaError(f"unknown variable {name!r}")
+        return rng
 
     def all_names(self) -> tuple[str, ...]:
         return self.exo_names + self.endo_names
@@ -308,13 +318,10 @@ class _Parser:
             return inner
         if val == "[":
             self.next()
-            assignments = [self.assignment()]
-            while self.peek()[1] == ",":
-                self.next()
-                assignments.append(self.assignment())
+            assignments = self.assignments()
             self.expect("]")
             body = self.unary()
-            return Intervene(tuple(assignments), body)
+            return Intervene(assignments, body)
         if kind == "ident" and val == "true":
             self.next()
             return TRUE
@@ -341,6 +348,13 @@ class _Parser:
             raise FormulaError(f"{exc} (at position {pos})") from None
         return Not(ev) if op == "!=" else ev
 
+    def assignments(self) -> tuple[tuple[str, str], ...]:
+        out = [self.assignment()]
+        while self.peek()[1] == ",":
+            self.next()
+            out.append(self.assignment())
+        return tuple(out)
+
     def assignment(self) -> tuple[str, str]:
         kind, name, pos = self.next()
         if kind != "ident":
@@ -351,22 +365,31 @@ class _Parser:
             raise FormulaError(f"expected a value at position {vpos}")
         if not self.sig.is_endogenous(name):
             raise FormulaError(f"can only intervene on endogenous variables, not {name!r} (position {pos})")
-        if value not in sig_range(self.sig, name):
+        if value not in self.sig.range_of(name):
             raise FormulaError(f"value {value!r} not in the range of {name} (position {vpos})")
         return (name, value)
 
-
-def sig_range(sig: Signature, name: str) -> tuple[str, ...]:
-    return sig.range_of(name)
+    def end(self):
+        kind, val, pos = self.peek()
+        if kind != "eof":
+            raise FormulaError(f"trailing input at position {pos}: {val!r}")
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     parser = _Parser(text, sig)
     out = parser.formula()
-    kind, val, pos = parser.peek()
-    if kind != "eof":
-        raise FormulaError(f"trailing input at position {pos}: {val!r}")
+    parser.end()
     return out
+
+
+def parse_intervention(text: str, sig: Signature) -> dict[str, str]:
+    """Parse an assignment list like "X<-1, Y<-0" by the rules of the
+    brackets in `[X<-1, Y<-0] phi`."""
+    parser = _Parser(text, sig)
+    pairs = parser.assignments()
+    parser.end()
+    Intervene(pairs, TRUE)  # rejects a variable assigned twice
+    return dict(pairs)
 
 
 # ---------------------------------------------------------------------------

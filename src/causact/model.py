@@ -25,6 +25,7 @@ from .formula import (
     Signature,
     Top,
     conjoin,
+    conjuncts,
     evaluate_prop,
     event,
     format_formula,
@@ -303,11 +304,27 @@ class CausalModel:
     def _eval_boxarrow(self, u: dict, phi: BoxArrow) -> bool:
         """phi ~> psi holds iff for some value vector y over the endogenous
         variables Y of phi, phi & Y=y is propositionally consistent and
-        [Y <- y] psi holds."""
+        [Y <- y] psi holds.
+
+        Only vectors that agree with phi's top-level literals X=x and X!=x
+        are tried: any other vector falsifies an endogenous conjunct of phi
+        and so is inconsistent whatever the exogenous values."""
         ant, cons = phi.antecedent, phi.consequent
-        ys = [n for n in self.sig.endo_names if n in free_endogenous(ant)]
-        exo_occ = [n for n in self.sig.exo_names if n in variables_of(ant)]
-        for values in itertools.product(*(self.sig.range_of(n) for n in ys)):
+        endo_occ = free_endogenous(ant)
+        all_occ = variables_of(ant)
+        ys = [n for n in self.sig.endo_names if n in endo_occ]
+        exo_occ = [n for n in self.sig.exo_names if n in all_occ]
+        allowed = {n: set(self.sig.range_of(n)) for n in ys}
+        for part in conjuncts(ant):
+            negated = isinstance(part, Not)
+            lit = part.sub if negated else part
+            if isinstance(lit, PrimEvent) and lit.var in allowed:
+                if negated:
+                    allowed[lit.var].discard(lit.val)
+                else:
+                    allowed[lit.var] &= {lit.val}
+        candidates = [[v for v in self.sig.range_of(n) if v in allowed[n]] for n in ys]
+        for values in itertools.product(*candidates):
             fixed = dict(zip(ys, values))
             if not self._consistent_with(ant, fixed, exo_occ):
                 continue

@@ -263,6 +263,33 @@ class TestMinimalityCandidateScope:
         assert v.is_cause, v.to_dict()
 
 
+    def test_each_pinned_tau_is_tested_once(self):
+        # V2!=1, V2!=2 and V2!=1 & V2!=2 all pin V2 to its actual value 0,
+        # the same tau as V2=0; the effect does not depend on the cause, so
+        # every member is tried
+        m = parse_model(
+            "model m\nexo U : { 0, 1 }\nvar V1 : { 0, 1 }\nvar V2 : { 0, 1, 2, 3 }\n"
+            "var V3 : { 0, 1 }\n"
+            "eq V1 = case { U=1 : 1 ; default: 0 }\n"
+            "eq V2 = case { default: 0 }\n"
+            "eq V3 = case { U=1 & V2=0 : 1 ; default: 0 }\n"
+        )
+        setting = CausalSetting(m, {"U": "1"})
+        antecedents = []
+        counterfactual = setting.counterfactual
+
+        def recording(antecedent, consequent, allow_vacuous=False):
+            antecedents.append(antecedent)
+            return counterfactual(antecedent, consequent, allow_vacuous)
+
+        setting.counterfactual = recording
+        cause = parse_formula("V1=1", m.sig)
+        effect = parse_formula("V3=1", m.sig)
+        v = is_actual_cause_abstract(setting, cause, effect, conj_neg_language())
+        assert not v.ac2
+        assert antecedents and len(antecedents) == len(set(antecedents))
+
+
 class TestDegeneracy:
     def test_disjunctions_admitting_the_negated_effect_trivialize_ac2(self):
         m = chain3_model()

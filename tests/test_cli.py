@@ -40,6 +40,13 @@ class TestSolveEval:
         asg = json.loads(out)["assignment"]
         assert asg["ST"] == "0" and asg["BH"] == "1" and asg["BS"] == "1"
 
+    @pytest.mark.parametrize("intervention", ["XX<-1", "ST<-7", "ST<-0, ST<-1"])
+    def test_bad_intervention_is_parse_error(self, capsys, rt_file, intervention):
+        code, _, err = run(
+            capsys, "solve", "-m", rt_file, "-u", "U=u11", "--intervene", intervention
+        )
+        assert code == 2 and "parse error" in err
+
     def test_solve_dot(self, capsys, rt_file):
         code, out, _ = run(capsys, "solve", "-m", rt_file, "--dot")
         assert code == 0

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from causact.correspondence import (
     strongly_consistent,
 )
 from causact.corpus import CHAIN_COPY, ROCK_THROWING, backtracking_structure
+from causact.harness import STRUCTURE_CAPS, gen_random_model, random_context, trial_rng
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +141,24 @@ class TestConsistencyAndCompatibility:
         assert compatible_K(rt, m2, K, K2)
         assert not compatible_K(rt, m2, K, K2[:1] + [ctx_state({"U": "u00"})])
         assert not compatible_K(rt, m2, K, K2[:1])
+
+    def test_verdicts_belong_to_the_structure_checked(self):
+        # Each round drops its structure before building the next, so the
+        # new one often gets the old one's id; the two orders disagree on
+        # strong correspondence.
+        rng = trial_rng(3, 0)
+        m = gen_random_model(STRUCTURE_CAPS, rng)
+        u = random_context(m, rng)
+        built, ctx_state = build_counterpart(m)
+        flat = TierOrder({s: [frozenset({s}), frozenset(built.states) - {s}] for s in built.states})
+        orders = [built.order, flat]
+        verdicts = set()
+        for i in range(30):
+            m2 = CfStructure(m.sig, built.interp, orders[i % 2])
+            fresh = check_correspondence(m2, m, strong=True).ok
+            assert compatible(m, m2) == fresh, i
+            assert strongly_consistent(m2, ctx_state(u), m, u) == fresh, i
+            verdicts.add(fresh)
+            del m2
+            gc.collect()
+        assert verdicts == {True, False}

@@ -4,6 +4,7 @@ from causact.formula import format_formula, free_endogenous, is_propositional
 from causact.model import model_to_text, parse_model, validate_recursive
 from causact.harness import (
     FuzzCaps,
+    _trial_theorem1,
     gen_random_model,
     random_context,
     random_event_conjunction,
@@ -89,3 +90,8 @@ class TestDifferentials:
     def test_unknown_differential_rejected(self):
         with pytest.raises(ValueError):
             run_differential("theorem9", trials=1, seed=0)
+
+    def test_slow_negated_trial_agrees(self):
+        # at domain 4 this trial's witnesses pin six variables; trying every
+        # intervention on them took about two minutes
+        assert _trial_theorem1(FuzzCaps(6, 2, 4), trial_rng(77, 33), True) is None

@@ -1,6 +1,29 @@
+import itertools
+
 import pytest
 
-from causact.formula import FormulaError, parse_formula
+from causact.formula import (
+    And,
+    BoxArrow,
+    ExoEvent,
+    FormulaError,
+    Not,
+    Or,
+    PrimEvent,
+    conjoin,
+    evaluate_prop,
+    free_endogenous,
+    parse_formula,
+    variables_of,
+)
+from causact.harness import (
+    DEFAULT_CAPS,
+    FuzzCaps,
+    gen_random_model,
+    random_context,
+    random_prop_formula,
+    trial_rng,
+)
 from causact.model import (
     ModelError,
     model_to_text,
@@ -183,3 +206,67 @@ class TestContextParsing:
     def test_endogenous_assignment_rejected(self, rt):
         with pytest.raises((ModelError, FormulaError)):
             parse_context("ST=1", rt.sig)
+
+
+def _brute_boxarrow(m, u, ant, cons):
+    """Reference reading of ant ~> cons: every value vector over the
+    antecedent's endogenous variables, kept when some exogenous completion
+    satisfies the antecedent."""
+    ys = [n for n in m.sig.endo_names if n in free_endogenous(ant)]
+    exo = [n for n in m.sig.exo_names if n in variables_of(ant)]
+    for values in itertools.product(*(m.sig.range_of(n) for n in ys)):
+        fixed = dict(zip(ys, values))
+        consistent = any(
+            evaluate_prop(ant, {**fixed, **dict(zip(exo, ev))})
+            for ev in itertools.product(*(m.sig.range_of(n) for n in exo))
+        )
+        if consistent and evaluate_prop(cons, m.solve(u, fixed)):
+            return True
+    return False
+
+
+def _random_antecedent(m, rng):
+    """A conjunction (sometimes a disjunction of two) of endogenous events,
+    X!=x literals, disjunctions, negated conjunctions and exogenous atoms."""
+
+    def event():
+        v = rng.choice(m.sig.endo_names)
+        return PrimEvent(v, rng.choice(m.sig.range_of(v)))
+
+    def part():
+        kind = rng.choice(["event", "event", "neq", "neq", "or", "not-and", "exo"])
+        if kind == "event":
+            return event()
+        if kind == "neq":
+            return Not(event())
+        if kind == "or":
+            return Or(event(), rng.choice([event(), Not(event())]))
+        if kind == "not-and":
+            return Not(And(event(), event()))
+        v = rng.choice(m.sig.exo_names)
+        atom = ExoEvent(v, rng.choice(m.sig.range_of(v)))
+        return rng.choice([atom, Not(atom)])
+
+    def conj():
+        return conjoin([part() for _ in range(rng.randint(1, 4))])
+
+    return Or(conj(), conj()) if rng.random() < 0.15 else conj()
+
+
+class TestBoxArrowAgainstBruteForce:
+    @pytest.mark.parametrize(
+        "caps, seed", [(DEFAULT_CAPS, 3), (FuzzCaps(max_domain=4), 4)], ids=["default", "domain4"]
+    )
+    def test_matches_full_product(self, caps, seed):
+        outcomes = set()
+        for i in range(40):
+            rng = trial_rng(seed, i)
+            m = gen_random_model(caps, rng)
+            u = random_context(m, rng)
+            for _ in range(10):
+                ant = _random_antecedent(m, rng)
+                cons = random_prop_formula(m, rng, 2)
+                expected = _brute_boxarrow(m, u, ant, cons)
+                assert m.evaluate(u, BoxArrow(ant, cons)) == expected, (i, str(ant), str(cons))
+                outcomes.add(expected)
+        assert outcomes == {True, False}
