@@ -28,7 +28,6 @@ from .model import (
     model_to_text,
     parse_context,
     parse_model,
-    validate_recursive,
 )
 from .structure import (
     CfStructure,
@@ -63,7 +62,6 @@ from .correspondence import (
     check_correspondence,
     compatible,
     compatible_K,
-    load_structure_file,
     strongly_consistent,
 )
 from .harness import (

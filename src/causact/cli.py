@@ -4,7 +4,8 @@ Subcommands: solve, eval, cause, explain, closest, build-cf,
 check-correspondence, fuzz, corpus.  `--json` switches every command to
 machine-readable output.  Exit codes: 0 the command ran (the verdict may
 still be negative), 2 parse or usage error, 3 semantic error (cyclic
-model, signature mismatch, state-space cap exceeded, ...).
+model, signature mismatch, state-space cap exceeded, ...), a failing
+`corpus` claim, or a `fuzz` report with disagreements.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from .formula import ExoEvent, FormulaError, format_formula, parse_formula, parse_intervention
 from .model import CausalModel, ModelError, model_to_text, parse_context, parse_model
-from .structure import StructureError, structure_to_text, validate_structure
+from .structure import StructureError, parse_structure, structure_to_text, validate_structure
 from .hp import is_actual_cause_hp
 from .abstract import (
     CausalSetting,
@@ -28,7 +29,6 @@ from .correspondence import (
     CorrespondenceError,
     build_counterpart,
     check_correspondence,
-    load_structure_file,
 )
 from .harness import run_differential
 from .corpus import MODELS, run_corpus
@@ -48,7 +48,7 @@ def _load_model(path: str) -> CausalModel:
 def _load_structure(path: str):
     with open(path) as f:
         text = f.read()
-    return load_structure_file(
+    return parse_structure(
         text, load_model=_load_model, name_hint=path.rsplit("/", 1)[-1].removesuffix(".cfs")
     )
 
@@ -246,7 +246,7 @@ def cmd_fuzz(args):
         f"{len(report.disagreements)} disagreements, {report.elapsed:.1f}s"
     )
     _emit(args, report.to_dict(), human)
-    return 0
+    return 3 if report.disagreements else 0
 
 
 def cmd_corpus(args):

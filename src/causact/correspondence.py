@@ -19,18 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formula import (
-    And,
-    ExoEvent,
-    Formula,
-    PrimEvent,
-    Signature,
-    conjoin,
-    evaluate_prop,
-    format_formula,
-)
+from .formula import Formula, Signature, evaluate_prop, format_formula
 from .model import CausalModel, ModelError
-from .structure import CfStructure, CostOrder, StructureError
+from .structure import CfStructure, CostOrder
 
 
 class CorrespondenceError(ValueError):
@@ -95,8 +86,6 @@ def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
         return (0 if base == other else 1, diffs, viol_cost[other])
 
     structure = CfStructure(sig, interp, CostOrder(cost), name=f"{m.name}-counterpart")
-    structure.viol_cost = viol_cost  # exposed for the checker's fast path
-    structure.exo_part = exo_part
 
     def context_state(u: dict) -> str:
         sol = m.solve(u)
@@ -190,7 +179,7 @@ def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool) -> Conditi
                 base_matches = all(base[n] == v for n, v in s_y.items())
                 if not strict and base_matches and base[y] != expected:
                     continue  # centering makes s its own closest state here
-                closest = _closest_among(m2, s, candidates)
+                closest = m2.closest_among(s, candidates)
                 for t in closest:
                     if m2.interp[t][y] != expected:
                         return ConditionReport(
@@ -205,20 +194,6 @@ def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool) -> Conditi
                             },
                         )
     return ConditionReport(ok=True)
-
-
-def _closest_among(m2: CfStructure, s: str, candidates: list[str]) -> list[str]:
-    best = None
-    out: list[str] = []
-    for t in candidates:
-        r = m2.order.rank(s, t)
-        if r is None:
-            r = float("inf")
-        if best is None or r < best:
-            best, out = r, [t]
-        elif r == best:
-            out.append(t)
-    return out
 
 
 def _check_condition_b(m2: CfStructure, m: CausalModel) -> ConditionReport:
@@ -402,23 +377,3 @@ def compatible_K(
     k_keys = {tuple(m.validate_context(u)[n] for n in exo_names) for u in K}
     k2_keys = {tuple(m2.interp[s][n] for n in exo_names) for s in K2}
     return k_keys == k2_keys
-
-
-def load_structure_file(text: str, load_model=None, name_hint: str = "structure"):
-    """Load a .cfs file, attaching the builder's derived order if requested.
-
-    With `order derived weighted-violations`, the file's own states are
-    ignored in favor of the builder's all-assignments state space (the
-    derived order is only defined there), so a model reference is required.
-    """
-    from .structure import parse_structure
-
-    structure, derived, info = parse_structure(text, load_model=load_model, name_hint=name_hint)
-    if not derived:
-        return structure
-    sig, states, name, model = info
-    if model is None:
-        raise StructureError("`order derived weighted-violations` requires `over MODELFILE`")
-    built, _ = build_counterpart(model)
-    built.name = name
-    return built

@@ -429,21 +429,24 @@ def _fmt(phi: Formula, prec: int) -> str:
 # Propositional layer
 
 
-def _require_propositional(phi: Formula):
-    if isinstance(phi, (PrimEvent, ExoEvent, Top, Bot)):
-        return
-    if isinstance(phi, Not):
-        _require_propositional(phi.sub)
+def _variables(phi: Formula, kinds, out: set[str]) -> set[str]:
+    """Add to `out` the variables of the events of the given kinds in a
+    propositional formula; raises FormulaError at any other node."""
+    if isinstance(phi, kinds):
+        out.add(phi.var)
+    elif isinstance(phi, Not):
+        _variables(phi.sub, kinds, out)
     elif isinstance(phi, (And, Or)):
-        _require_propositional(phi.left)
-        _require_propositional(phi.right)
-    else:
+        _variables(phi.left, kinds, out)
+        _variables(phi.right, kinds, out)
+    elif not isinstance(phi, (PrimEvent, ExoEvent, Top, Bot)):
         raise FormulaError(f"formula is not propositional: contains {type(phi).__name__}")
+    return out
 
 
 def is_propositional(phi: Formula) -> bool:
     try:
-        _require_propositional(phi)
+        _variables(phi, (), set())
         return True
     except FormulaError:
         return False
@@ -452,44 +455,20 @@ def is_propositional(phi: Formula) -> bool:
 def variables_of(phi: Formula) -> set[str]:
     """All variable names (exogenous and endogenous) occurring in a
     propositional formula."""
-    _require_propositional(phi)
-    out: set[str] = set()
-    _collect_vars(phi, out)
-    return out
-
-
-def _collect_vars(phi: Formula, out: set[str]):
-    if isinstance(phi, (PrimEvent, ExoEvent)):
-        out.add(phi.var)
-    elif isinstance(phi, Not):
-        _collect_vars(phi.sub, out)
-    elif isinstance(phi, (And, Or)):
-        _collect_vars(phi.left, out)
-        _collect_vars(phi.right, out)
+    return _variables(phi, (PrimEvent, ExoEvent), set())
 
 
 def free_endogenous(phi: Formula) -> set[str]:
     """Endogenous variable names syntactically occurring in a propositional
     formula (negated or not)."""
-    _require_propositional(phi)
-    out: set[str] = set()
-    _collect_endo(phi, out)
-    return out
+    return _variables(phi, PrimEvent, set())
 
 
-def _collect_endo(phi: Formula, out: set[str]):
-    if isinstance(phi, PrimEvent):
-        out.add(phi.var)
-    elif isinstance(phi, Not):
-        _collect_endo(phi.sub, out)
-    elif isinstance(phi, (And, Or)):
-        _collect_endo(phi.left, out)
-        _collect_endo(phi.right, out)
-
-
-def evaluate_prop(phi: Formula, assignment: dict) -> bool:
-    """Truth of a propositional formula under an assignment covering all its
-    variables.  A primitive event X=x is true iff assignment[X] == x."""
+def evaluate_prop(phi: Formula, assignment: dict, modal=None) -> bool:
+    """Truth of a formula under an assignment covering all its variables.  A
+    primitive event X=x is true iff assignment[X] == x.  Interventions and
+    box-arrows are handed to `modal(node)`, the semantics of the model the
+    formula is evaluated in; without one they raise FormulaError."""
     if isinstance(phi, (PrimEvent, ExoEvent)):
         return assignment[phi.var] == phi.val
     if isinstance(phi, Top):
@@ -497,11 +476,13 @@ def evaluate_prop(phi: Formula, assignment: dict) -> bool:
     if isinstance(phi, Bot):
         return False
     if isinstance(phi, Not):
-        return not evaluate_prop(phi.sub, assignment)
+        return not evaluate_prop(phi.sub, assignment, modal)
     if isinstance(phi, And):
-        return evaluate_prop(phi.left, assignment) and evaluate_prop(phi.right, assignment)
+        return evaluate_prop(phi.left, assignment, modal) and evaluate_prop(phi.right, assignment, modal)
     if isinstance(phi, Or):
-        return evaluate_prop(phi.left, assignment) or evaluate_prop(phi.right, assignment)
+        return evaluate_prop(phi.left, assignment, modal) or evaluate_prop(phi.right, assignment, modal)
+    if modal is not None and isinstance(phi, (Intervene, BoxArrow)):
+        return modal(phi)
     raise FormulaError(f"formula is not propositional: contains {type(phi).__name__}")
 
 

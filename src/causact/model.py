@@ -9,6 +9,7 @@ of the remaining variables and two values of X change the value of Y.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .formula import (
@@ -24,14 +25,12 @@ from .formula import (
     PrimEvent,
     Signature,
     Top,
-    conjoin,
     conjuncts,
     evaluate_prop,
-    event,
     format_formula,
     free_endogenous,
+    is_propositional,
     parse_formula,
-    tokenize,
     variables_of,
 )
 
@@ -241,36 +240,29 @@ class CausalModel:
 
     # -- satisfaction
 
-    def check_causal_fragment(self, phi: Formula, *, in_intervene=False, in_boxarrow=False):
+    def check_causal_fragment(self, phi: Formula, *, in_boxarrow=False):
         """Reject formulas outside L_ex(S): no nested box-arrows, box-arrow
         antecedents propositional, interventions with propositional bodies."""
-        if isinstance(phi, (PrimEvent, ExoEvent, Top, Bot)):
-            return
         if isinstance(phi, Not):
-            self.check_causal_fragment(phi.sub, in_intervene=in_intervene, in_boxarrow=in_boxarrow)
+            self.check_causal_fragment(phi.sub, in_boxarrow=in_boxarrow)
         elif isinstance(phi, (And, Or)):
-            self.check_causal_fragment(phi.left, in_intervene=in_intervene, in_boxarrow=in_boxarrow)
-            self.check_causal_fragment(phi.right, in_intervene=in_intervene, in_boxarrow=in_boxarrow)
+            self.check_causal_fragment(phi.left, in_boxarrow=in_boxarrow)
+            self.check_causal_fragment(phi.right, in_boxarrow=in_boxarrow)
         elif isinstance(phi, Intervene):
             for name, value in phi.assignments:
                 if not self.sig.is_endogenous(name):
                     raise FormulaError(f"cannot intervene on {name}: not endogenous")
                 if value not in self.sig.range_of(name):
                     raise FormulaError(f"value {value!r} outside the range of {name}")
-            for part in _walk(phi.body):
-                if isinstance(part, (Intervene, BoxArrow)):
-                    raise FormulaError("intervention bodies must be propositional")
-            self.check_causal_fragment(phi.body, in_intervene=True, in_boxarrow=in_boxarrow)
+            if not is_propositional(phi.body):
+                raise FormulaError("intervention bodies must be propositional")
         elif isinstance(phi, BoxArrow):
             if in_boxarrow:
                 raise FormulaError("nested counterfactuals are not evaluable in causal models")
-            if in_intervene:
-                raise FormulaError("counterfactuals may not appear under an intervention")
-            for part in _walk(phi.antecedent):
-                if isinstance(part, (Intervene, BoxArrow)):
-                    raise FormulaError("box-arrow antecedents must be propositional")
+            if not is_propositional(phi.antecedent):
+                raise FormulaError("box-arrow antecedents must be propositional")
             self.check_causal_fragment(phi.consequent, in_boxarrow=True)
-        else:
+        elif not isinstance(phi, (PrimEvent, ExoEvent, Top, Bot)):
             raise FormulaError(f"not a causal formula: {phi!r}")
 
     def evaluate(self, u: dict, phi: Formula) -> bool:
@@ -279,27 +271,15 @@ class CausalModel:
         return self._eval(self.validate_context(u), phi, {})
 
     def _eval(self, u: dict, phi: Formula, inter: dict) -> bool:
-        if isinstance(phi, PrimEvent):
-            return self.solve(u, inter)[phi.var] == phi.val
-        if isinstance(phi, ExoEvent):
-            return u[phi.var] == phi.val
-        if isinstance(phi, Top):
-            return True
-        if isinstance(phi, Bot):
-            return False
-        if isinstance(phi, Not):
-            return not self._eval(u, phi.sub, inter)
-        if isinstance(phi, And):
-            return self._eval(u, phi.left, inter) and self._eval(u, phi.right, inter)
-        if isinstance(phi, Or):
-            return self._eval(u, phi.left, inter) or self._eval(u, phi.right, inter)
-        if isinstance(phi, Intervene):
-            merged = dict(inter)
-            merged.update(phi.assignments)
-            return self._eval(u, phi.body, merged)
-        if isinstance(phi, BoxArrow):
-            return self._eval_boxarrow(u, phi)
-        raise FormulaError(f"not a causal formula: {phi!r}")
+        """Truth of phi in the solution of u under `inter`; an intervention
+        adds its assignments to `inter`, a box-arrow enumerates its own."""
+
+        def modal(node):
+            if isinstance(node, BoxArrow):
+                return self._eval_boxarrow(u, node)
+            return self._eval(u, node.body, {**inter, **dict(node.assignments)})
+
+        return evaluate_prop(phi, self.solve(u, inter), modal)
 
     def _eval_boxarrow(self, u: dict, phi: BoxArrow) -> bool:
         """phi ~> psi holds iff for some value vector y over the endogenous
@@ -343,26 +323,6 @@ class CausalModel:
             if evaluate_prop(ant, asgn):
                 return True
         return False
-
-
-def _walk(phi: Formula):
-    yield phi
-    if isinstance(phi, Not):
-        yield from _walk(phi.sub)
-    elif isinstance(phi, (And, Or)):
-        yield from _walk(phi.left)
-        yield from _walk(phi.right)
-    elif isinstance(phi, Intervene):
-        yield from _walk(phi.body)
-    elif isinstance(phi, BoxArrow):
-        yield from _walk(phi.antecedent)
-        yield from _walk(phi.consequent)
-
-
-def validate_recursive(m: CausalModel) -> tuple[str, ...]:
-    """Topological order of the endogenous variables (construction already
-    guarantees acyclicity; this re-exposes the order as an operation)."""
-    return m.topo_order
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +400,9 @@ def _split_statements(body: str) -> list[str]:
     return statements
 
 
+_VALUE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
+
+
 def _parse_value_set(text: str, ctx: str) -> tuple[str, ...]:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -447,7 +410,11 @@ def _parse_value_set(text: str, ctx: str) -> tuple[str, ...]:
     inner = text[1:-1].strip()
     if not inner:
         raise ModelError(f"empty value set: {ctx!r}")
-    return tuple(v.strip() for v in inner.split(","))
+    values = tuple(v.strip() for v in inner.split(","))
+    for v in values:
+        if not _VALUE_RE.fullmatch(v):
+            raise ModelError(f"value {v!r} is not an identifier or a number: {ctx!r}")
+    return values
 
 
 def _parse_case(var: str, text: str, sig: Signature) -> Equation:
@@ -499,7 +466,7 @@ def parse_context(text: str, sig: Signature) -> dict:
     text = text.replace(",", "&")
     phi = parse_formula(text, sig)
     ctx = {}
-    for part in _conj_parts(phi):
+    for part in conjuncts(phi):
         if not isinstance(part, ExoEvent):
             raise ModelError(f"context literals must be exogenous events, got {format_formula(part)}")
         if part.var in ctx:
@@ -509,11 +476,3 @@ def parse_context(text: str, sig: Signature) -> dict:
     if missing:
         raise ModelError(f"context is missing {', '.join(missing)}")
     return ctx
-
-
-def _conj_parts(phi: Formula):
-    if isinstance(phi, And):
-        yield from _conj_parts(phi.left)
-        yield from _conj_parts(phi.right)
-    else:
-        yield phi

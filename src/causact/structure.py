@@ -13,20 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .formula import (
-    And,
-    BoxArrow,
-    Bot,
-    ExoEvent,
-    Formula,
-    FormulaError,
-    Intervene,
-    Not,
-    Or,
-    PrimEvent,
-    Signature,
-    Top,
-)
+from .formula import Formula, FormulaError, Intervene, Signature, evaluate_prop
+from .model import _parse_value_set, _split_statements  # shared with the model DSL
 
 
 class StructureError(ValueError):
@@ -109,16 +97,24 @@ class CfStructure:
         self.states = tuple(interp)
         self.interp = {s: dict(a) for s, a in interp.items()}
         self.order = order
+        names = sig.all_names()
         for s, asgn in self.interp.items():
-            for n in sig.all_names():
+            for n in names:
                 if n not in asgn:
                     raise StructureError(f"state {s} is missing a value for {n}")
                 if asgn[n] not in sig.range_of(n):
                     raise StructureError(f"state {s}: value {asgn[n]!r} outside the range of {n}")
+            if len(asgn) > len(names):
+                extra = ", ".join(sorted(set(asgn) - set(names)))
+                raise StructureError(f"state {s} assigns undeclared variable {extra}")
         self._eval_cache: dict = {}
         self._closest_cache: dict = {}
 
     # -- queries
+
+    def _known(self, s: str):
+        if s not in self.interp:
+            raise StructureError(f"unknown state {s!r}")
 
     def satisfies_at(self, s: str, phi: Formula) -> bool:
         """Evaluate a counterfactual formula at state s.  Interventions are a
@@ -127,29 +123,17 @@ class CfStructure:
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
-        result = self._eval(s, phi)
+        self._known(s)
+
+        def modal(node):
+            if isinstance(node, Intervene):
+                raise FormulaError("interventions are not evaluable in counterfactual structures")
+            closest = self.closest_states(s, node.antecedent)
+            return all(self.satisfies_at(t, node.consequent) for t in closest)
+
+        result = evaluate_prop(phi, self.interp[s], modal)
         self._eval_cache[key] = result
         return result
-
-    def _eval(self, s: str, phi: Formula) -> bool:
-        if isinstance(phi, (PrimEvent, ExoEvent)):
-            return self.interp[s][phi.var] == phi.val
-        if isinstance(phi, Top):
-            return True
-        if isinstance(phi, Bot):
-            return False
-        if isinstance(phi, Not):
-            return not self.satisfies_at(s, phi.sub)
-        if isinstance(phi, And):
-            return self.satisfies_at(s, phi.left) and self.satisfies_at(s, phi.right)
-        if isinstance(phi, Or):
-            return self.satisfies_at(s, phi.left) or self.satisfies_at(s, phi.right)
-        if isinstance(phi, BoxArrow):
-            closest = self.closest_states(s, phi.antecedent)
-            return all(self.satisfies_at(t, phi.consequent) for t in closest)
-        if isinstance(phi, Intervene):
-            raise FormulaError("interventions are not evaluable in counterfactual structures")
-        raise FormulaError(f"not a formula: {phi!r}")
 
     def closest_states(self, s: str, phi: Formula) -> frozenset[str]:
         """{ t : t satisfies phi, no phi-state is strictly closer to s }."""
@@ -157,21 +141,10 @@ class CfStructure:
         hit = self._closest_cache.get(key)
         if hit is not None:
             return hit
+        self._known(s)
         sat = [t for t in self.states if self.satisfies_at(t, phi)]
-        if not sat:
-            result = frozenset()
-        elif self.order.ranked:
-            best = None
-            best_states: list[str] = []
-            for t in sat:
-                r = self.order.rank(s, t)
-                if r is None:
-                    r = _FAR
-                if best is None or r < best:
-                    best, best_states = r, [t]
-                elif r == best:
-                    best_states.append(t)
-            result = frozenset(best_states)
+        if self.order.ranked:
+            result = frozenset(self.closest_among(s, sat))
         else:
             result = frozenset(
                 t
@@ -183,6 +156,21 @@ class CfStructure:
             )
         self._closest_cache[key] = result
         return result
+
+    def closest_among(self, s: str, candidates) -> list[str]:
+        """The candidates of least rank from s, in candidate order (unranked
+        candidates count as farthest).  Needs a ranked order."""
+        best = None
+        out: list[str] = []
+        for t in candidates:
+            r = self.order.rank(s, t)
+            if r is None:
+                r = _FAR
+            if best is None or r < best:
+                best, out = r, [t]
+            elif r == best:
+                out.append(t)
+        return out
 
 
 @dataclass
@@ -240,7 +228,7 @@ def parse_structure(
     sig: Signature | None = None,
     load_model=None,
     name_hint: str = "structure",
-):
+) -> CfStructure:
     """Parse the structure DSL:
 
         structure IDENT over MODELFILE      (optional signature reuse)
@@ -250,13 +238,11 @@ def parse_structure(
         order IDENT : { IDS } ; { IDS }     (tiers after the implicit {self})
         order derived weighted-violations
 
-    Returns (CfStructure | None, wants_derived_order: bool, model).  When the
-    order is `derived weighted-violations` the caller is expected to attach
-    the correspondence builder's cost; parse_structure then needs the model
-    and returns wants_derived_order=True with tiers absent.
+    With `order derived weighted-violations` the file's own states are
+    ignored in favour of the counterpart builder's all-assignments state
+    space, the only one the derived order is defined on, so the structure
+    must be `over` a model.
     """
-    from .model import _split_statements, parse_model  # shared statement splitter
-
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -283,9 +269,8 @@ def parse_structure(
                 model = load_model(parts[3])
                 sig = model.sig
         elif head in ("exo", "var"):
-            _, rest = stmt.split(None, 1)
-            var, _, rng = rest.partition(":")
-            values = tuple(v.strip() for v in rng.strip().strip("{}").split(","))
+            var, _, rng = stmt[3:].partition(":")
+            values = _parse_value_set(rng, stmt)
             (exo if head == "exo" else endo).append((var.strip(), values))
         elif head == "state":
             rest = stmt[5:].strip()
@@ -325,7 +310,13 @@ def parse_structure(
         sig = Signature(tuple(exo), tuple(endo))
 
     if derived:
-        return None, True, (sig, states, name, model)
+        if model is None:
+            raise StructureError("`order derived weighted-violations` requires `over MODELFILE`")
+        from .correspondence import build_counterpart  # correspondence imports this module
+
+        built, _ = build_counterpart(model)
+        built.name = name
+        return built
 
     for sid, ts in tiers.items():
         if sid not in states:
@@ -336,8 +327,7 @@ def parse_structure(
                     raise StructureError(f"order for {sid} names unknown state {other}")
     # Implicit tier 0 = {self}; remaining tiers shift by one.
     full_tiers = {sid: [frozenset({sid})] + tiers.get(sid, []) for sid in states}
-    structure = CfStructure(sig, states, TierOrder(full_tiers), name=name)
-    return structure, False, (sig, states, name, model)
+    return CfStructure(sig, states, TierOrder(full_tiers), name=name)
 
 
 def structure_to_text(m: CfStructure) -> str:

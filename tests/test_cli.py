@@ -135,6 +135,16 @@ class TestStructureWorkflow:
         )
         assert code == 3
 
+    def test_unknown_base_state_is_semantic_error(self, capsys, tmp_path):
+        path = tmp_path / "s.cfs"
+        path.write_text(
+            "structure toy\nvar X : { 0, 1 }\n"
+            "state a { X=0 }\nstate b { X=1 }\norder a : { b }\n"
+        )
+        code, out, err = run(capsys, "closest", "-s", str(path), "--state", "nosuch", "X=1")
+        assert code == 3
+        assert out == "" and "unknown state 'nosuch'" in err
+
     def test_pinned_cause_on_structure(self, capsys, rt_file, tmp_path):
         out_file = str(tmp_path / "rt.cfs")
         run(capsys, "build-cf", "-m", rt_file, "-o", out_file)
@@ -175,6 +185,17 @@ class TestFuzzAndCorpus:
         assert code == 0
         d = json.loads(out)
         assert d["ok"] and d["agreements"] == 5
+
+    def test_fuzz_disagreement_exits_3(self, capsys, monkeypatch):
+        from causact.harness import DifferentialReport
+
+        def one_disagreement(name, trials, seed=0, negated=False):
+            return DifferentialReport(name, trials, seed, trials - 1, [{"trial": 0}])
+
+        monkeypatch.setattr("causact.cli.run_differential", one_disagreement)
+        code, out, _ = run(capsys, "fuzz", "--theorem", "3", "--trials", "2", "--json")
+        assert code == 3
+        assert not json.loads(out)["ok"]
 
     def test_fuzz_unknown_theorem(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--theorem", "9", "--trials", "1")

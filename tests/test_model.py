@@ -7,6 +7,7 @@ from causact.formula import (
     BoxArrow,
     ExoEvent,
     FormulaError,
+    Intervene,
     Not,
     Or,
     PrimEvent,
@@ -29,7 +30,6 @@ from causact.model import (
     model_to_text,
     parse_context,
     parse_model,
-    validate_recursive,
 )
 from causact.corpus import CHAIN_COPY, ROCK_THROWING
 
@@ -97,6 +97,11 @@ class TestParsing:
                 "eq X = case { U=0 : 2 ; default: 0 }\n"
             )
 
+    def test_value_that_is_not_a_token_rejected(self):
+        # no formula could name the value "a b"
+        with pytest.raises(ModelError, match="not an identifier or a number"):
+            parse_model("model m\nexo U : { 0 }\nvar X : { a b, c }\neq X = case { default: c }\n")
+
 
 class TestSolve:
     def test_both_throw(self, rt):
@@ -127,7 +132,8 @@ class TestSolve:
             rt.solve({"U": "u99"})
 
     def test_validate_recursive_gives_topological_order(self, rt):
-        order = validate_recursive(rt)
+        order = rt.topo_order
+        assert sorted(order) == sorted(rt.sig.endo_names)
         pos = {v: i for i, v in enumerate(order)}
         for x in rt.sig.endo_names:
             for p in rt.parents[x]:
@@ -181,6 +187,45 @@ class TestEvaluate:
     def test_nested_boxarrow_rejected(self, rt):
         with pytest.raises((FormulaError, ModelError)):
             rt.evaluate({"U": "u11"}, parse_formula("((ST=1) ~> (BS=1)) ~> (BS=1)", rt.sig))
+
+
+def _evaluates(text):
+    return lambda m: m.evaluate({"U": "u11"}, parse_formula(text, m.sig))
+
+
+def _intervenes(assignments):
+    return lambda m: m.evaluate({"U": "u11"}, Intervene(assignments, PrimEvent("BS", "1")))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (_evaluates("(ST=1) ~> ((ST=0) ~> (BS=1))"),
+         "nested counterfactuals are not evaluable in causal models"),
+        (_evaluates("((ST=1) ~> (BS=1)) ~> (BS=1)"), "box-arrow antecedents must be propositional"),
+        (_evaluates("([ST<-1] BS=1) ~> (BS=1)"), "box-arrow antecedents must be propositional"),
+        (_evaluates("[ST<-1] [BT<-0] BS=1"), "intervention bodies must be propositional"),
+        (_evaluates("[ST<-1] ((BT=1) ~> (BS=1))"), "intervention bodies must be propositional"),
+        (_intervenes((("U", "u11"),)), "cannot intervene on U: not endogenous"),
+        (_intervenes((("ST", "7"),)), "value '7' outside the range of ST"),
+        (lambda m: evaluate_prop(BoxArrow(PrimEvent("ST", "1"), PrimEvent("BS", "1")), m.solve({"U": "u11"})),
+         "formula is not propositional: contains BoxArrow"),
+    ],
+    ids=[
+        "nested-boxarrow-in-consequent",
+        "boxarrow-in-antecedent",
+        "intervention-in-antecedent",
+        "intervention-in-intervention-body",
+        "boxarrow-in-intervention-body",
+        "exogenous-intervention-target",
+        "out-of-range-intervention-value",
+        "evaluate-prop-without-modal-hook",
+    ],
+)
+def test_rejection_messages(rt, call, message):
+    with pytest.raises(FormulaError) as exc:
+        call(rt)
+    assert str(exc.value) == message
 
 
 class TestContextParsing:

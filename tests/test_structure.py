@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from causact.formula import (
     And,
     BoxArrow,
+    FormulaError,
     Not,
     Or,
     PrimEvent,
     Signature,
     parse_formula,
 )
+from causact.model import ModelError
 from causact.structure import (
     CfStructure,
     RelationOrder,
@@ -90,8 +92,16 @@ class TestSatisfaction:
 
     def test_intervention_rejected(self):
         m = make_structure(FLAT)
-        with pytest.raises(Exception):
-            m.satisfies_at("a", parse_formula("[X<-1] Y=1", SIG))
+        for text in ("[X<-1] Y=1", "(X=1) ~> ([X<-1] Y=1)"):
+            with pytest.raises(FormulaError, match="interventions are not evaluable in counterfactual structures"):
+                m.satisfies_at("a", parse_formula(text, SIG))
+
+    def test_unknown_base_state_rejected(self):
+        m = make_structure(FLAT)
+        phi = parse_formula("X=1", SIG)
+        for query in (m.closest_states, m.satisfies_at):
+            with pytest.raises(StructureError, match="unknown state 'nosuch'"):
+                query("nosuch", phi)
 
     def test_nested_boxarrow_allowed(self):
         m = make_structure(FLAT)
@@ -248,21 +258,20 @@ order c : { a, b }
 
 class TestFileFormat:
     def test_parse(self):
-        m, derived, _ = parse_structure(STRUCT_TEXT)
-        assert not derived
+        m = parse_structure(STRUCT_TEXT)
         assert m.name == "toy"
         assert set(m.states) == {"a", "b", "c"}
         assert m.closest_states("a", parse_formula("X!=0", m.sig)) == frozenset({"b"})
 
     def test_implicit_self_tier(self):
-        m, _, _ = parse_structure(STRUCT_TEXT)
+        m = parse_structure(STRUCT_TEXT)
         assert m.order.rank("a", "a") == 0
         assert m.order.rank("a", "b") == 1
 
     def test_round_trip(self):
-        m, _, _ = parse_structure(STRUCT_TEXT)
+        m = parse_structure(STRUCT_TEXT)
         text = structure_to_text(m)
-        again, _, _ = parse_structure(text)
+        again = parse_structure(text)
         for s in m.states:
             for t in m.states:
                 assert m.order.rank(s, t) == again.order.rank(s, t)
@@ -277,3 +286,18 @@ class TestFileFormat:
         bad = STRUCT_TEXT + "state a { U=0, X=0, Y=0 }\n"
         with pytest.raises(StructureError):
             parse_structure(bad)
+
+    def test_empty_value_set_rejected(self):
+        bad = STRUCT_TEXT.replace("var Y : { 0, 1 }", "var Y :")
+        with pytest.raises(ModelError, match="expected a value set in braces"):
+            parse_structure(bad)
+
+    def test_undeclared_state_variable_rejected(self):
+        bad = STRUCT_TEXT.replace("state a { U=0, X=0, Y=0 }", "state a { U=0, X=0, Y=0, ZZZ=5 }")
+        with pytest.raises(StructureError, match="undeclared variable ZZZ"):
+            parse_structure(bad)
+
+    def test_derived_order_needs_a_model(self):
+        derived = STRUCT_TEXT.split("order")[0] + "order derived weighted-violations\n"
+        with pytest.raises(StructureError, match="requires `over MODELFILE`"):
+            parse_structure(derived)
