@@ -10,6 +10,16 @@ where viol_Y(t) = 1 iff t breaks Y's equation and w_Y = (|V|+1)^(|V|-depth(Y))
 with depth the longest path from a source of the endogenous DAG.  Upstream
 violations therefore cost strictly more than any combination of downstream
 ones, which makes intervened solutions beat backtracked alternatives.
+
+The checker turns the closeness order into one n x n integer rank matrix per
+check (by broadcasting for the derived order, by one pass of `rank()` for
+other ranked orders) and decides both conditions from minima over it:
+condition (a) takes, per endogenous Y, the least rank over each group of
+states that agree on every other variable; condition (c) keeps, per
+conjunction of endogenous events, the least rank over its states with the
+base's exogenous values and over those with other values, and decides a
+pairwise disjunction from the elementwise minimum of its two conjunctions'
+vectors.
 """
 
 from __future__ import annotations
@@ -33,6 +43,26 @@ DEFAULT_STATE_CAP = 10**6
 
 # ---------------------------------------------------------------------------
 # Builder
+
+
+class CounterpartOrder(CostOrder):
+    """The derived order d_s(t), kept as per-state arrays: `exo` holds each
+    state's exogenous value indices (one row per state) and `viol` its
+    violation cost (Python ints, exact at any size).  `rank` returns the
+    cost tuple; the checker builds its rank matrix from the arrays."""
+
+    def __init__(self, states: list[str], exo: np.ndarray, viol: list[int]):
+        self.index = {s: i for i, s in enumerate(states)}
+        self.exo = exo
+        self.viol = viol
+        exo_part = dict(zip(states, map(tuple, exo.tolist())))
+        viol_cost = dict(zip(states, viol))
+
+        def cost(base: str, other: str):
+            diffs = sum(1 for a, b in zip(exo_part[base], exo_part[other]) if a != b)
+            return (0 if base == other else 1, diffs, viol_cost[other])
+
+        super().__init__(cost)
 
 
 def state_space_size(m: CausalModel) -> int:
@@ -71,21 +101,21 @@ def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
     depth = endo_depths(m)
     weights = {y: (n_endo + 1) ** (n_endo - depth[y]) for y in sig.endo_names}
 
-    states = list(interp)
-    viol_cost = {}
-    for s, asgn in interp.items():
+    viol = []
+    for asgn in interp.values():
         total = 0
         for y in sig.endo_names:
             if asgn[y] != m.equation_value(y, asgn):
                 total += weights[y]
-        viol_cost[s] = total
-    exo_part = {s: tuple(asgn[n] for n in sig.exo_names) for s, asgn in interp.items()}
+        viol.append(total)
+    # State i's value indices are the mixed-radix digits of i; the
+    # exogenous variables come first.
+    digits = np.unravel_index(np.arange(size), [len(r) for r in ranges])
+    k = len(sig.exo_names)
+    exo_index = np.array(digits[:k], dtype=np.intp).T.reshape(size, k)
 
-    def cost(base: str, other: str):
-        diffs = sum(1 for a, b in zip(exo_part[base], exo_part[other]) if a != b)
-        return (0 if base == other else 1, diffs, viol_cost[other])
-
-    structure = CfStructure(sig, interp, CostOrder(cost), name=f"{m.name}-counterpart")
+    order = CounterpartOrder(list(interp), exo_index, viol)
+    structure = CfStructure(sig, interp, order, name=f"{m.name}-counterpart")
 
     def context_state(u: dict) -> str:
         sol = m.solve(u)
@@ -150,49 +180,113 @@ def check_correspondence(
     if m2.sig != m.sig:
         raise CorrespondenceError("signature mismatch between structure and model")
 
-    report = CorrespondenceReport(condition_a=_check_condition_a(m2, m, strict))
+    near = _rank_matrix(m2)
+    vals = _value_indices(m2)
+    report = CorrespondenceReport(condition_a=_check_condition_a(m2, m, strict, near, vals))
     if strong:
         report.condition_b = _check_condition_b(m2, m)
-        report.condition_c, report.checked_psi_count = _check_condition_c(m2, m, extra_psis)
+        report.condition_c, report.checked_psi_count = _check_condition_c(
+            m2, m, near, vals, extra_psis
+        )
     return report
 
 
-def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool) -> ConditionReport:
+def _value_indices(m2: CfStructure) -> np.ndarray:
+    """Each state's value indices, one row per state, one column per
+    variable in `all_names()` order (exogenous first)."""
+    names = m2.sig.all_names()
+    index = [{v: i for i, v in enumerate(m2.sig.range_of(x))} for x in names]
+    rows = [[ix[m2.interp[s][x]] for x, ix in zip(names, index)] for s in m2.states]
+    return np.array(rows, dtype=np.intp).reshape(len(m2.states), len(names))
+
+
+def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of equal rows, numbered in order of first appearance, and the
+    first row of each group."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    return renumber[inverse.reshape(-1)], first[order]
+
+
+def _rank_matrix(m2: CfStructure) -> np.ndarray:
+    """R[i, j] < R[i, k] iff state j is strictly closer to state i than
+    state k is, by the structure's ranks (unranked states farthest).  The
+    entries are dense ranks, so the order is exact whatever the ranks are,
+    and far below the int64 maximum, which callers use as infinity.
+    Raises for orders without ranks, like `rank()` does."""
+    order = m2.order
+    n = len(m2.states)
+    if isinstance(order, CounterpartOrder):
+        pos = [order.index[s] for s in m2.states]
+        exo = order.exo[pos]
+        viol = [order.viol[p] for p in pos]
+        level = {c: i for i, c in enumerate(sorted(set(viol)))}
+        k = exo.shape[1]
+        # ([t != s], #exogenous differences, dense rank of viol(t)) in mixed radix
+        near = np.zeros((n, n), dtype=np.int64)
+        for col in exo.T:
+            near += col[:, None] != col[None, :]
+        near += k + 1
+        near[np.diag_indices(n)] -= k + 1
+        near *= len(level)
+        near += np.array([level[c] for c in viol], dtype=np.int64)
+        return near
+    ranks = [[order.rank(s, t) for t in m2.states] for s in m2.states]
+    level = {r: i for i, r in enumerate(sorted({r for row in ranks for r in row if r is not None}))}
+    far = len(level)
+    return np.array(
+        [[far if r is None else level[r] for r in row] for row in ranks], dtype=np.int64
+    ).reshape(n, n)
+
+
+def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, near, vals) -> ConditionReport:
+    """For every endogenous Y, every group of states that agree on all other
+    variables (a setting W_Y = s_Y) and every base state, the base's closest
+    states in the group must give Y its equation's value.  All bases of a
+    group are decided at once from the group's least rank in each row of
+    `near`; the report names the first failure in group, base and
+    candidate order."""
     sig = m.sig
     names = sig.all_names()
-    by_rest: dict[str, dict[tuple, list[str]]] = {}
-    for y in sig.endo_names:
-        rest = [n for n in names if n != y]
-        groups: dict[tuple, list[str]] = {}
-        for s in m2.states:
-            asgn = m2.interp[s]
-            groups.setdefault(tuple(asgn[n] for n in rest), []).append(s)
-        by_rest[y] = groups
-
-    for y in sig.endo_names:
-        rest = [n for n in names if n != y]
-        for setting, candidates in by_rest[y].items():
-            s_y = dict(zip(rest, setting))
-            expected = m.equation_value(y, s_y)
-            for s in m2.states:
-                base = m2.interp[s]
-                base_matches = all(base[n] == v for n, v in s_y.items())
-                if not strict and base_matches and base[y] != expected:
-                    continue  # centering makes s its own closest state here
-                closest = m2.closest_among(s, candidates)
-                for t in closest:
-                    if m2.interp[t][y] != expected:
-                        return ConditionReport(
-                            ok=False,
-                            counterexample={
-                                "Y": y,
-                                "setting": s_y,
-                                "base_state": s,
-                                "closest_state": t,
-                                "expected": expected,
-                                "got": m2.interp[t][y],
-                            },
-                        )
+    states = m2.states
+    for c, y in enumerate(names):
+        if not sig.is_endogenous(y):
+            continue
+        rest = names[:c] + names[c + 1 :]
+        gid, first = _groups(np.delete(vals, c, axis=1))
+        settings = [{x: m2.interp[states[i]][x] for x in rest} for i in first]
+        expected = [m.equation_value(y, s_y) for s_y in settings]
+        rng = sig.range_of(y)
+        wrong = vals[:, c] != np.array([rng.index(v) for v in expected], dtype=np.intp)[gid]
+        # Columns sorted by group, each group's members in state order.
+        cols = np.argsort(gid, kind="stable")
+        starts = np.searchsorted(gid[cols], np.arange(len(first)))
+        sub = near[:, cols]
+        closest = sub == np.minimum.reduceat(sub, starts, axis=1)[:, gid[cols]]
+        bad = closest & wrong[cols]
+        group_bad = np.logical_or.reduceat(bad, starts, axis=1)
+        if not strict:
+            # centering makes s its own closest state when s has the
+            # setting but breaks Y's equation
+            group_bad[wrong, gid[wrong]] = False
+        failing = np.flatnonzero(group_bad.any(axis=0))
+        if failing.size:
+            g = failing[0]
+            i = np.flatnonzero(group_bad[:, g])[0]
+            t = cols[starts[g] + np.flatnonzero(bad[i, starts[g]:])[0]]
+            return ConditionReport(
+                ok=False,
+                counterexample={
+                    "Y": y,
+                    "setting": settings[g],
+                    "base_state": states[i],
+                    "closest_state": states[t],
+                    "expected": expected[g],
+                    "got": m2.interp[states[t]][y],
+                },
+            )
     return ConditionReport(ok=True)
 
 
@@ -216,117 +310,127 @@ def _psi_family(sig: Signature):
         yield combo
 
 
-def _check_condition_c(m2, m, extra_psis):
+_PAIR_BLOCK = 1 << 16  # pair-by-base cells decided per numpy step
+
+
+def _check_condition_c(m2, m, near, vals, extra_psis):
     """Exogenous values must be preserved in the closest psi-states, for all
     conjunctions of endogenous events, all pairwise disjunctions of such
-    conjunctions, and any explicitly supplied query formulas."""
+    conjunctions, and any explicitly supplied query formulas.
+
+    psi fails at base s when some psi-state has s's exogenous values
+    (otherwise psi is not consistent with U = u there and the condition
+    does not apply) and none of them is strictly closer than every
+    psi-state with other exogenous values.  So each mask needs only two
+    vectors over the bases: `min_same[s]`, the least rank from s over
+    psi-states with s's exogenous values, and `min_diff[s]`, the least
+    rank over the others.  They are computed once per conjunction; the
+    vectors of psi1 | psi2 are the elementwise minima of its disjuncts'
+    vectors, so each disjunction is decided in O(n), many at a time.
+
+    Disjunctions whose mask equals that of an earlier pair (in
+    `itertools.combinations` order) are not counted again.  Such a
+    duplicate never decides the verdict: its first occurrence fails
+    whenever it does."""
     sig = m.sig
-    states = list(m2.states)
+    states = m2.states
     n = len(states)
-    idx = {s: i for i, s in enumerate(states)}
+    inf = np.iinfo(np.int64).max
+    k = len(sig.exo_names)
+    exo_class, _ = _groups(vals[:, :k])
+    same = exo_class[:, None] == exo_class[None, :]
+    near_same = np.where(same, near, inf)
+    near_diff = np.where(same, inf, near)
 
-    endo_vals = np.array(
-        [[sig.range_of(v).index(m2.interp[s][v]) for v in sig.endo_names] for s in states]
-    )
-    exo_ids = np.array(
-        [
-            _exo_id(sig, m2.interp[s])
-            for s in states
-        ]
-    )
-    cost = np.empty((n, n), dtype=np.int64)
-    for i, s in enumerate(states):
-        for j, t in enumerate(states):
-            a, b, c = _rank_tuple(m2, s, t)
-            cost[i, j] = (a * 64 + b) * (1 << 40) + c
-    same_exo = exo_ids[:, None] == exo_ids[None, :]
-    INF = np.int64(2**62)
+    def minima(masks):
+        out_same = np.full((len(masks), n), inf, dtype=np.int64)
+        out_diff = out_same.copy()
+        for row, mask in enumerate(masks):
+            cols = np.flatnonzero(mask)
+            if cols.size:
+                out_same[row] = near_same[:, cols].min(axis=1)
+                out_diff[row] = near_diff[:, cols].min(axis=1)
+        return out_same, out_diff
 
-    def violates(mask: np.ndarray):
-        """Return a base-state index whose closest mask-states change the
-        exogenous values, or None."""
-        if not mask.any():
+    def first_bad(min_same, min_diff):
+        """(row, base) of the first failing row, or None."""
+        bad = (min_same >= min_diff) & (min_same != inf)
+        rows = np.flatnonzero(bad.any(axis=1))
+        if not rows.size:
             return None
-        a = np.where(mask[None, :], cost, INF)
-        min_same = np.where(same_exo, a, INF).min(axis=1)
-        min_diff = np.where(~same_exo, a, INF).min(axis=1)
-        bad = ~(min_same < min_diff)
-        # Bases with no same-exo mask state at all: the formula is not
-        # consistent with U = u there, so the condition does not apply.
-        bad &= min_same < INF
-        nz = np.nonzero(bad)[0]
-        return int(nz[0]) if nz.size else None
-
-    checked = 0
-    conj_masks: list[tuple[tuple, np.ndarray]] = []
-    for combo in _psi_family(sig):
-        mask = np.ones(n, dtype=bool)
-        for col, want in enumerate(combo):
-            if want is not None:
-                mask &= endo_vals[:, col] == sig.range_of(sig.endo_names[col]).index(want)
-        conj_masks.append((combo, mask))
+        return int(rows[0]), int(np.flatnonzero(bad[rows[0]])[0])
 
     def describe(combo):
-        return " & ".join(
-            f"{v}={w}" for v, w in zip(sig.endo_names, combo) if w is not None
-        )
+        return " & ".join(f"{v}={w}" for v, w in zip(sig.endo_names, combo) if w is not None)
 
-    for combo, mask in conj_masks:
-        checked += 1
-        bad = violates(mask)
-        if bad is not None:
-            return (
-                ConditionReport(ok=False, counterexample={"psi": describe(combo), "base_state": states[bad]}),
-                checked,
-            )
+    def failed(psi, base, checked):
+        return ConditionReport(ok=False, counterexample={"psi": psi, "base_state": states[base]}), checked
 
-    seen_masks = set()
-    for (c1, m1), (c2, mm2) in itertools.combinations(conj_masks, 2):
-        mask = m1 | mm2
-        key = mask.tobytes()
-        if key in seen_masks:
-            continue
-        seen_masks.add(key)
-        checked += 1
-        bad = violates(mask)
-        if bad is not None:
-            return (
-                ConditionReport(
-                    ok=False,
-                    counterexample={"psi": f"({describe(c1)}) | ({describe(c2)})", "base_state": states[bad]},
-                ),
-                checked,
+    combos = list(_psi_family(sig))
+    masks = np.ones((len(combos), n), dtype=bool)
+    for row, combo in enumerate(combos):
+        for col, want in enumerate(combo):
+            if want is not None:
+                masks[row] &= vals[:, k + col] == sig.range_of(sig.endo_names[col]).index(want)
+    conj_same, conj_diff = minima(masks)
+
+    hit = first_bad(conj_same, conj_diff)
+    if hit is not None:
+        return failed(describe(combos[hit[0]]), hit[1], hit[0] + 1)
+    checked = len(combos)
+
+    # Pairwise disjunctions in combinations order.  All conjunctions
+    # passed, so a disjunction can fail at s only where one of its
+    # disjuncts has no state with s's exogenous values: elsewhere
+    # min(same1, same2) <= same_i < diff_i for both i.  Only pairs with
+    # such a "lonely" disjunct are decided, a block of partners of one
+    # first disjunct at a time.
+    lonely = (conj_same == inf).any(axis=1)
+    step = max(1, _PAIR_BLOCK // max(n, 1))
+    hit = None
+    for i in range(len(combos) - 1):
+        partners = i + 1 + np.flatnonzero(lonely[i + 1 :] | lonely[i])
+        for lo in range(0, partners.size, step):
+            js = partners[lo : lo + step]
+            block = first_bad(
+                np.minimum(conj_same[i], conj_same[js]),
+                np.minimum(conj_diff[i], conj_diff[js]),
             )
+            if block is not None:
+                hit = i, js[block[0]], block[1]
+                break
+        if hit is not None:
+            break
+
+    # Count the distinct union masks up to the failing pair, or all: each
+    # mask is a row of 64-bit words; the rows are sorted in place and
+    # adjacent rows compared.
+    width = max(1, -(-n // 64))
+    packed = np.zeros((len(combos), 8 * width), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(masks, axis=1)
+    packed = packed.view(np.uint64)
+    last_i, last_j = hit[:2] if hit is not None else (len(combos) - 2, len(combos) - 1)
+    ends = [len(combos) if i < last_i else last_j + 1 for i in range(last_i + 1)]
+    keys = np.empty((sum(end - i - 1 for i, end in enumerate(ends)), width), dtype=np.uint64)
+    at = 0
+    for i, end in enumerate(ends):
+        keys[at : at + end - i - 1] = packed[i] | packed[i + 1 : end]
+        at += end - i - 1
+    if len(keys):
+        keys.view(np.dtype((np.void, 8 * width))).sort(axis=0)
+        checked += 1 + int(np.count_nonzero((keys[1:] != keys[:-1]).any(axis=1)))
+    if hit is not None:
+        i, j, base = hit
+        return failed(f"({describe(combos[i])}) | ({describe(combos[j])})", base, checked)
 
     for psi in extra_psis or []:
-        mask = np.array([evaluate_prop(psi, m2.interp[s]) for s in states])
         checked += 1
-        bad = violates(mask)
-        if bad is not None:
-            return (
-                ConditionReport(ok=False, counterexample={"psi": format_formula(psi), "base_state": states[bad]}),
-                checked,
-            )
+        mask = np.array([evaluate_prop(psi, m2.interp[s]) for s in states], dtype=bool)
+        hit = first_bad(*minima([mask]))
+        if hit is not None:
+            return failed(format_formula(psi), hit[1], checked)
 
     return ConditionReport(ok=True), checked
-
-
-def _exo_id(sig: Signature, asgn: dict) -> int:
-    out = 0
-    for name in sig.exo_names:
-        rng = sig.range_of(name)
-        out = out * len(rng) + rng.index(asgn[name])
-    return out
-
-
-def _rank_tuple(m2: CfStructure, s: str, t: str):
-    r = m2.order.rank(s, t)
-    if r is None:
-        return (2, 0, 0)  # unranked: farther than everything ranked
-    if isinstance(r, tuple) and len(r) == 3:
-        return r
-    # tier/other scalar ranks: fold into the violation slot
-    return (0 if s == t else 1, 0, int(r))
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,10 @@ class CausalModel:
 
     def _eval(self, u: dict, phi: Formula, inter: dict) -> bool:
         """Truth of phi in the solution of u under `inter`; an intervention
-        adds its assignments to `inter`, a box-arrow enumerates its own."""
+        adds its assignments to `inter`, a box-arrow enumerates its own (so
+        a lone box-arrow needs no solution here)."""
+        if isinstance(phi, BoxArrow):
+            return self._eval_boxarrow(u, phi)
 
         def modal(node):
             if isinstance(node, BoxArrow):
@@ -357,18 +360,13 @@ def parse_model(text: str, name_hint: str = "model") -> CausalModel:
         if stmt.startswith("model "):
             name = stmt.split(None, 1)[1].strip()
         elif stmt.startswith("exo ") or stmt.startswith("var "):
-            kind, rest = stmt.split(None, 1)
-            if ":" not in rest:
-                raise ModelError(f"malformed declaration: {stmt!r}")
-            var, rng = rest.split(":", 1)
-            values = _parse_value_set(rng.strip(), stmt)
-            (exo if kind == "exo" else endo).append((var.strip(), values))
+            (exo if stmt.startswith("exo") else endo).append(_parse_declaration(stmt))
         elif stmt.startswith("eq "):
             rest = stmt[3:]
             if "=" not in rest:
                 raise ModelError(f"malformed equation: {stmt!r}")
             var, table = rest.split("=", 1)
-            eq_texts.append((var.strip(), table.strip()))
+            eq_texts.append((_identifier(var, stmt), table.strip()))
         else:
             raise ModelError(f"unrecognized statement: {stmt!r}")
 
@@ -400,7 +398,23 @@ def _split_statements(body: str) -> list[str]:
     return statements
 
 
-_VALUE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_VALUE_RE = re.compile(_IDENT_RE.pattern + r"|[0-9]+")
+
+
+def _identifier(text: str, ctx: str) -> str:
+    name = text.strip()
+    if not _IDENT_RE.fullmatch(name):
+        raise ModelError(f"expected a variable name, got {name!r}: {ctx!r}")
+    return name
+
+
+def _parse_declaration(stmt: str) -> tuple[str, tuple[str, ...]]:
+    """`exo IDENT : { VALUE, ... }` or `var ...` -> (IDENT, values)."""
+    var, colon, rng = stmt[3:].partition(":")
+    if not colon:
+        raise ModelError(f"malformed declaration: {stmt!r}")
+    return _identifier(var, stmt), _parse_value_set(rng, stmt)
 
 
 def _parse_value_set(text: str, ctx: str) -> tuple[str, ...]:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .formula import Formula, FormulaError, Intervene, Signature, evaluate_prop
-from .model import _parse_value_set, _split_statements  # shared with the model DSL
+from .model import _parse_declaration, _split_statements  # shared with the model DSL
 
 
 class StructureError(ValueError):
@@ -262,6 +262,8 @@ def parse_structure(
         head = stmt.split(None, 1)[0]
         if head == "structure":
             parts = stmt.split()
+            if len(parts) < 2:
+                raise StructureError(f"structure line needs a name: {stmt!r}")
             name = parts[1]
             if len(parts) >= 4 and parts[2] == "over":
                 if load_model is None:
@@ -269,9 +271,7 @@ def parse_structure(
                 model = load_model(parts[3])
                 sig = model.sig
         elif head in ("exo", "var"):
-            var, _, rng = stmt[3:].partition(":")
-            values = _parse_value_set(rng, stmt)
-            (exo if head == "exo" else endo).append((var.strip(), values))
+            (exo if head == "exo" else endo).append(_parse_declaration(stmt))
         elif head == "state":
             rest = stmt[5:].strip()
             sid, _, assigns = rest.partition("{")

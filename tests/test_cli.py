@@ -56,6 +56,13 @@ class TestSolveEval:
         code, out, _ = run(capsys, "eval", "-m", rt_file, "-u", "U=u11", "[ST<-0] BS=1")
         assert code == 0 and out.strip() == "true"
 
+    def test_empty_variable_name_is_semantic_error(self, capsys, tmp_path):
+        path = tmp_path / "m.cm"
+        path.write_text("model m\nexo U : { 0, 1 }\nvar : { 0, 1 }\neq  = case { default: 0 }\n")
+        code, out, err = run(capsys, "solve", "-m", str(path), "-u", "U=0")
+        assert code == 3
+        assert out == "" and "expected a variable name" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "-m", "/nonexistent.cm", "-u", "U=u11", "BS=1")
         assert code == 2 and "error" in err
@@ -144,6 +151,20 @@ class TestStructureWorkflow:
         code, out, err = run(capsys, "closest", "-s", str(path), "--state", "nosuch", "X=1")
         assert code == 3
         assert out == "" and "unknown state 'nosuch'" in err
+
+    def test_bare_structure_line_is_semantic_error(self, capsys, tmp_path):
+        path = tmp_path / "s.cfs"
+        path.write_text("structure\nvar X : { 0, 1 }\nstate a { X=0 }\n")
+        code, out, err = run(capsys, "closest", "-s", str(path), "--state", "a", "X=1")
+        assert code == 3
+        assert out == "" and "structure line needs a name" in err
+
+    def test_empty_variable_name_in_structure_is_semantic_error(self, capsys, tmp_path):
+        path = tmp_path / "s.cfs"
+        path.write_text("structure toy\nvar  : { 0, 1 }\nstate a { X=0 }\n")
+        code, out, err = run(capsys, "closest", "-s", str(path), "--state", "a", "X=1")
+        assert code == 3
+        assert out == "" and "expected a variable name" in err
 
     def test_pinned_cause_on_structure(self, capsys, rt_file, tmp_path):
         out_file = str(tmp_path / "rt.cfs")

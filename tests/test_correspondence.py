@@ -1,11 +1,13 @@
 import gc
 import itertools
+import json
 
+import numpy as np
 import pytest
 
-from causact.formula import parse_formula
+from causact.formula import evaluate_prop, format_formula, parse_formula
 from causact.model import parse_model
-from causact.structure import CfStructure, TierOrder, validate_structure
+from causact.structure import CfStructure, RelationOrder, StructureError, TierOrder, validate_structure
 from causact.correspondence import (
     CorrespondenceError,
     build_counterpart,
@@ -17,7 +19,14 @@ from causact.correspondence import (
     strongly_consistent,
 )
 from causact.corpus import CHAIN_COPY, ROCK_THROWING, backtracking_structure
-from causact.harness import STRUCTURE_CAPS, gen_random_model, random_context, trial_rng
+from causact.harness import (
+    STRUCTURE_CAPS,
+    FuzzCaps,
+    gen_random_model,
+    random_context,
+    random_prop_formula,
+    trial_rng,
+)
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +171,280 @@ class TestConsistencyAndCompatibility:
             del m2
             gc.collect()
         assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The rank-matrix checker against the per-mask checker it replaced.  The
+# reference decides condition (a) with `closest_among` per base and group,
+# and condition (c) by masking an n x n cost matrix for every psi.
+
+
+def _ref_condition_a(m2, m, strict):
+    sig = m.sig
+    names = sig.all_names()
+    for y in sig.endo_names:
+        rest = [n for n in names if n != y]
+        groups = {}
+        for s in m2.states:
+            groups.setdefault(tuple(m2.interp[s][n] for n in rest), []).append(s)
+        for setting, candidates in groups.items():
+            s_y = dict(zip(rest, setting))
+            expected = m.equation_value(y, s_y)
+            for s in m2.states:
+                base = m2.interp[s]
+                if not strict and all(base[n] == v for n, v in s_y.items()) and base[y] != expected:
+                    continue
+                for t in m2.closest_among(s, candidates):
+                    if m2.interp[t][y] != expected:
+                        return {
+                            "ok": False,
+                            "counterexample": {
+                                "Y": y,
+                                "setting": s_y,
+                                "base_state": s,
+                                "closest_state": t,
+                                "expected": expected,
+                                "got": m2.interp[t][y],
+                            },
+                        }
+    return {"ok": True, "counterexample": None}
+
+
+def _ref_rank_tuple(m2, s, t):
+    r = m2.order.rank(s, t)
+    if r is None:
+        return (2, 0, 0)
+    if isinstance(r, tuple) and len(r) == 3:
+        return r
+    return (0 if s == t else 1, 0, int(r))
+
+
+def _ref_condition_c(m2, m, extra_psis):
+    sig = m.sig
+    states = list(m2.states)
+    n = len(states)
+    endo_vals = np.array(
+        [[sig.range_of(v).index(m2.interp[s][v]) for v in sig.endo_names] for s in states]
+    )
+    exo_ids = np.array(
+        [[sig.range_of(x).index(m2.interp[s][x]) for x in sig.exo_names] for s in states]
+    )
+    same_exo = (exo_ids[:, None, :] == exo_ids[None, :, :]).all(axis=2)
+    cost = np.empty((n, n), dtype=np.int64)
+    for i, s in enumerate(states):
+        for j, t in enumerate(states):
+            a, b, c = _ref_rank_tuple(m2, s, t)
+            cost[i, j] = (a * 64 + b) * (1 << 40) + c
+    INF = np.int64(2**62)
+
+    def violates(mask):
+        if not mask.any():
+            return None
+        a = np.where(mask[None, :], cost, INF)
+        min_same = np.where(same_exo, a, INF).min(axis=1)
+        min_diff = np.where(~same_exo, a, INF).min(axis=1)
+        bad = ~(min_same < min_diff) & (min_same < INF)
+        nz = np.nonzero(bad)[0]
+        return int(nz[0]) if nz.size else None
+
+    def describe(combo):
+        return " & ".join(f"{v}={w}" for v, w in zip(sig.endo_names, combo) if w is not None)
+
+    def fail(psi, bad, checked):
+        return {"ok": False, "counterexample": {"psi": psi, "base_state": states[bad]}}, checked
+
+    checked = 0
+    conj_masks = []
+    options = [[None] + list(sig.range_of(v)) for v in sig.endo_names]
+    for combo in itertools.product(*options):
+        if all(v is None for v in combo):
+            continue
+        mask = np.ones(n, dtype=bool)
+        for col, want in enumerate(combo):
+            if want is not None:
+                mask &= endo_vals[:, col] == sig.range_of(sig.endo_names[col]).index(want)
+        conj_masks.append((combo, mask))
+    for combo, mask in conj_masks:
+        checked += 1
+        bad = violates(mask)
+        if bad is not None:
+            return fail(describe(combo), bad, checked)
+    seen = set()
+    for (c1, k1), (c2, k2) in itertools.combinations(conj_masks, 2):
+        mask = k1 | k2
+        if mask.tobytes() in seen:
+            continue
+        seen.add(mask.tobytes())
+        checked += 1
+        bad = violates(mask)
+        if bad is not None:
+            return fail(f"({describe(c1)}) | ({describe(c2)})", bad, checked)
+    for psi in extra_psis or []:
+        checked += 1
+        bad = violates(np.array([evaluate_prop(psi, m2.interp[s]) for s in states]))
+        if bad is not None:
+            return fail(format_formula(psi), bad, checked)
+    return {"ok": True, "counterexample": None}, checked
+
+
+def _reference(m2, m, strong=False, strict=False, extra_psis=None):
+    a = _ref_condition_a(m2, m, strict)
+    b = c = None
+    checked = 0
+    if strong:
+        b = check_correspondence(m2, m, strong=True).to_dict()["conditionB"]
+        c, checked = _ref_condition_c(m2, m, extra_psis)
+    return {
+        "ok": all(x is None or x["ok"] for x in (a, b, c)),
+        "conditionA": a,
+        "conditionB": b,
+        "conditionC": c,
+        "checkedPsiCount": checked,
+    }
+
+
+def _agrees(m2, m, **kw):
+    got = check_correspondence(m2, m, **kw).to_dict()
+    assert json.dumps(got) == json.dumps(_reference(m2, m, **kw))
+    return got
+
+
+def _random_tier_structure(m, rng):
+    """A centered tier order over random copies of the assignments (none,
+    one or two of each).  Centered, because on an order that is not, the
+    reference's condition (c) puts the base first whatever its rank, while
+    the checker follows `rank()` as condition (a) and `closest_states` do.  From a base s, states with s's exogenous values
+    sit in tier 1 or 3; states with other values whose endogenous part
+    also occurs with s's exogenous values sit in tier 4 or are unranked;
+    the others sit in tier 1 or 2, which makes some disjunctions fail
+    where both of their conjunctions pass."""
+    names = m.sig.all_names()
+    interp = {}
+    for values in itertools.product(*(m.sig.range_of(x) for x in names)):
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            interp[f"t{len(interp)}"] = dict(zip(names, values))
+    interp = interp or {"t0": dict(zip(names, values))}
+    exo_of = {s: tuple(a[x] for x in m.sig.exo_names) for s, a in interp.items()}
+    endo_of = {s: tuple(a[y] for y in m.sig.endo_names) for s, a in interp.items()}
+    tiers = {}
+    for s in interp:
+        seen = {endo_of[t] for t in interp if exo_of[t] == exo_of[s]}
+        place = {}
+        for t in interp:
+            r = rng.random()
+            if t == s:
+                continue
+            if exo_of[t] == exo_of[s]:
+                place[t] = 1 if r < 0.8 else 3
+            elif endo_of[t] in seen:
+                place[t] = 4 if r < 0.9 else None
+            else:
+                place[t] = 1 if r < 0.4 else 2
+        tiers[s] = [frozenset({s})] + [
+            tier
+            for k in (1, 2, 3, 4)
+            if (tier := frozenset(t for t, p in place.items() if p == k))
+        ]
+    return CfStructure(m.sig, interp, TierOrder(tiers))
+
+
+_SHAPES = [
+    FuzzCaps(max_endogenous=3, max_exogenous=2, max_domain=2),
+    FuzzCaps(max_endogenous=3, max_exogenous=1, max_domain=3),
+    FuzzCaps(max_endogenous=2, max_exogenous=2, max_domain=4),
+    FuzzCaps(max_endogenous=4, max_exogenous=1, max_domain=2),
+]
+
+
+class TestRankMatrixAgainstReference:
+    @pytest.mark.parametrize("shape", range(len(_SHAPES)))
+    def test_seeded_counterparts(self, shape):
+        domains = set()
+        for trial in range(6):
+            rng = trial_rng(40 + shape, trial)
+            m = gen_random_model(_SHAPES[shape], rng)
+            m2, _ = build_counterpart(m)
+            domains |= {len(r) for _, r in m.sig.endogenous}
+            psis = [random_prop_formula(m, rng, 2) for _ in range(3)]
+            for strict in (False, True):
+                _agrees(m2, m, strong=True, strict=strict, extra_psis=psis)
+            # the counterpart of one model checked against another with the
+            # same signature fails condition (a)
+            other = gen_random_model(_SHAPES[shape], trial_rng(40 + shape, trial + 100))
+            if other.sig == m.sig:
+                _agrees(m2, other, strong=True)
+            # a counterpart order over part of its states
+            kept = {s: a for s, a in m2.interp.items() if rng.random() < 0.7}
+            _agrees(CfStructure(m.sig, kept, m2.order), m, strong=True)
+        if shape in (1, 2):
+            assert domains & {3, 4}
+
+    def test_backtracking_structure(self, rt):
+        m2, _ = backtracking_structure()
+        report = _agrees(m2, rt, strong=True)
+        assert not report["ok"]
+
+    def test_strict_mode_on_rock_throwing(self, rt, rt_counterpart):
+        m2, _ = rt_counterpart
+        report = _agrees(m2, rt, strict=True)
+        assert not report["conditionA"]["ok"]
+
+    def test_structure_failing_condition_b(self):
+        chain = parse_model(CHAIN_COPY)
+        m2, _ = build_counterpart(chain)
+        interp = {s: dict(a) for s, a in m2.interp.items() if s != "s0"}
+        flat = {s: [frozenset({s}), frozenset(set(interp) - {s})] for s in interp}
+        report = _agrees(CfStructure(chain.sig, interp, TierOrder(flat)), chain, strong=True)
+        assert not report["conditionB"]["ok"]
+
+    def test_random_tier_structures(self):
+        small = FuzzCaps(max_endogenous=2, max_exogenous=2, max_domain=3)
+        outcomes = set()
+        for trial in range(120):
+            rng = trial_rng(91, trial)
+            m = gen_random_model(small if trial % 2 else _SHAPES[trial // 2 % len(_SHAPES)], rng)
+            m2 = _random_tier_structure(m, rng)
+            psis = [random_prop_formula(m, rng, 2)]
+            report = _agrees(m2, m, strong=True, extra_psis=psis)
+            _agrees(m2, m, strict=True)
+            c = report["conditionC"]
+            outcomes.add("a" if not report["conditionA"]["ok"] else "a-ok")
+            outcomes.add("c-ok" if c["ok"] else "c-pair" if "|" in c["counterexample"]["psi"] else "c-conj")
+        assert outcomes == {"a", "a-ok", "c-ok", "c-conj", "c-pair"}
+
+    def test_relation_order_has_no_ranks(self):
+        sig = parse_model(CHAIN_COPY).sig
+        m2, _ = build_counterpart(parse_model(CHAIN_COPY))
+        related = CfStructure(sig, m2.interp, RelationOrder({(s, s, s) for s in m2.states}))
+        with pytest.raises(StructureError, match="relation orders have no numeric ranks"):
+            check_correspondence(related, parse_model(CHAIN_COPY))
+
+    def test_256_state_counterpart(self):
+        # Six binary endogenous variables and two binary exogenous ones.
+        # The per-mask checker takes over a minute here; its count was
+        # recorded once.
+        m = parse_model(SIX_BINARY)
+        m2, _ = build_counterpart(m)
+        assert len(m2.states) == 256
+        report = check_correspondence(m2, m, strong=True)
+        assert report.ok
+        assert report.checked_psi_count == 215811
+
+
+SIX_BINARY = """\
+model six
+exo U1 : { 0, 1 }
+exo U2 : { 0, 1 }
+var A : { 0, 1 }
+var B : { 0, 1 }
+var C : { 0, 1 }
+var D : { 0, 1 }
+var E : { 0, 1 }
+var F : { 0, 1 }
+eq A = case { U1=1 : 1 ; default : 0 }
+eq B = case { U2=1 : 1 ; default : 0 }
+eq C = case { A=1 & B=1 : 1 ; default : 0 }
+eq D = case { A=1 : 1 ; U2=1 : 1 ; default : 0 }
+eq E = case { C=1 : 0 ; D=1 : 1 ; default : 0 }
+eq F = case { E=1 : 1 ; B=0 : 1 ; default : 0 }
+"""

@@ -103,6 +103,21 @@ class TestParsing:
             parse_model("model m\nexo U : { 0 }\nvar X : { a b, c }\neq X = case { default: c }\n")
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "model m\nexo U : { 0 }\nvar : { 0, 1 }\neq  = case { default: 0 }\n",
+            "model m\nexo : { 0 }\nvar X : { 0, 1 }\neq X = case { default: 0 }\n",
+            "model m\nexo U : { 0 }\nvar X : { 0, 1 }\neq  = case { default: 0 }\n",
+            "model m\nexo U : { 0 }\nvar X-1 : { 0, 1 }\neq X-1 = case { default: 0 }\n",
+        ],
+        ids=["empty-var-and-eq", "empty-exo", "empty-eq", "not-an-identifier"],
+    )
+    def test_declaration_needs_a_variable_name(self, text):
+        with pytest.raises(ModelError, match="expected a variable name"):
+            parse_model(text)
+
+
 class TestSolve:
     def test_both_throw(self, rt):
         assert rt.solve({"U": "u11"}) == {
@@ -226,6 +241,17 @@ def test_rejection_messages(rt, call, message):
     with pytest.raises(FormulaError) as exc:
         call(rt)
     assert str(exc.value) == message
+
+
+def test_top_level_boxarrow_solves_only_its_consequents(monkeypatch):
+    # (ST=0) ~> (BS=1) tries the one vector ST=0, so its consequent is the
+    # only formula solved for; the box-arrow itself needs no solution.
+    m = parse_model(ROCK_THROWING)
+    calls = []
+    solve = m.solve
+    monkeypatch.setattr(m, "solve", lambda u, inter=None: calls.append(inter) or solve(u, inter))
+    assert m.evaluate({"U": "u11"}, parse_formula("(ST=0) ~> (BS=1)", m.sig))
+    assert calls == [{"ST": "0"}]
 
 
 class TestContextParsing:

@@ -297,6 +297,16 @@ class TestFileFormat:
         with pytest.raises(StructureError, match="undeclared variable ZZZ"):
             parse_structure(bad)
 
+    def test_bare_structure_line_rejected(self):
+        with pytest.raises(StructureError, match="structure line needs a name"):
+            parse_structure("structure\nvar X : { 0, 1 }\nstate a { X=0 }\n")
+
+    @pytest.mark.parametrize("line", ["exo  : { 0, 1 }", "var  : { 0, 1, 2 }", "var 2X : { 0, 1, 2 }"])
+    def test_declaration_needs_a_variable_name(self, line):
+        bad = STRUCT_TEXT.replace("exo U : { 0, 1 }" if line.startswith("exo") else "var X : { 0, 1, 2 }", line)
+        with pytest.raises(ModelError, match="expected a variable name"):
+            parse_structure(bad)
+
     def test_derived_order_needs_a_model(self):
         derived = STRUCT_TEXT.split("order")[0] + "order derived weighted-violations\n"
         with pytest.raises(StructureError, match="requires `over MODELFILE`"):
