@@ -31,7 +31,6 @@ from .model import (
 )
 from .structure import (
     CfStructure,
-    CostOrder,
     RelationOrder,
     StructureError,
     TierOrder,

@@ -78,8 +78,7 @@ class CfSetting:
     """A counterfactual structure together with a state."""
 
     def __init__(self, m2: CfStructure, s: str):
-        if s not in m2.interp:
-            raise FormulaError(f"unknown state {s!r}")
+        m2.index_of(s)  # raises StructureError for an unknown state
         self.structure = m2
         self.state = s
         self.sig = m2.sig
@@ -155,7 +154,7 @@ def pair_language(pins=()) -> WitnessLanguage:
 
 def gen_language(budget: int, pins=()) -> WitnessLanguage:
     if budget < 0:
-        raise ValueError("clause budget must be nonnegative")
+        raise FormulaError("clause budget must be nonnegative")
     return WitnessLanguage(clause_budget=budget, pins=tuple(pins))
 
 
@@ -167,8 +166,12 @@ def parse_language(spec: str, pins=()) -> WitnessLanguage:
     if spec == "pair":
         return pair_language(pins)
     if spec.startswith("gen:"):
-        return gen_language(int(spec[4:]), pins)
-    raise ValueError(f"unknown witness language {spec!r} (conj, conj-neg, pair, gen:K)")
+        try:
+            budget = int(spec[4:])
+        except ValueError:
+            raise FormulaError(f"clause budget must be an integer, got {spec[4:]!r}") from None
+        return gen_language(budget, pins)
+    raise FormulaError(f"unknown witness language {spec!r} (conj, conj-neg, pair, gen:K)")
 
 
 def enumerate_witnesses(lang: WitnessLanguage, setting, cause_pairs):

@@ -65,7 +65,7 @@ def _parse_pins(pin_args, sig):
     for text in pin_args or []:
         try:
             ctx = parse_context(text, sig)
-        except (FormulaError, ModelError, ValueError):
+        except (FormulaError, ModelError):
             pins.append(parse_formula(text, sig))
         else:
             pins.extend(ExoEvent(n, v) for n, v in ctx.items())
@@ -147,10 +147,10 @@ def cmd_cause(args):
 def cmd_explain(args):
     effect_src = args.effect
     if args.semantics == "structure":
-        if not args.structure or not args.K_states:
+        states = [s.strip() for s in (args.K_states or "").split(",") if s.strip()]
+        if not args.structure or not states:
             raise CliError("structure semantics needs --structure and --K-states", 2)
         m2 = _load_structure(args.structure)
-        states = [s.strip() for s in args.K_states.split(",") if s.strip()]
         settings = [CfSetting(m2, s) for s in states]
         sig = m2.sig
         cand = parse_formula(args.candidate, sig)
@@ -360,9 +360,6 @@ def main(argv=None):
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ with depth the longest path from a source of the endogenous DAG.  Upstream
 violations therefore cost strictly more than any combination of downstream
 ones, which makes intervened solutions beat backtracked alternatives.
 
-The checker turns the closeness order into one n x n integer rank matrix per
-check (by broadcasting for the derived order, by one pass of `rank()` for
-other ranked orders) and decides both conditions from minima over it:
+The checker reads the structure's n x n rank matrix `near` (built once per
+structure, by broadcasting for the derived order, by one pass of `rank()`
+for other ranked orders) and decides both conditions from minima over it:
 condition (a) takes, per endogenous Y, the least rank over each group of
 states that agree on every other variable; condition (c) keeps, per
 conjunction of endogenous events, the least rank over its states with the
@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formula import Formula, Signature, evaluate_prop, format_formula
+from .formula import Formula, Signature, format_formula
 from .model import CausalModel, ModelError
-from .structure import CfStructure, CostOrder
+from .structure import CfStructure, ClosenessOrder
 
 
 class CorrespondenceError(ValueError):
@@ -45,24 +45,35 @@ DEFAULT_STATE_CAP = 10**6
 # Builder
 
 
-class CounterpartOrder(CostOrder):
+class CounterpartOrder(ClosenessOrder):
     """The derived order d_s(t), kept as per-state arrays: `exo` holds each
     state's exogenous value indices (one row per state) and `viol` its
-    violation cost (Python ints, exact at any size).  `rank` returns the
-    cost tuple; the checker builds its rank matrix from the arrays."""
+    violation cost (Python ints, exact at any size)."""
 
     def __init__(self, states: list[str], exo: np.ndarray, viol: list[int]):
         self.index = {s: i for i, s in enumerate(states)}
         self.exo = exo
         self.viol = viol
-        exo_part = dict(zip(states, map(tuple, exo.tolist())))
-        viol_cost = dict(zip(states, viol))
 
-        def cost(base: str, other: str):
-            diffs = sum(1 for a, b in zip(exo_part[base], exo_part[other]) if a != b)
-            return (0 if base == other else 1, diffs, viol_cost[other])
+    def rank(self, base, other):
+        i, j = self.index[base], self.index[other]
+        return (int(base != other), int(np.count_nonzero(self.exo[i] != self.exo[j])), self.viol[j])
 
-        super().__init__(cost)
+    def rank_matrix(self, states) -> np.ndarray:
+        pos = [self.index[s] for s in states]
+        exo = self.exo[pos]
+        viol = [self.viol[p] for p in pos]
+        level = {c: i for i, c in enumerate(sorted(set(viol)))}
+        n, k = exo.shape
+        # ([t != s], #exogenous differences, dense rank of viol(t)) in mixed radix
+        near = np.zeros((n, n), dtype=np.int64)
+        for col in exo.T:
+            near += col[:, None] != col[None, :]
+        near += k + 1
+        near[np.diag_indices(n)] -= k + 1
+        near *= len(level)
+        near += np.array([level[c] for c in viol], dtype=np.int64)
+        return near
 
 
 def state_space_size(m: CausalModel) -> int:
@@ -180,7 +191,7 @@ def check_correspondence(
     if m2.sig != m.sig:
         raise CorrespondenceError("signature mismatch between structure and model")
 
-    near = _rank_matrix(m2)
+    near = m2.near
     vals = _value_indices(m2)
     report = CorrespondenceReport(condition_a=_check_condition_a(m2, m, strict, near, vals))
     if strong:
@@ -208,37 +219,6 @@ def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     renumber = np.empty_like(order)
     renumber[order] = np.arange(order.size)
     return renumber[inverse.reshape(-1)], first[order]
-
-
-def _rank_matrix(m2: CfStructure) -> np.ndarray:
-    """R[i, j] < R[i, k] iff state j is strictly closer to state i than
-    state k is, by the structure's ranks (unranked states farthest).  The
-    entries are dense ranks, so the order is exact whatever the ranks are,
-    and far below the int64 maximum, which callers use as infinity.
-    Raises for orders without ranks, like `rank()` does."""
-    order = m2.order
-    n = len(m2.states)
-    if isinstance(order, CounterpartOrder):
-        pos = [order.index[s] for s in m2.states]
-        exo = order.exo[pos]
-        viol = [order.viol[p] for p in pos]
-        level = {c: i for i, c in enumerate(sorted(set(viol)))}
-        k = exo.shape[1]
-        # ([t != s], #exogenous differences, dense rank of viol(t)) in mixed radix
-        near = np.zeros((n, n), dtype=np.int64)
-        for col in exo.T:
-            near += col[:, None] != col[None, :]
-        near += k + 1
-        near[np.diag_indices(n)] -= k + 1
-        near *= len(level)
-        near += np.array([level[c] for c in viol], dtype=np.int64)
-        return near
-    ranks = [[order.rank(s, t) for t in m2.states] for s in m2.states]
-    level = {r: i for i, r in enumerate(sorted({r for row in ranks for r in row if r is not None}))}
-    far = len(level)
-    return np.array(
-        [[far if r is None else level[r] for r in row] for row in ranks], dtype=np.int64
-    ).reshape(n, n)
 
 
 def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, near, vals) -> ConditionReport:
@@ -425,8 +405,7 @@ def _check_condition_c(m2, m, near, vals, extra_psis):
 
     for psi in extra_psis or []:
         checked += 1
-        mask = np.array([evaluate_prop(psi, m2.interp[s]) for s in states], dtype=bool)
-        hit = first_bad(*minima([mask]))
+        hit = first_bad(*minima([m2.extension(psi)]))
         if hit is not None:
             return failed(format_formula(psi), hit[1], checked)
 

@@ -2,16 +2,25 @@
 
 States are total assignments over the signature; per-state closeness is a
 preorder given either as ranked tiers (a total preorder, the only form the
-file format supports), as a cost function into a totally ordered cost space,
-or as an arbitrary explicit relation through the comparator API.  States a
-base state does not rank are treated as strictly farther than all ranked
-ones.
+file format supports), as ranks computed from per-state data (the
+counterpart builder's derived order), or as an arbitrary explicit relation
+through the comparator API.  States a base state does not rank are treated
+as strictly farther than all ranked ones.
+
+A structure answers every query from two things it builds on first use:
+`near`, the order's n x n matrix of dense ranks (row s ranks every state
+from base s), and `extension(phi)`, the boolean mask over `states` of
+where phi holds, cached per formula.  `phi ~> psi` holds at s when every
+closest phi-state, the phi-states of least rank in row s, satisfies psi.
+Relation orders have no ranks and find closest states through `leq`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .formula import Formula, FormulaError, Intervene, Signature, evaluate_prop
 from .model import _parse_declaration, _split_statements  # shared with the model DSL
@@ -21,26 +30,30 @@ class StructureError(ValueError):
     """Raised for malformed structures or structure files."""
 
 
-_FAR = float("inf")
+_MASKED = np.iinfo(np.int64).max  # stands in for states outside a mask
 
 
 class ClosenessOrder:
     """Closeness from one base state.  `rank` returns a sortable key (smaller
     is closer) or None for unranked states; orders that cannot be expressed
-    through ranks override `leq` instead and set `ranked = False`."""
+    through ranks set `ranked = False` and give `leq` instead."""
 
     ranked = True
 
     def rank(self, base: str, other: str):
         raise NotImplementedError
 
-    def leq(self, base: str, t: str, other: str) -> bool:
-        rt, ru = self.rank(base, t), self.rank(base, other)
-        if rt is None:
-            rt = _FAR
-        if ru is None:
-            ru = _FAR
-        return rt <= ru
+    def rank_matrix(self, states) -> np.ndarray:
+        """R[i, j] < R[i, k] iff states[j] is strictly closer to states[i]
+        than states[k] is.  The entries are dense ranks over all keys
+        (unranked states get one more than the largest), so they are exact
+        whatever the keys are and far below `_MASKED`."""
+        ranks = [[self.rank(s, t) for t in states] for s in states]
+        level = {r: i for i, r in enumerate(sorted({r for row in ranks for r in row if r is not None}))}
+        far = len(level)
+        return np.array(
+            [[far if r is None else level[r] for r in row] for row in ranks], dtype=np.int64
+        ).reshape(len(states), len(states))
 
 
 class TierOrder(ClosenessOrder):
@@ -56,16 +69,6 @@ class TierOrder(ClosenessOrder):
 
     def rank(self, base, other):
         return self._rank.get(base, {}).get(other)
-
-
-class CostOrder(ClosenessOrder):
-    """Intensional closeness: d_s(t) into any totally ordered cost space."""
-
-    def __init__(self, cost):
-        self.cost = cost
-
-    def rank(self, base, other):
-        return self.cost(base, other)
 
 
 class RelationOrder(ClosenessOrder):
@@ -107,70 +110,74 @@ class CfStructure:
             if len(asgn) > len(names):
                 extra = ", ".join(sorted(set(asgn) - set(names)))
                 raise StructureError(f"state {s} assigns undeclared variable {extra}")
-        self._eval_cache: dict = {}
-        self._closest_cache: dict = {}
+        self._position = {s: i for i, s in enumerate(self.states)}
+        self._near: np.ndarray | None = None
+        self._extensions: dict[Formula, np.ndarray] = {}
 
     # -- queries
 
-    def _known(self, s: str):
-        if s not in self.interp:
+    @property
+    def near(self) -> np.ndarray:
+        """The order's rank matrix over `states`, built on first use.  Raises
+        StructureError for relation orders."""
+        if self._near is None:
+            self._near = self.order.rank_matrix(self.states)
+            self._near.flags.writeable = False  # shared by every query
+        return self._near
+
+    def index_of(self, s: str) -> int:
+        """The position of state s in `states`; StructureError if s is not
+        a state."""
+        i = self._position.get(s)
+        if i is None:
             raise StructureError(f"unknown state {s!r}")
+        return i
+
+    def extension(self, phi: Formula) -> np.ndarray:
+        """The boolean mask over `states` of where phi holds, cached per
+        formula.  Box-arrows read the masks of their antecedent and
+        consequent, which are computed at every state."""
+        mask = self._extensions.get(phi)
+        if mask is None:
+            n = len(self.states)
+            mask = np.fromiter((self._holds(i, phi) for i in range(n)), dtype=bool, count=n)
+            mask.flags.writeable = False  # cached: callers get the same array
+            self._extensions[phi] = mask
+        return mask
 
     def satisfies_at(self, s: str, phi: Formula) -> bool:
         """Evaluate a counterfactual formula at state s.  Interventions are a
         causal-model construct and are rejected; box-arrows nest freely."""
-        key = (s, phi)
-        hit = self._eval_cache.get(key)
-        if hit is not None:
-            return hit
-        self._known(s)
-
-        def modal(node):
-            if isinstance(node, Intervene):
-                raise FormulaError("interventions are not evaluable in counterfactual structures")
-            closest = self.closest_states(s, node.antecedent)
-            return all(self.satisfies_at(t, node.consequent) for t in closest)
-
-        result = evaluate_prop(phi, self.interp[s], modal)
-        self._eval_cache[key] = result
-        return result
+        return self._holds(self.index_of(s), phi)
 
     def closest_states(self, s: str, phi: Formula) -> frozenset[str]:
         """{ t : t satisfies phi, no phi-state is strictly closer to s }."""
-        key = (s, phi)
-        hit = self._closest_cache.get(key)
-        if hit is not None:
-            return hit
-        self._known(s)
-        sat = [t for t in self.states if self.satisfies_at(t, phi)]
-        if self.order.ranked:
-            result = frozenset(self.closest_among(s, sat))
-        else:
-            result = frozenset(
-                t
-                for t in sat
-                if not any(
-                    self.order.leq(s, t2, t) and not self.order.leq(s, t, t2)
-                    for t2 in sat
-                )
-            )
-        self._closest_cache[key] = result
-        return result
+        closest = self._closest(self.index_of(s), self.extension(phi))
+        return frozenset(self.states[j] for j in np.flatnonzero(closest))
 
-    def closest_among(self, s: str, candidates) -> list[str]:
-        """The candidates of least rank from s, in candidate order (unranked
-        candidates count as farthest).  Needs a ranked order."""
-        best = None
-        out: list[str] = []
-        for t in candidates:
-            r = self.order.rank(s, t)
-            if r is None:
-                r = _FAR
-            if best is None or r < best:
-                best, out = r, [t]
-            elif r == best:
-                out.append(t)
-        return out
+    def _holds(self, i: int, phi: Formula) -> bool:
+        def modal(node):
+            if isinstance(node, Intervene):
+                raise FormulaError("interventions are not evaluable in counterfactual structures")
+            closest = self._closest(i, self.extension(node.antecedent))
+            return not (closest & ~self.extension(node.consequent)).any()
+
+        return evaluate_prop(phi, self.interp[self.states[i]], modal)
+
+    def _closest(self, i: int, mask: np.ndarray) -> np.ndarray:
+        """The states in `mask` to which no state in `mask` is strictly
+        closer from states[i]: the least ranks of row i of `near`, or, for
+        relation orders, the minimal elements under `leq`."""
+        if self.order.ranked:
+            row = np.where(mask, self.near[i], _MASKED)
+            return mask & (row == row.min(initial=_MASKED))
+        s, leq = self.states[i], self.order.leq
+        sat = [self.states[j] for j in np.flatnonzero(mask)]
+        return np.array(
+            [ok and not any(leq(s, u, t) and not leq(s, t, u) for u in sat)
+             for t, ok in zip(self.states, mask)],
+            dtype=bool,
+        )
 
 
 @dataclass
@@ -185,38 +192,35 @@ class OrderViolation:
 def validate_structure(m: CfStructure) -> list[OrderViolation]:
     """Check reflexivity/transitivity and centering; an empty report means ok.
     For rank-based orders reflexivity and transitivity hold by construction,
-    so only centering is checked state-by-state; explicit relation orders get
+    so only centering is checked, on the rank matrix: it reports every state
+    its own order leaves unranked, up to the first state s that ranks some
+    other state at least as close as s itself.  Explicit relation orders get
     the full triple check."""
-    violations: list[OrderViolation] = []
     order = m.order
     if order.ranked:
-        for s in m.states:
-            rs = order.rank(s, s)
-            if rs is None:
-                violations.append(OrderViolation("unranked-self", (s,)))
-                continue
-            for t in m.states:
-                if t == s:
-                    continue
-                rt = order.rank(s, t)
-                if rt is not None and not rs < rt:
-                    violations.append(OrderViolation("centering", (s, t)))
-                    return violations
-    else:
-        for s in m.states:
-            for t in m.states:
-                if not order.leq(s, t, t):
-                    violations.append(OrderViolation("reflexivity", (s, t)))
-                    return violations
-            for t, v, w in itertools.product(m.states, repeat=3):
-                if order.leq(s, t, v) and order.leq(s, v, w) and not order.leq(s, t, w):
-                    violations.append(OrderViolation("transitivity", (s, t, v, w)))
-                    return violations
-            for t in m.states:
-                if t != s and not (order.leq(s, s, t) and not order.leq(s, t, s)):
-                    violations.append(OrderViolation("centering", (s, t)))
-                    return violations
-    return violations
+        unranked = [i for i, s in enumerate(m.states) if order.rank(s, s) is None]
+        near = m.near
+        crowded = near <= np.diag(near)[:, None]
+        np.fill_diagonal(crowded, False)
+        crowded[unranked] = False
+        rows = np.flatnonzero(crowded.any(axis=1))
+        end = rows[0] if rows.size else len(m.states)
+        violations = [OrderViolation("unranked-self", (m.states[i],)) for i in unranked if i < end]
+        if rows.size:
+            t = np.flatnonzero(crowded[end])[0]
+            violations.append(OrderViolation("centering", (m.states[end], m.states[t])))
+        return violations
+    for s in m.states:
+        for t in m.states:
+            if not order.leq(s, t, t):
+                return [OrderViolation("reflexivity", (s, t))]
+        for t, v, w in itertools.product(m.states, repeat=3):
+            if order.leq(s, t, v) and order.leq(s, v, w) and not order.leq(s, t, w):
+                return [OrderViolation("transitivity", (s, t, v, w))]
+        for t in m.states:
+            if t != s and not (order.leq(s, s, t) and not order.leq(s, t, s)):
+                return [OrderViolation("centering", (s, t))]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -347,5 +351,10 @@ def structure_to_text(m: CfStructure) -> str:
                 text = " ; ".join("{ " + ", ".join(sorted(t)) + " }" for t in rest)
                 out.append(f"order {s} : {text}")
     else:
+        from .correspondence import CounterpartOrder  # correspondence imports this module
+
+        # the file can only ask for the derived order over all assignments
+        if not (isinstance(m.order, CounterpartOrder) and m.states == tuple(m.order.index)):
+            raise StructureError(f"a {type(m.order).__name__} cannot be written as a structure file")
         out.append("order derived weighted-violations")
     return "\n".join(out) + "\n"

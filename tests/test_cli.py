@@ -152,6 +152,22 @@ class TestStructureWorkflow:
         assert code == 3
         assert out == "" and "unknown state 'nosuch'" in err
 
+    @pytest.mark.parametrize("command", ["cause", "explain"])
+    def test_unknown_setting_state_is_semantic_error(self, capsys, tmp_path, command):
+        path = tmp_path / "s.cfs"
+        path.write_text(
+            "structure toy\nvar X : { 0, 1 }\n"
+            "state a { X=0 }\nstate b { X=1 }\norder a : { b }\n"
+        )
+        pick = ["--state", "nosuch"] if command == "cause" else ["--K-states", "a, nosuch"]
+        flags = ["--cause"] if command == "cause" else ["--candidate"]
+        code, out, err = run(
+            capsys, command, "--semantics", "structure", "-s", str(path), *pick,
+            *flags, "X=0", "--effect", "X=0", "--mode", "abstract",
+        )
+        assert code == 3
+        assert out == "" and err == "error: unknown state 'nosuch'\n"
+
     def test_bare_structure_line_is_semantic_error(self, capsys, tmp_path):
         path = tmp_path / "s.cfs"
         path.write_text("structure\nvar X : { 0, 1 }\nstate a { X=0 }\n")
@@ -198,6 +214,34 @@ class TestExplain:
             capsys, "explain", "-m", rt_file, "--candidate", "ST=1", "--effect", "BS=1"
         )
         assert code == 2 and "--K" in err
+
+
+    def test_empty_K_states_is_usage_error(self, capsys, rt_file):
+        code, out, err = run(
+            capsys, "explain", "--semantics", "structure", "-s", rt_file, "--K-states", " , ",
+            "--candidate", "ST=1", "--effect", "BS=1", "--mode", "abstract",
+        )
+        assert code == 2
+        assert out == "" and "--K-states" in err
+
+
+class TestLanguageSpec:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("bogus", "unknown witness language 'bogus'"),
+            ("gen:x", "clause budget must be an integer, got 'x'"),
+            ("gen:", "clause budget must be an integer, got ''"),
+            ("gen:-1", "clause budget must be nonnegative"),
+        ],
+    )
+    def test_bad_language_is_parse_error(self, capsys, rt_file, spec, message):
+        code, out, err = run(
+            capsys, "cause", "-m", rt_file, "-u", "U=u11", "--cause", "ST=1", "--effect", "BS=1",
+            "--mode", "abstract", "--lang", spec,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("parse error: " + message)
 
 
 class TestFuzzAndCorpus:

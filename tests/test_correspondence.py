@@ -65,6 +65,22 @@ class TestBuilder:
         assert d["ST"] == 0 and d["BT"] == 0
         assert d["SH"] == 1 and d["BH"] == 2 and d["BS"] == 3
 
+    def test_rank_is_the_weighted_violation_cost(self, rt, rt_counterpart):
+        m2, _ = rt_counterpart
+        n = len(rt.sig.endo_names)
+        depth = endo_depths(rt)
+
+        def viol(a):
+            return sum((n + 1) ** (n - depth[y]) for y in rt.sig.endo_names if a[y] != rt.equation_value(y, a))
+
+        for s in m2.states[::9]:
+            for t in m2.states:
+                a, b = m2.interp[s], m2.interp[t]
+                diffs = sum(a[u] != b[u] for u in rt.sig.exo_names)
+                rank = m2.order.rank(s, t)
+                assert rank == (int(s != t), diffs, viol(b))
+                assert all(type(part) is int for part in rank)
+
     def test_cap_enforced(self, rt):
         with pytest.raises(CorrespondenceError):
             build_counterpart(rt, state_cap=100)
@@ -175,7 +191,7 @@ class TestConsistencyAndCompatibility:
 
 # ---------------------------------------------------------------------------
 # The rank-matrix checker against the per-mask checker it replaced.  The
-# reference decides condition (a) with `closest_among` per base and group,
+# reference decides condition (a) from `rank()` per base and group,
 # and condition (c) by masking an n x n cost matrix for every psi.
 
 
@@ -194,8 +210,9 @@ def _ref_condition_a(m2, m, strict):
                 base = m2.interp[s]
                 if not strict and all(base[n] == v for n, v in s_y.items()) and base[y] != expected:
                     continue
-                for t in m2.closest_among(s, candidates):
-                    if m2.interp[t][y] != expected:
+                ranks = [_ref_rank(m2, s, t) for t in candidates]
+                for t, r in zip(candidates, ranks):
+                    if r == min(ranks) and m2.interp[t][y] != expected:
                         return {
                             "ok": False,
                             "counterexample": {
@@ -208,6 +225,12 @@ def _ref_condition_a(m2, m, strict):
                             },
                         }
     return {"ok": True, "counterexample": None}
+
+
+def _ref_rank(m2, s, t):
+    """rank(s, t), with unranked states after every ranked one."""
+    r = m2.order.rank(s, t)
+    return (1, 0) if r is None else (0, r)
 
 
 def _ref_rank_tuple(m2, s, t):

@@ -1,18 +1,23 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causact.correspondence import CounterpartOrder, build_counterpart, check_correspondence
 from causact.formula import (
     And,
     BoxArrow,
+    ExoEvent,
     FormulaError,
     Not,
     Or,
     PrimEvent,
     Signature,
+    evaluate_prop,
     parse_formula,
 )
+from causact.harness import FuzzCaps, gen_random_model
 from causact.model import ModelError
 from causact.structure import (
     CfStructure,
@@ -93,6 +98,16 @@ class TestSatisfaction:
     def test_intervention_rejected(self):
         m = make_structure(FLAT)
         for text in ("[X<-1] Y=1", "(X=1) ~> ([X<-1] Y=1)"):
+            with pytest.raises(FormulaError, match="interventions are not evaluable in counterfactual structures"):
+                m.satisfies_at("a", parse_formula(text, SIG))
+
+    def test_intervention_in_unreached_consequent_rejected(self):
+        # the consequent's mask is computed at every state, so an
+        # intervention is found even where no closest antecedent state
+        # would evaluate it: an empty antecedent, or a disjunct that the
+        # closest states never reach
+        m = make_structure(FLAT)
+        for text in ("(X=0 & X=1) ~> ([X<-1] Y=1)", "(X=1) ~> (Y=1 | [X<-1] Y=1)"):
             with pytest.raises(FormulaError, match="interventions are not evaluable in counterfactual structures"):
                 m.satisfies_at("a", parse_formula(text, SIG))
 
@@ -311,3 +326,172 @@ class TestFileFormat:
         derived = STRUCT_TEXT.split("order")[0] + "order derived weighted-violations\n"
         with pytest.raises(StructureError, match="requires `over MODELFILE`"):
             parse_structure(derived)
+
+    def test_orders_the_format_cannot_express_are_rejected(self):
+        m = parse_structure(STRUCT_TEXT)
+        related = CfStructure(m.sig, m.interp, RelationOrder({(s, s, s) for s in m.states}))
+        with pytest.raises(StructureError, match="a RelationOrder cannot be written"):
+            structure_to_text(related)
+        # the derived order is written only over the states the builder makes
+        model = gen_random_model(FuzzCaps(max_endogenous=2, max_exogenous=1, max_domain=2), random.Random(3))
+        m2, _ = build_counterpart(model)
+        assert structure_to_text(m2).endswith("order derived weighted-violations\n")
+        part = CfStructure(m2.sig, dict(list(m2.interp.items())[1:]), m2.order)
+        with pytest.raises(StructureError, match="a CounterpartOrder cannot be written"):
+            structure_to_text(part)
+
+
+# ---------------------------------------------------------------------------
+# The rank matrix and the per-formula masks against a per-state reference
+# that reads `rank()` (unranked states last) or `leq` directly.
+
+
+def _ref_closest(m, s, sat):
+    order = m.order
+    if order.ranked:
+        key = lambda t: (1, 0) if order.rank(s, t) is None else (0, order.rank(s, t))
+        best = min(map(key, sat), default=None)
+        return frozenset(t for t in sat if key(t) == best)
+    return frozenset(
+        t for t in sat if not any(order.leq(s, u, t) and not order.leq(s, t, u) for u in sat)
+    )
+
+
+def _ref_holds(m, s, phi):
+    def modal(node):
+        sat = [t for t in m.states if _ref_holds(m, t, node.antecedent)]
+        return all(_ref_holds(m, t, node.consequent) for t in _ref_closest(m, s, sat))
+
+    return evaluate_prop(phi, m.interp[s], modal)
+
+
+def _ref_validate(m):
+    """The per-pair centering check the rank matrix replaced."""
+    violations = []
+    for s in m.states:
+        rs = m.order.rank(s, s)
+        if rs is None:
+            violations.append(("unranked-self", (s,)))
+            continue
+        for t in m.states:
+            rt = m.order.rank(s, t)
+            if t != s and rt is not None and not rs < rt:
+                violations.append(("centering", (s, t)))
+                return violations
+    return violations
+
+
+def _random_formula(sig, rng, depth):
+    if depth <= 0 or rng.random() < 0.3:
+        x = rng.choice(sig.all_names())
+        kind = ExoEvent if sig.is_exogenous(x) else PrimEvent
+        return kind(x, rng.choice(sig.range_of(x)))
+    kind = rng.choice(["not", "and", "or", "box", "box"])
+    if kind == "not":
+        return Not(_random_formula(sig, rng, depth - 1))
+    left, right = _random_formula(sig, rng, depth - 1), _random_formula(sig, rng, depth - 1)
+    return {"and": And, "or": Or, "box": BoxArrow}[kind](left, right)
+
+
+def _random_tier_structure(rng, centered=True):
+    """Random states over SIG; each base ranks a random part of the states
+    in random tiers and leaves the rest unranked.  Unless centered, a base
+    may share its tier, sit behind another state, or be unranked itself."""
+    n = rng.randint(2, 7)
+    states = {f"t{i}": dict(zip(("U", "X", "Y"), (rng.choice(SIG.range_of(x)) for x in ("U", "X", "Y"))))
+              for i in range(n)}
+    tiers = {}
+    for s in states:
+        others = [t for t in states if t != s and rng.random() < 0.75]
+        rng.shuffle(others)
+        plan = []
+        while others:
+            cut = rng.randint(1, len(others))
+            plan.append(set(others[:cut]))
+            others = others[cut:]
+        place = rng.random() if not centered else 0.0
+        if place < 0.7:
+            plan.insert(0, {s})
+        elif place < 0.85 and plan:
+            plan[rng.randrange(len(plan))].add(s)
+        tiers[s] = [frozenset(t) for t in plan]
+    return CfStructure(SIG, states, TierOrder(tiers))
+
+
+def _random_relation_structure(rng):
+    """A reflexive relation with random extra pairs per base: not always
+    transitive or total, which `closest_states` must not care about."""
+    n = rng.randint(2, 5)
+    names = [f"r{i}" for i in range(n)]
+    states = {s: {"U": rng.choice("01"), "X": rng.choice("012"), "Y": rng.choice("01")} for s in names}
+    triples = {(s, t, t) for s in names for t in names}
+    triples |= {(s, t, u) for s in names for t in names for u in names if rng.random() < 0.4}
+    return CfStructure(SIG, states, RelationOrder(triples))
+
+
+def _random_counterpart_part(rng):
+    caps = FuzzCaps(max_endogenous=3, max_exogenous=2, max_domain=2)
+    m = gen_random_model(caps, rng)
+    m2, _ = build_counterpart(m)
+    kept = {s: a for s, a in m2.interp.items() if rng.random() < 0.6} or dict(m2.interp)
+    return CfStructure(m.sig, kept, m2.order)
+
+
+class TestAgainstPerStateReference:
+    @pytest.mark.parametrize(
+        "make", [_random_tier_structure, _random_relation_structure, _random_counterpart_part]
+    )
+    def test_queries_match(self, make):
+        kinds = set()
+        for trial in range(25):
+            rng = random.Random(f"structure-ref:{make.__name__}:{trial}")
+            m = make(rng)
+            for _ in range(6):
+                phi = _random_formula(m.sig, rng, 3 if len(m.states) < 12 else 2)
+                kinds.add(type(phi).__name__)
+                for s in m.states:
+                    assert m.satisfies_at(s, phi) == _ref_holds(m, s, phi)
+                    sat = [t for t in m.states if _ref_holds(m, t, phi)]
+                    assert m.closest_states(s, phi) == _ref_closest(m, s, sat)
+        assert "BoxArrow" in kinds
+
+    def test_nested_boxarrows_on_tiers_with_unranked_states(self):
+        rng = random.Random(5)
+        nested = 0
+        for _ in range(40):
+            m = _random_tier_structure(rng)
+            inner = BoxArrow(_random_formula(SIG, rng, 1), _random_formula(SIG, rng, 1))
+            for phi in (BoxArrow(inner, _random_formula(SIG, rng, 1)), BoxArrow(Not(inner), inner)):
+                nested += 1
+                for s in m.states:
+                    assert m.satisfies_at(s, phi) == _ref_holds(m, s, phi)
+        assert nested == 80
+
+    def test_validation_reports_the_reference_violations(self):
+        seen = set()
+        for trial in range(300):
+            m = _random_tier_structure(random.Random(f"validate:{trial}"), centered=trial % 5 == 0)
+            got = [(v.kind, v.states) for v in validate_structure(m)]
+            assert got == _ref_validate(m)
+            seen |= {kind for kind, _ in got} or {"ok"}
+        assert seen == {"ok", "unranked-self", "centering"}
+        m2 = _random_counterpart_part(random.Random(1))
+        assert validate_structure(m2) == [] == _ref_validate(m2)
+
+    def test_rank_matrix_is_built_once_and_lazily(self, monkeypatch):
+        calls = []
+        original = CounterpartOrder.rank_matrix
+
+        def counted(order, states):
+            calls.append(len(states))
+            return original(order, states)
+
+        monkeypatch.setattr(CounterpartOrder, "rank_matrix", counted)
+        model = gen_random_model(FuzzCaps(max_endogenous=3, max_exogenous=2, max_domain=2), random.Random(8))
+        m2, state_of = build_counterpart(model)
+        assert calls == []
+        assert validate_structure(m2) == []
+        assert check_correspondence(m2, model, strong=True).ok
+        s = m2.states[0]
+        m2.closest_states(s, PrimEvent(model.sig.endo_names[0], "0"))
+        assert calls == [len(m2.states)]
