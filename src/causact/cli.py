@@ -198,11 +198,7 @@ def cmd_build_cf(args):
     for u in m.sig.assignments(m.sig.exo_names):
         key = ", ".join(f"{n}={u[n]}" for n in m.sig.exo_names)
         mapping[key] = ctx_state(u)
-    text = structure_to_text(m2)
-    # A derived order is only defined relative to the model, so the file
-    # must carry the reference to be loadable on its own.
-    first, _, rest = text.partition("\n")
-    text = f"structure {m2.name} over {args.model}\n" + rest
+    text = structure_to_text(m2, over=args.model)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
+import numpy as np
+
 
 class FormulaError(ValueError):
     """Raised for malformed formulas: syntax errors, unknown variables,
@@ -108,6 +110,50 @@ class Formula:
         return format_formula(self)
 
 
+# Events, `true` and `false` keep the hash `dataclass` generates.  A node
+# with operands stores its hash at first use: a deep tree is then hashed
+# once, without recursion, and the caches that look up its subtrees do not
+# rehash them.
+
+
+def _compound(cls):
+    """A frozen dataclass node with operands, hashed by `_stored_hash`.  The
+    generated hash, kept as `_field_hash`, hashes the tuple of the fields;
+    called once the operands are hashed, it reads their stored hashes."""
+    cls = dataclass(frozen=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = _stored_hash
+    cls.__reduce__ = _reduce
+    cls._hash = None
+    return cls
+
+
+def _reduce(phi: Formula):
+    # string hashes differ between processes, so a stored hash is not pickled
+    return type(phi), tuple(getattr(phi, f) for f in phi.__match_args__)
+
+
+def _stored_hash(root: Formula) -> int:
+    """root's stored hash.  The first call hashes root and every unhashed
+    node with operands below it, and stores each hash on its node.  A node
+    comes before its operands in the walk, so the reversed walk hashes
+    operands first."""
+    h = root._hash
+    if h is None:
+        walk, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            walk.append(node)
+            for part in _operands(node):
+                if getattr(part, "_hash", 0) is None:  # events have no stored hash
+                    stack.append(part)
+        for node in reversed(walk):
+            if node._hash is None:  # a shared node is walked more than once
+                object.__setattr__(node, "_hash", node._field_hash())
+        h = root._hash
+    return h
+
+
 @dataclass(frozen=True)
 class PrimEvent(Formula):
     var: str
@@ -120,18 +166,18 @@ class ExoEvent(Formula):
     val: str
 
 
-@dataclass(frozen=True)
+@_compound
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_compound
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_compound
 class Or(Formula):
     left: Formula
     right: Formula
@@ -147,7 +193,7 @@ class Bot(Formula):
     """The empty disjunction, printed as `false`."""
 
 
-@dataclass(frozen=True)
+@_compound
 class Intervene(Formula):
     assignments: tuple[tuple[str, str], ...]
     body: Formula
@@ -158,10 +204,23 @@ class Intervene(Formula):
             raise FormulaError("intervention assigns the same variable twice")
 
 
-@dataclass(frozen=True)
+@_compound
 class BoxArrow(Formula):
     antecedent: Formula
     consequent: Formula
+
+
+def _operands(phi: Formula) -> tuple[Formula, ...]:
+    """phi's subformulas, left to right."""
+    if isinstance(phi, (And, Or)):
+        return phi.left, phi.right
+    if isinstance(phi, Not):
+        return (phi.sub,)
+    if isinstance(phi, BoxArrow):
+        return phi.antecedent, phi.consequent
+    if isinstance(phi, Intervene):
+        return (phi.body,)
+    return ()
 
 
 TRUE = Top()
@@ -484,6 +543,57 @@ def evaluate_prop(phi: Formula, assignment: dict, modal=None) -> bool:
     if modal is not None and isinstance(phi, (Intervene, BoxArrow)):
         return modal(phi)
     raise FormulaError(f"formula is not propositional: contains {type(phi).__name__}")
+
+
+def truth_mask(phi: Formula, columns: dict, n: int, modal=None, cache: dict | None = None) -> np.ndarray:
+    """The boolean mask over n rows of where phi holds, labelled bottom-up
+    (Clarke, Emerson & Sistla, TOPLAS 1986): X=x compares the value column
+    `columns[X]` with x, and `!`, `&`, `|`, `true` and `false` combine
+    masks.  Interventions and box-arrows are handed to `modal(node, *masks)`
+    with the masks of their operands (the body, or the antecedent and the
+    consequent); without a hook they raise FormulaError.  Every operand is
+    evaluated: nothing short-circuits.
+
+    The mask of every subformula is read from and stored in `cache`, as a
+    read-only array.  The walk keeps its own stack, so the depth of phi is
+    not bounded by Python's recursion limit."""
+    if cache is None:
+        cache = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if node in cache:
+            stack.pop()
+            continue
+        parts = _operands(node)
+        todo = [p for p in parts if p not in cache]
+        if todo:
+            stack.extend(reversed(todo))  # the leftmost operand first
+            continue
+        stack.pop()
+        masks = [cache[p] for p in parts]
+        if isinstance(node, (PrimEvent, ExoEvent)):
+            column = columns.get(node.var)
+            if column is None:
+                raise FormulaError(f"unknown variable {node.var!r}")
+            mask = column == node.val
+        elif isinstance(node, Top):
+            mask = np.ones(n, dtype=bool)
+        elif isinstance(node, Bot):
+            mask = np.zeros(n, dtype=bool)
+        elif isinstance(node, Not):
+            mask = ~masks[0]
+        elif isinstance(node, And):
+            mask = masks[0] & masks[1]
+        elif isinstance(node, Or):
+            mask = masks[0] | masks[1]
+        elif modal is not None and isinstance(node, (Intervene, BoxArrow)):
+            mask = modal(node, *masks)
+        else:
+            raise FormulaError(f"formula is not propositional: contains {type(node).__name__}")
+        mask.flags.writeable = False
+        cache[node] = mask
+    return cache[phi]
 
 
 def prop_consistent(phi: Formula, sig: Signature) -> bool:

@@ -13,16 +13,25 @@ from base s), and `extension(phi)`, the boolean mask over `states` of
 where phi holds, cached per formula.  `phi ~> psi` holds at s when every
 closest phi-state, the phi-states of least rank in row s, satisfies psi.
 Relation orders have no ranks and find closest states through `leq`.
+
+Masks are built bottom-up from the cached masks of their operands
+(`formula.truth_mask`): an event compares one value column, a connective
+combines masks, and a box-arrow takes the masked row minima of `near` for
+all states at once.  Every operand is labelled at every state, so an
+intervention anywhere in a formula whose mask is needed raises
+FormulaError; only `satisfies_at` evaluates its formula at one state, and
+there `&` and `|` skip an operand they do not need.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .formula import Formula, FormulaError, Intervene, Signature, evaluate_prop
+from .formula import Formula, FormulaError, Intervene, Signature, evaluate_prop, truth_mask
 from .model import _parse_declaration, _split_statements  # shared with the model DSL
 
 
@@ -31,6 +40,7 @@ class StructureError(ValueError):
 
 
 _MASKED = np.iinfo(np.int64).max  # stands in for states outside a mask
+_NO_INTERVENTIONS = "interventions are not evaluable in counterfactual structures"
 
 
 class ClosenessOrder:
@@ -135,15 +145,10 @@ class CfStructure:
 
     def extension(self, phi: Formula) -> np.ndarray:
         """The boolean mask over `states` of where phi holds, cached per
-        formula.  Box-arrows read the masks of their antecedent and
-        consequent, which are computed at every state."""
-        mask = self._extensions.get(phi)
-        if mask is None:
-            n = len(self.states)
-            mask = np.fromiter((self._holds(i, phi) for i in range(n)), dtype=bool, count=n)
-            mask.flags.writeable = False  # cached: callers get the same array
-            self._extensions[phi] = mask
-        return mask
+        formula and built from the cached masks of phi's operands: every
+        operand is evaluated at every state, so an intervention anywhere
+        in phi raises FormulaError."""
+        return truth_mask(phi, self._columns, len(self.states), self._modal_mask, self._extensions)
 
     def satisfies_at(self, s: str, phi: Formula) -> bool:
         """Evaluate a counterfactual formula at state s.  Interventions are a
@@ -155,14 +160,35 @@ class CfStructure:
         closest = self._closest(self.index_of(s), self.extension(phi))
         return frozenset(self.states[j] for j in np.flatnonzero(closest))
 
+    @cached_property
+    def _columns(self) -> dict[str, np.ndarray]:
+        """Each variable's values over `states`."""
+        return {x: np.array([self.interp[s][x] for s in self.states], dtype=str) for x in self.sig.all_names()}
+
     def _holds(self, i: int, phi: Formula) -> bool:
         def modal(node):
             if isinstance(node, Intervene):
-                raise FormulaError("interventions are not evaluable in counterfactual structures")
+                raise FormulaError(_NO_INTERVENTIONS)
             closest = self._closest(i, self.extension(node.antecedent))
             return not (closest & ~self.extension(node.consequent)).any()
 
         return evaluate_prop(phi, self.interp[self.states[i]], modal)
+
+    def _modal_mask(self, node: Formula, *masks: np.ndarray) -> np.ndarray:
+        """The mask of a box-arrow from its antecedent's and consequent's
+        masks: the states from which every closest antecedent state
+        satisfies the consequent."""
+        if isinstance(node, Intervene):
+            raise FormulaError(_NO_INTERVENTIONS)
+        ant, cons = masks
+        if self.order.ranked:
+            # row s of `near` over the antecedent states, and its minima
+            rows = self.near.compress(ant, axis=1)
+            closest = rows == rows.min(axis=1, initial=_MASKED)[:, None]
+            return ~(closest & ~cons[ant]).any(axis=1)
+        n = len(self.states)
+        closest = np.array([self._closest(i, ant) for i in range(n)], dtype=bool).reshape(n, n)
+        return ~(closest & ~cons).any(axis=1)
 
     def _closest(self, i: int, mask: np.ndarray) -> np.ndarray:
         """The states in `mask` to which no state in `mask` is strictly
@@ -334,8 +360,10 @@ def parse_structure(
     return CfStructure(sig, states, TierOrder(full_tiers), name=name)
 
 
-def structure_to_text(m: CfStructure) -> str:
-    out = [f"structure {m.name}"]
+def structure_to_text(m: CfStructure, over: str | None = None) -> str:
+    """The structure file for m; `over` names the model file the first line
+    refers to, which a derived order requires."""
+    out = [f"structure {m.name}" + (f" over {over}" if over is not None else "")]
     for n, rng in m.sig.exogenous:
         out.append(f"exo {n} : {{ {', '.join(rng)} }}")
     for n, rng in m.sig.endogenous:
@@ -356,5 +384,7 @@ def structure_to_text(m: CfStructure) -> str:
         # the file can only ask for the derived order over all assignments
         if not (isinstance(m.order, CounterpartOrder) and m.states == tuple(m.order.index)):
             raise StructureError(f"a {type(m.order).__name__} cannot be written as a structure file")
+        if over is None:
+            raise StructureError("a derived order is written only `over` the model file it is derived from")
         out.append("order derived weighted-violations")
     return "\n".join(out) + "\n"

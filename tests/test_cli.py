@@ -152,6 +152,15 @@ class TestStructureWorkflow:
         assert code == 3
         assert out == "" and "unknown state 'nosuch'" in err
 
+    def test_intervention_in_a_decided_operand_is_parse_error(self, capsys, tmp_path):
+        # the mask of `&` labels both operands at every state, so the
+        # intervention is rejected although `X=0 & X=1` is false everywhere
+        path = tmp_path / "s.cfs"
+        path.write_text("structure toy\nvar X : { 0, 1 }\nstate a { X=0 }\nstate b { X=1 }\n")
+        code, out, err = run(capsys, "closest", "-s", str(path), "--state", "a", "(X=0 & X=1) & [X<-1] X=1")
+        assert code == 2 and out == ""
+        assert err == "parse error: interventions are not evaluable in counterfactual structures\n"
+
     @pytest.mark.parametrize("command", ["cause", "explain"])
     def test_unknown_setting_state_is_semantic_error(self, capsys, tmp_path, command):
         path = tmp_path / "s.cfs"

@@ -1,3 +1,6 @@
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +30,7 @@ from causact.formula import (
     prop_entails,
     prop_equivalent,
     prop_valid,
+    truth_mask,
     variables_of,
 )
 
@@ -119,6 +123,56 @@ class TestRoundTrip:
     def test_intervention_round_trip(self):
         phi = Intervene((("X", "2"),), Or(PrimEvent("Y", "1"), PrimEvent("Y", "0")))
         assert parse_formula(format_formula(phi), SIG) == phi
+
+
+class TestHashing:
+    @given(formulas())
+    def test_equal_trees_hash_equal(self, phi):
+        again = parse_formula(format_formula(phi), SIG)
+        assert hash(again) == hash(phi)
+        copied = pickle.loads(pickle.dumps(phi))
+        assert copied == phi and hash(copied) == hash(phi)
+
+    def test_stored_hash_is_not_pickled(self):
+        phi = parse_formula("X=1 & !(Y=0 | U=u1)", SIG)
+        h = hash(phi)
+        assert phi._hash == h
+        assert pickle.loads(pickle.dumps(phi))._hash is None
+
+    def test_deep_conjunction_hashes_without_recursion(self):
+        text = " & ".join(["X=1", "Y!=0", "U=u0"] * 4000)
+        first, second = parse_formula(text, SIG), parse_formula(text, SIG)
+        assert hash(first) == hash(second)
+        assert first.left._hash is not None  # stored on the way down too
+
+
+ROWS = list(SIG.assignments(SIG.all_names()))  # every assignment of SIG
+COLUMNS = {x: np.array([row[x] for row in ROWS]) for x in SIG.all_names()}
+
+
+class TestTruthMask:
+    @given(formulas())
+    def test_matches_evaluate_prop_per_row(self, phi):
+        cache = {}
+        mask = truth_mask(phi, COLUMNS, len(ROWS), cache=cache)
+        assert mask.tolist() == [evaluate_prop(phi, row) for row in ROWS]
+        assert cache[phi] is mask and not mask.flags.writeable
+
+    def test_modal_nodes_go_to_the_hook_with_their_operands_masks(self):
+        seen = []
+
+        def modal(node, *masks):
+            seen.append((node, [m.tolist() for m in masks]))
+            return masks[-1]
+
+        phi = parse_formula("!((X=1) ~> (Y=0)) & [X<-2] U=u1", SIG)
+        truth_mask(phi, COLUMNS, len(ROWS), modal)
+        column = lambda x, v: [row[x] == v for row in ROWS]
+        assert [type(node).__name__ for node, _ in seen] == ["BoxArrow", "Intervene"]
+        assert seen[0][1] == [column("X", "1"), column("Y", "0")]
+        assert seen[1][1] == [column("U", "u1")]
+        with pytest.raises(FormulaError, match="not propositional: contains BoxArrow"):
+            truth_mask(phi, COLUMNS, len(ROWS))
 
 
 class TestPropositional:

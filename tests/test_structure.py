@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causact.abstract import CfSetting
 from causact.correspondence import CounterpartOrder, build_counterpart, check_correspondence
 from causact.formula import (
+    FALSE,
+    TRUE,
     And,
     BoxArrow,
     ExoEvent,
@@ -110,6 +113,22 @@ class TestSatisfaction:
         for text in ("(X=0 & X=1) ~> ([X<-1] Y=1)", "(X=1) ~> (Y=1 | [X<-1] Y=1)"):
             with pytest.raises(FormulaError, match="interventions are not evaluable in counterfactual structures"):
                 m.satisfies_at("a", parse_formula(text, SIG))
+
+    def test_intervention_in_a_decided_operand_rejected(self):
+        # a mask labels both operands of `&` and `|` at every state, so an
+        # intervention is met even where the other operand decides them all
+        m = make_structure(FLAT)
+        for text, at_a in (("(X=0 & X=1) & [X<-1] Y=1", False), ("(U=0 | U=1) | [X<-1] Y=1", True)):
+            phi = parse_formula(text, SIG)
+            for query in (
+                lambda: m.closest_states("a", phi),
+                lambda: m.satisfies_at("a", BoxArrow(phi, PrimEvent("Y", "1"))),
+                lambda: m.extension(Not(phi)),
+            ):
+                with pytest.raises(FormulaError, match="interventions are not evaluable in counterfactual structures"):
+                    query()
+            # evaluated at one state, the top level still short-circuits
+            assert m.satisfies_at("a", phi) is at_a
 
     def test_unknown_base_state_rejected(self):
         m = make_structure(FLAT)
@@ -335,10 +354,23 @@ class TestFileFormat:
         # the derived order is written only over the states the builder makes
         model = gen_random_model(FuzzCaps(max_endogenous=2, max_exogenous=1, max_domain=2), random.Random(3))
         m2, _ = build_counterpart(model)
-        assert structure_to_text(m2).endswith("order derived weighted-violations\n")
+        assert structure_to_text(m2, over="m.cm").endswith("order derived weighted-violations\n")
+        with pytest.raises(StructureError, match="written only `over` the model file"):
+            structure_to_text(m2)
         part = CfStructure(m2.sig, dict(list(m2.interp.items())[1:]), m2.order)
         with pytest.raises(StructureError, match="a CounterpartOrder cannot be written"):
-            structure_to_text(part)
+            structure_to_text(part, over="m.cm")
+
+    def test_derived_round_trip(self):
+        model = gen_random_model(FuzzCaps(max_endogenous=3, max_exogenous=2, max_domain=2), random.Random(4))
+        m2, _ = build_counterpart(model)
+        text = structure_to_text(m2, over="models/m.cm")
+        assert text.startswith(f"structure {m2.name} over models/m.cm\n")
+        loaded = []
+        again = parse_structure(text, load_model=lambda path: loaded.append(path) or model)
+        assert loaded == ["models/m.cm"]
+        assert again.states == m2.states and again.interp == m2.interp
+        assert (again.near == m2.near).all()
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +413,18 @@ def _ref_validate(m):
     return violations
 
 
-def _random_formula(sig, rng, depth):
+def _random_formula(sig, rng, depth, constants=False):
     if depth <= 0 or rng.random() < 0.3:
+        if constants and rng.random() < 0.2:
+            return rng.choice([TRUE, FALSE])
         x = rng.choice(sig.all_names())
         kind = ExoEvent if sig.is_exogenous(x) else PrimEvent
         return kind(x, rng.choice(sig.range_of(x)))
     kind = rng.choice(["not", "and", "or", "box", "box"])
     if kind == "not":
-        return Not(_random_formula(sig, rng, depth - 1))
-    left, right = _random_formula(sig, rng, depth - 1), _random_formula(sig, rng, depth - 1)
+        return Not(_random_formula(sig, rng, depth - 1, constants))
+    left = _random_formula(sig, rng, depth - 1, constants)
+    right = _random_formula(sig, rng, depth - 1, constants)
     return {"and": And, "or": Or, "box": BoxArrow}[kind](left, right)
 
 
@@ -455,6 +490,38 @@ class TestAgainstPerStateReference:
                     assert m.closest_states(s, phi) == _ref_closest(m, s, sat)
         assert "BoxArrow" in kinds
 
+    @pytest.mark.parametrize(
+        "make", [_random_tier_structure, _random_relation_structure, _random_counterpart_part]
+    )
+    def test_extensions_match(self, make):
+        for trial in range(25):
+            rng = random.Random(f"structure-mask:{make.__name__}:{trial}")
+            m = make(rng)
+            depth = 3 if len(m.states) < 12 else 2
+            box = BoxArrow(_random_formula(m.sig, rng, depth - 1, constants=True),
+                           _random_formula(m.sig, rng, depth - 1, constants=True))
+            other = _random_formula(m.sig, rng, depth - 1, constants=True)
+            for phi in (
+                _random_formula(m.sig, rng, depth, constants=True),
+                Not(box),
+                And(other, box),
+                Or(box, other),
+                BoxArrow(And(box, other), Or(other, box)),  # box-arrows in both operands
+                BoxArrow(Not(box), TRUE),
+                BoxArrow(TRUE, box),
+                BoxArrow(FALSE, other),
+                Or(FALSE, And(TRUE, box)),
+            ):
+                ref = [_ref_holds(m, s, phi) for s in m.states]
+                assert m.extension(phi).tolist() == ref
+
+    def test_masks_of_a_structure_without_states(self):
+        phi = BoxArrow(PrimEvent("X", "1"), Not(BoxArrow(TRUE, PrimEvent("Y", "0"))))
+        for order in (TierOrder({}), RelationOrder(set())):
+            m = CfStructure(SIG, {}, order)
+            assert m.extension(phi).shape == (0,)
+            assert validate_structure(m) == []
+
     def test_nested_boxarrows_on_tiers_with_unranked_states(self):
         rng = random.Random(5)
         nested = 0
@@ -495,3 +562,25 @@ class TestAgainstPerStateReference:
         s = m2.states[0]
         m2.closest_states(s, PrimEvent(model.sig.endo_names[0], "0"))
         assert calls == [len(m2.states)]
+
+
+class TestDeepFormulas:
+    def test_ten_thousand_literal_conjunction(self):
+        model = gen_random_model(FuzzCaps(max_endogenous=3, max_exogenous=2, max_domain=2), random.Random(3))
+        m2, _ = build_counterpart(model)
+        rng = random.Random(0)
+        goal = m2.interp[m2.states[-1]]  # every literal holds here
+        literals = []
+        for v in rng.choices(m2.sig.all_names(), k=10**4):
+            others = [x for x in m2.sig.range_of(v) if x != goal[v]]
+            literals.append(f"{v}!={rng.choice(others)}" if others and rng.random() < 0.5 else f"{v}={goal[v]}")
+        phi = parse_formula(" & ".join(literals), m2.sig)
+        parts = [parse_formula(t, m2.sig) for t in set(literals)]
+        ref = [all(evaluate_prop(p, m2.interp[s]) for p in parts) for s in m2.states]
+        assert ref[-1] and m2.extension(phi).tolist() == ref
+        s = m2.states[0]
+        closest = m2.closest_states(s, phi)
+        assert closest == _ref_closest(m2, s, [t for t, ok in zip(m2.states, ref) if ok])
+        x = m2.sig.endo_names[0]
+        expected = all(m2.interp[t][x] == goal[x] for t in closest)
+        assert CfSetting(m2, s).counterfactual(phi, PrimEvent(x, goal[x])) == expected
