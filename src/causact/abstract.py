@@ -14,6 +14,16 @@ Language members are generated per-variable and filtered to those true
 at the setting, which is complete: AC2' requires tau to hold there, and
 any AC3' candidate is entailed by the (true) cause.
 
+At a causal setting, AC2' for a conjunctive language (`conj`, `conj-neg`)
+does not build a formula per member: a member is one list of allowed
+values per variable, handed to the model's box-arrow search beside the
+residual antecedent (not cause, and the pins), and only the tau reported
+becomes a formula.  The box-arrow there is an intervention, so a negated
+conjunct on a variable outside the cause holds that variable at its actual
+value; such members repeat an earlier one and are not generated.  Other
+languages, and every language at a structure state, test one formula per
+member.
+
 By default a box-arrow whose antecedent has no closest states counts as
 false here, even in structures where the Lewis semantics would call it
 vacuously true; `allow_vacuous=True` restores the literal reading.
@@ -23,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .formula import (
     And,
@@ -178,44 +189,26 @@ def enumerate_witnesses(lang: WitnessLanguage, setting, cause_pairs):
     """Yield the language members true at the setting, smaller formulas
     first.  `cause_pairs` is the cause as (var, value) pairs; it only
     matters for the pair extension."""
+    if not _pins_hold(lang, setting):
+        return  # a false pin makes every pinned member false at s
     actual = setting.assignment
-    for pin in lang.pins:
-        if not setting.holds(pin):
-            return  # a false pin makes every pinned member false at s
-
-    def pinned(phi):
-        return conjoin(list(lang.pins) + ([phi] if phi is not TRUE else []))
 
     if lang.clause_budget is not None:
-        yield pinned(TRUE)
+        yield _pinned(lang, TRUE)
         for clause in _clauses(setting.sig, lang.clause_budget):
             if evaluate_prop(clause, actual):
-                yield pinned(clause)
+                yield _pinned(lang, clause)
         return
 
     sig = setting.sig
-    per_var = []
-    for x in sig.endo_names:
-        options: list[tuple[int, Formula | None]] = [(0, None), (1, PrimEvent(x, actual[x]))]
-        if lang.allow_negated:
-            excluded = [v for v in sig.range_of(x) if v != actual[x]]
-            for size in range(1, len(excluded)):
-                for subset in itertools.combinations(excluded, size):
-                    options.append(
-                        (size, conjoin([Not(PrimEvent(x, v)) for v in subset]))
-                    )
-        per_var.append(options)
-
-    combos = []
-    for combo in itertools.product(*per_var):
-        weight = sum(w for w, _ in combo)
-        combos.append((weight, [f for _, f in combo if f is not None]))
-    combos.sort(key=lambda wc: wc[0])
-
     xvars = [v for v, _ in cause_pairs]
     xvals = tuple(v for _, v in cause_pairs)
-    for _, parts in combos:
-        yield pinned(conjoin(parts))
+    per_var = _conj_options(sig, actual, lang.allow_negated)
+    formulas = [[_option_formula(x, opt) for _, opt in options]
+                for x, options in zip(sig.endo_names, per_var)]
+    for member in _by_weight(per_var):
+        parts = [f for fs, j in zip(formulas, member) if (f := fs[j]) is not None]
+        yield _pinned(lang, conjoin(parts))
         if lang.pair_on_cause:
             covered = {
                 f.var: f.val for f in parts if isinstance(f, PrimEvent) and f.var in xvars
@@ -227,7 +220,52 @@ def enumerate_witnesses(lang: WitnessLanguage, setting, cause_pairs):
                 if alt == xvals:
                     continue
                 pair = Or(pos, conjoin([PrimEvent(v, a) for v, a in zip(xvars, alt)]))
-                yield pinned(conjoin(parts + [pair]))
+                yield _pinned(lang, conjoin(parts + [pair]))
+
+
+def _conj_options(sig, actual, allow_negated, negate_only=None):
+    """Each endogenous variable's options for one conjunct of a member true
+    at `actual`, as (weight, option): None for no conjunct (weight 0),
+    (False, (a,)) for X=a (weight 1), and, with `allow_negated`,
+    (True, subset) for X!=v over each v of a proper subset of the
+    non-actual values (weight: the subset's size; ruling out every
+    non-actual value is X=a again).  `negate_only`, if given, limits the
+    negated options to those variables."""
+    per_var = []
+    for x in sig.endo_names:
+        options = [(0, None), (1, (False, (actual[x],)))]
+        if allow_negated and (negate_only is None or x in negate_only):
+            excluded = [v for v in sig.range_of(x) if v != actual[x]]
+            for size in range(1, len(excluded)):
+                for subset in itertools.combinations(excluded, size):
+                    options.append((size, (True, subset)))
+        per_var.append(options)
+    return per_var
+
+
+def _by_weight(per_var):
+    """Every member, as one option index per variable, in the order the
+    members are tried: the product order, stably sorted by total weight."""
+    weights = map(sum, itertools.product(*([w for w, _ in options] for options in per_var)))
+    members = itertools.product(*(range(len(options)) for options in per_var))
+    return [member for _, member in sorted(zip(weights, members), key=itemgetter(0))]
+
+
+def _option_formula(x, opt):
+    if opt is None:
+        return None
+    negated, values = opt
+    if negated:
+        return conjoin([Not(PrimEvent(x, v)) for v in values])
+    return PrimEvent(x, values[0])
+
+
+def _pins_hold(lang, setting) -> bool:
+    return all(setting.holds(pin) for pin in lang.pins)
+
+
+def _pinned(lang, phi):
+    return conjoin(list(lang.pins) + ([phi] if phi is not TRUE else []))
 
 
 def _clauses(sig, budget):
@@ -343,6 +381,8 @@ def is_actual_cause_abstract(
 
 
 def _ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
+    if isinstance(setting, CausalSetting) and not lang.pair_on_cause and lang.clause_budget is None:
+        return _ac2_at_context(setting, phi, effect, lang)
     not_phi = Not(phi)
     not_effect = Not(effect)
     pin = isinstance(setting, CausalSetting)
@@ -357,6 +397,56 @@ def _ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
         tested.add(tau)
         if setting.counterfactual(And(not_phi, tau), not_effect, allow_vacuous):
             return tau
+    return None
+
+
+def _ac2_at_context(setting, phi, effect, lang):
+    """AC2' for a conjunctive language at a causal setting, deciding each
+    member as value lists without building its formula.
+
+    The box-arrow (!phi & tau) ~> !effect intervenes on the variables of
+    its antecedent.  A conjunct of tau only restricts the values tried for
+    its variable, so a member is one candidate value list per variable it
+    constrains; the residual !phi & pins is checked for consistency per
+    vector, and its variables range over the values its top-level literals
+    allow.  A negated conjunct on a variable outside the cause pins that
+    variable to its actual value (see `_pin_negated_conjuncts`): the same
+    tau as the member with X=a in its place, which comes earlier.  So only
+    the cause's variables get negated options, and each pinned tau is
+    tried once."""
+    if not _pins_hold(lang, setting):
+        return None
+    model, sig, actual = setting.model, setting.sig, setting.assignment
+    cause_vars = free_endogenous(phi)
+    pins = _pin_negated_conjuncts(conjoin(lang.pins), actual, cause_vars)
+    residual = Not(phi) if pins is TRUE else And(Not(phi), pins)
+    not_effect = Not(effect)
+    model.check_causal_fragment(BoxArrow(residual, not_effect))
+    free = free_endogenous(residual)
+    names = sig.endo_names
+    per_var = _conj_options(sig, actual, lang.allow_negated, cause_vars)
+    # each option's candidate values; no conjunct leaves the variable out of
+    # the intervention, unless the residual mentions it
+    candidates = []
+    for x, allowed, options in zip(names, model.literal_candidates(residual, names), per_var):
+        lists = []
+        for _, opt in options:
+            if opt is None:
+                lists.append(allowed if x in free else None)
+            else:
+                negated, values = opt
+                lists.append([v for v in allowed if (v in values) != negated])
+        candidates.append(lists)
+    for member in _by_weight(per_var):
+        ys, values = [], []
+        for x, cands, j in zip(names, candidates, member):
+            if cands[j] is not None:
+                ys.append(x)
+                values.append(cands[j])
+        if model.boxarrow_search(setting.context, ys, values, residual, not_effect):
+            parts = [_option_formula(x, options[j][1]) for x, options, j in zip(names, per_var, member)]
+            tau = _pinned(lang, conjoin([p for p in parts if p is not None]))
+            return _pin_negated_conjuncts(tau, actual, cause_vars)
     return None
 
 

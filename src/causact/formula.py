@@ -110,19 +110,22 @@ class Formula:
         return format_formula(self)
 
 
-# Events, `true` and `false` keep the hash `dataclass` generates.  A node
-# with operands stores its hash at first use: a deep tree is then hashed
-# once, without recursion, and the caches that look up its subtrees do not
-# rehash them.
+# Events, `true` and `false` keep the hash and equality `dataclass`
+# generates.  A node with operands stores its hash at first use: a deep
+# tree is then hashed once, without recursion, and the caches that look up
+# its subtrees do not rehash them.  Its equality walks both trees with an
+# explicit stack.
 
 
 def _compound(cls):
-    """A frozen dataclass node with operands, hashed by `_stored_hash`.  The
-    generated hash, kept as `_field_hash`, hashes the tuple of the fields;
-    called once the operands are hashed, it reads their stored hashes."""
+    """A frozen dataclass node with operands, hashed by `_stored_hash` and
+    compared by `_equal`.  The generated hash, kept as `_field_hash`, hashes
+    the tuple of the fields; called once the operands are hashed, it reads
+    their stored hashes."""
     cls = dataclass(frozen=True)(cls)
     cls._field_hash = cls.__hash__
     cls.__hash__ = _stored_hash
+    cls.__eq__ = _equal
     cls.__reduce__ = _reduce
     cls._hash = None
     return cls
@@ -131,6 +134,54 @@ def _compound(cls):
 def _reduce(phi: Formula):
     # string hashes differ between processes, so a stored hash is not pickled
     return type(phi), tuple(getattr(phi, f) for f in phi.__match_args__)
+
+
+def _equal(left: Formula, right) -> bool:
+    """Structural equality of two formulas, false at once when their stored
+    hashes differ."""
+    if left is right:
+        return True
+    if type(left) is not type(right):
+        return NotImplemented
+    h, k = left._hash, right._hash
+    if h is None or k is None:
+        h, k = hash(left), hash(right)  # also stores the hashes below
+    if h != k:
+        return False
+    # pairs to compare, pushed and popped two nodes at a time; every node
+    # with operands below a hashed node is hashed too
+    stack = [left, right]
+    pop = stack.pop
+    while stack:
+        b = pop()
+        a = pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is And or kind is Or:
+            if a._hash != b._hash:
+                return False
+            stack += a.left, b.left, a.right, b.right
+        elif kind is PrimEvent or kind is ExoEvent:
+            if a.val != b.val or a.var != b.var:
+                return False
+        elif kind is Not:
+            if a._hash != b._hash:
+                return False
+            stack += a.sub, b.sub
+        elif kind is Top or kind is Bot:
+            continue
+        elif a._hash != b._hash:
+            return False
+        elif kind is BoxArrow:
+            stack += a.antecedent, b.antecedent, a.consequent, b.consequent
+        elif a.assignments != b.assignments:  # Intervene
+            return False
+        else:
+            stack += a.body, b.body
+    return True
 
 
 def _stored_hash(root: Formula) -> int:
@@ -259,11 +310,14 @@ def disjoin(parts) -> Formula:
 
 def conjuncts(phi: Formula) -> list[Formula]:
     """Flatten nested conjunctions (does not rewrite anything else)."""
-    if isinstance(phi, Top):
-        return []
-    if isinstance(phi, And):
-        return conjuncts(phi.left) + conjuncts(phi.right)
-    return [phi]
+    out, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack += node.right, node.left
+        elif not isinstance(node, Top):
+            out.append(node)
+    return out
 
 
 def as_event_conjunction(phi: Formula) -> list[tuple[str, str]]:
@@ -456,32 +510,43 @@ def parse_intervention(text: str, sig: Signature) -> dict[str, str]:
 
 # precedence levels: 0 = box-arrow operand / top, 1 = or, 2 = and, 3 = unary
 def format_formula(phi: Formula) -> str:
-    return _fmt(phi, 0)
-
-
-def _fmt(phi: Formula, prec: int) -> str:
-    if isinstance(phi, (PrimEvent, ExoEvent)):
-        return f"{phi.var}={phi.val}"
-    if isinstance(phi, Top):
-        return "true"
-    if isinstance(phi, Bot):
-        return "false"
-    if isinstance(phi, Not):
-        if isinstance(phi.sub, (PrimEvent, ExoEvent)):
-            return f"{phi.sub.var}!={phi.sub.val}"
-        return "!" + _fmt(phi.sub, 3)
-    if isinstance(phi, And):
-        body = f"{_fmt(phi.left, 2)} & {_fmt(phi.right, 3)}"
-        return f"({body})" if prec > 2 else body
-    if isinstance(phi, Or):
-        body = f"{_fmt(phi.left, 1)} | {_fmt(phi.right, 2)}"
-        return f"({body})" if prec > 1 else body
-    if isinstance(phi, Intervene):
-        asgn = ", ".join(f"{v}<-{x}" for v, x in phi.assignments)
-        return f"[{asgn}] {_fmt(phi.body, 3)}"
-    if isinstance(phi, BoxArrow):
-        return f"({_fmt(phi.antecedent, 0)}) ~> ({_fmt(phi.consequent, 0)})"
-    raise TypeError(f"not a formula: {phi!r}")
+    """The concrete syntax of phi.  The printer keeps its own stack of
+    pending (node, precedence) pairs and literal text, so the depth of phi
+    is not bounded by Python's recursion limit."""
+    out = []
+    stack = [(phi, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, prec = item
+        if isinstance(node, (PrimEvent, ExoEvent)):
+            out.append(f"{node.var}={node.val}")
+        elif isinstance(node, Top):
+            out.append("true")
+        elif isinstance(node, Bot):
+            out.append("false")
+        elif isinstance(node, Not):
+            if isinstance(node.sub, (PrimEvent, ExoEvent)):
+                out.append(f"{node.sub.var}!={node.sub.val}")
+            else:
+                stack += (node.sub, 3), "!"
+        elif isinstance(node, (And, Or)):
+            op, own = (" & ", 2) if isinstance(node, And) else (" | ", 1)
+            if prec > own:
+                stack.append(")")
+            stack += (node.right, own + 1), op, (node.left, own)
+            if prec > own:
+                stack.append("(")
+        elif isinstance(node, Intervene):
+            asgn = ", ".join(f"{v}<-{x}" for v, x in node.assignments)
+            stack += (node.body, 3), f"[{asgn}] "
+        elif isinstance(node, BoxArrow):
+            stack += ")", (node.consequent, 0), ") ~> (", (node.antecedent, 0), "("
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +624,20 @@ def truth_mask(phi: Formula, columns: dict, n: int, modal=None, cache: dict | No
     not bounded by Python's recursion limit."""
     if cache is None:
         cache = {}
-    stack = [phi]
+    mask = cache.get(phi)
+    stack = [phi] if mask is None else []
     while stack:
         node = stack[-1]
         if node in cache:
             stack.pop()
             continue
         parts = _operands(node)
-        todo = [p for p in parts if p not in cache]
+        masks = [cache.get(p) for p in parts]
+        todo = [p for p, mask in zip(parts, masks) if mask is None]
         if todo:
             stack.extend(reversed(todo))  # the leftmost operand first
             continue
         stack.pop()
-        masks = [cache[p] for p in parts]
         if isinstance(node, (PrimEvent, ExoEvent)):
             column = columns.get(node.var)
             if column is None:
@@ -593,7 +659,7 @@ def truth_mask(phi: Formula, columns: dict, n: int, modal=None, cache: dict | No
             raise FormulaError(f"formula is not propositional: contains {type(node).__name__}")
         mask.flags.writeable = False
         cache[node] = mask
-    return cache[phi]
+    return mask  # phi's: the walk computes it last
 
 
 def prop_consistent(phi: Formula, sig: Signature) -> bool:

@@ -292,11 +292,14 @@ class CausalModel:
         Only vectors that agree with phi's top-level literals X=x and X!=x
         are tried: any other vector falsifies an endogenous conjunct of phi
         and so is inconsistent whatever the exogenous values."""
-        ant, cons = phi.antecedent, phi.consequent
+        ant = phi.antecedent
         endo_occ = free_endogenous(ant)
-        all_occ = variables_of(ant)
         ys = [n for n in self.sig.endo_names if n in endo_occ]
-        exo_occ = [n for n in self.sig.exo_names if n in all_occ]
+        return self.boxarrow_search(u, ys, self.literal_candidates(ant, ys), ant, phi.consequent)
+
+    def literal_candidates(self, ant: Formula, ys) -> list[list[str]]:
+        """For each variable of `ys`, the values of its range that agree
+        with ant's top-level literals X=x and X!=x."""
         allowed = {n: set(self.sig.range_of(n)) for n in ys}
         for part in conjuncts(ant):
             negated = isinstance(part, Not)
@@ -306,7 +309,16 @@ class CausalModel:
                     allowed[lit.var].discard(lit.val)
                 else:
                     allowed[lit.var] &= {lit.val}
-        candidates = [[v for v in self.sig.range_of(n) if v in allowed[n]] for n in ys]
+        return [[v for v in self.sig.range_of(n) if v in allowed[n]] for n in ys]
+
+    def boxarrow_search(self, u: dict, ys, candidates, ant: Formula, cons: Formula) -> bool:
+        """Whether some vector in the product of `candidates` (one value
+        list per variable of `ys`, tried in lexicographic order) is
+        consistent with `ant` and makes `cons` true in context u under the
+        intervention setting ys to it.  `ys` must cover the endogenous
+        variables of `ant`; `u` is a validated context."""
+        all_occ = variables_of(ant)
+        exo_occ = [n for n in self.sig.exo_names if n in all_occ]
         for values in itertools.product(*candidates):
             fixed = dict(zip(ys, values))
             if not self._consistent_with(ant, fixed, exo_occ):

@@ -1,15 +1,31 @@
+import itertools
+import json
+import random
+
 import pytest
 
+from causact import abstract
 from causact.formula import (
     And,
     ExoEvent,
+    FormulaError,
     Not,
     Or,
     PrimEvent,
     TRUE,
+    conjoin,
     format_formula,
+    free_endogenous,
     parse_formula,
     prop_entails,
+)
+from causact.harness import (
+    DEFAULT_CAPS,
+    FuzzCaps,
+    gen_random_model,
+    random_context,
+    random_event_conjunction,
+    random_prop_formula,
 )
 from causact.model import parse_model
 from causact.hp import is_actual_cause_hp
@@ -24,6 +40,7 @@ from causact.abstract import (
     is_actual_cause_abstract,
     pair_language,
     parse_language,
+    _pin_negated_conjuncts,
 )
 from causact.correspondence import build_counterpart
 from causact.corpus import (
@@ -275,19 +292,130 @@ class TestMinimalityCandidateScope:
             "eq V3 = case { U=1 & V2=0 : 1 ; default: 0 }\n"
         )
         setting = CausalSetting(m, {"U": "1"})
-        antecedents = []
-        counterfactual = setting.counterfactual
+        searches = []
+        search = m.boxarrow_search
 
-        def recording(antecedent, consequent, allow_vacuous=False):
-            antecedents.append(antecedent)
-            return counterfactual(antecedent, consequent, allow_vacuous)
+        def recording(u, ys, candidates, ant, cons):
+            searches.append((ant, tuple(ys), tuple(tuple(c) for c in candidates)))
+            return search(u, ys, candidates, ant, cons)
 
-        setting.counterfactual = recording
+        m.boxarrow_search = recording
         cause = parse_formula("V1=1", m.sig)
         effect = parse_formula("V3=1", m.sig)
         v = is_actual_cause_abstract(setting, cause, effect, conj_neg_language())
         assert not v.ac2
-        assert antecedents and len(antecedents) == len(set(antecedents))
+        assert searches and len(searches) == len(set(searches))
+
+
+def _ref_members(lang, setting):
+    """Reference enumeration of the conjunctive members as formulas: the
+    full product of per-variable options, stably sorted by weight, each
+    conjoined with the pins."""
+    if not all(setting.holds(pin) for pin in lang.pins):
+        return
+    actual, sig = setting.assignment, setting.sig
+    per_var = []
+    for x in sig.endo_names:
+        options = [(0, None), (1, PrimEvent(x, actual[x]))]
+        if lang.allow_negated:
+            excluded = [v for v in sig.range_of(x) if v != actual[x]]
+            for size in range(1, len(excluded)):
+                for subset in itertools.combinations(excluded, size):
+                    options.append((size, conjoin([Not(PrimEvent(x, v)) for v in subset])))
+        per_var.append(options)
+    combos = []
+    for combo in itertools.product(*per_var):
+        combos.append((sum(w for w, _ in combo), [f for _, f in combo if f is not None]))
+    combos.sort(key=lambda wc: wc[0])
+    for _, parts in combos:
+        phi = conjoin(parts)
+        yield conjoin(list(lang.pins) + ([phi] if phi is not TRUE else []))
+
+
+def _ref_ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
+    """Reference AC2' at a causal setting over formulas: each member is
+    built, pinned, and tried once with the setting's counterfactual."""
+    not_phi = Not(phi)
+    not_effect = Not(effect)
+    cause_vars = free_endogenous(phi)
+    tested = set()
+    for tau in _ref_members(lang, setting):
+        tau = _pin_negated_conjuncts(tau, setting.assignment, cause_vars)
+        if tau in tested:
+            continue
+        tested.add(tau)
+        if setting.counterfactual(And(not_phi, tau), not_effect, allow_vacuous):
+            return tau
+    return None
+
+
+def _random_pins(m, actual, rng, kind):
+    """Pins of one kind, true or false at the setting: none, U=u, V!=v,
+    V!=v & W=w, V=a | W=b, or a non-actual V=b."""
+    sig = m.sig
+
+    def ev(x, nonactual=False):
+        others = [v for v in sig.range_of(x) if v != actual[x]]
+        val = rng.choice(others) if nonactual and others else actual[x]
+        return ExoEvent(x, val) if sig.is_exogenous(x) else PrimEvent(x, val)
+
+    v, w = rng.choice(sig.endo_names), rng.choice(sig.endo_names)
+    return [
+        [],
+        [ev(rng.choice(sig.exo_names), nonactual=rng.random() < 0.2)],
+        [Not(ev(v, nonactual=rng.random() < 0.9))],
+        [And(Not(ev(v, nonactual=True)), ev(w))],
+        [Or(ev(v, nonactual=True), ev(w, nonactual=rng.random() < 0.5))],
+        [ev(v, nonactual=True)],
+    ][kind]
+
+
+class TestValueListAC2:
+    """AC2' at a causal setting decides members as value lists; the verdict
+    must match the formula path it replaced, AC3 violators included."""
+
+    @pytest.mark.parametrize(
+        "caps, trials", [(DEFAULT_CAPS, 400), (FuzzCaps(6, 2, 4), 30)], ids=["default", "wide"]
+    )
+    def test_verdicts_match_the_formula_path(self, caps, trials, monkeypatch):
+        for i in range(trials):
+            rng = random.Random(f"value-lists:{caps}:{i}")
+            m = gen_random_model(caps, rng)
+            u = random_context(m, rng)
+            actual = m.solve(u)
+            cause = random_event_conjunction(m, rng, prefer_actual=actual)
+            effect = random_prop_formula(m, rng, 2)
+            pins = _random_pins(m, actual, rng, i % 6)
+            for lang in (conj_language(pins), conj_neg_language(pins)):
+                setting = CausalSetting(m, u)
+                new = is_actual_cause_abstract(setting, cause, effect, lang).to_dict()
+                with monkeypatch.context() as patch:
+                    patch.setattr(abstract, "_ac2_prime", _ref_ac2_prime)
+                    ref = is_actual_cause_abstract(setting, cause, effect, lang).to_dict()
+                assert json.dumps(new) == json.dumps(ref), (i, lang.describe())
+
+    def test_smaller_witnesses_are_tried_first(self):
+        # with X=0, E follows A & (B | C), and A, B and C all flip;
+        # holding A, or holding both B and C, breaks E.  In product order
+        # B=0 & C=0 comes before A=0; by size, A=0 comes first
+        m = parse_model(
+            "model m\nexo U : { 0, 1 }\nvar X : { 0, 1 }\nvar A : { 0, 1 }\n"
+            "var B : { 0, 1 }\nvar C : { 0, 1 }\nvar E : { 0, 1 }\n"
+            "eq X = case { default: 1 }\neq A = case { X=0 : 1 ; default: 0 }\n"
+            "eq B = case { X=0 : 1 ; default: 0 }\neq C = case { X=0 : 1 ; default: 0 }\n"
+            "eq E = case { X=1 : 1 ; A=1 & B=1 : 1 ; A=1 & C=1 : 1 ; default: 0 }\n"
+        )
+        cause, effect = parse_formula("X=1", m.sig), parse_formula("E=1", m.sig)
+        for lang in (conj_language(), conj_neg_language()):
+            v = is_actual_cause_abstract(CausalSetting(m, {"U": "0"}), cause, effect, lang)
+            assert v.is_cause and format_formula(v.tau) == "A=0"
+
+    @pytest.mark.parametrize("pin", ["[ST<-0] BS=1", "(ST=0) ~> (BS=1)", "U=u11 & [ST<-0] BS=1"])
+    def test_non_propositional_pin_is_rejected(self, rt, rt_setting, pin):
+        lang = conj_language([parse_formula(pin, rt.sig)])
+        cause, effect = parse_formula("ST=1", rt.sig), parse_formula("BS=1", rt.sig)
+        with pytest.raises(FormulaError, match="^box-arrow antecedents must be propositional$"):
+            is_actual_cause_abstract(rt_setting, cause, effect, lang)
 
 
 class TestDegeneracy:

@@ -111,6 +111,16 @@ class TestCause:
         assert code == 2 and "structure" in err
 
 
+    @pytest.mark.parametrize("pin", ["[ST<-0] BS=1", "(ST=0) ~> (BS=1)", "U=u11 & [ST<-0] BS=1"])
+    def test_non_propositional_pin_is_a_parse_error(self, capsys, rt_file, pin):
+        code, out, err = run(
+            capsys, "cause", "-m", rt_file, "-u", "U=u11", "--cause", "ST=1",
+            "--effect", "BS=1", "--mode", "abstract", "--lang", "conj", "--pin", pin,
+        )
+        assert (code, out) == (2, "")
+        assert err == "parse error: box-arrow antecedents must be propositional\n"
+
+
 class TestStructureWorkflow:
     def test_build_then_query_then_check(self, capsys, rt_file, tmp_path):
         out_file = str(tmp_path / "rt.cfs")

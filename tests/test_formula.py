@@ -21,6 +21,7 @@ from causact.formula import (
     conjoin,
     disjoin,
     as_event_conjunction,
+    conjuncts,
     evaluate_prop,
     format_formula,
     free_endogenous,
@@ -144,6 +145,16 @@ class TestHashing:
         first, second = parse_formula(text, SIG), parse_formula(text, SIG)
         assert hash(first) == hash(second)
         assert first.left._hash is not None  # stored on the way down too
+
+    def test_deep_conjunction_prints_compares_and_flattens_without_recursion(self):
+        text = " & ".join(["X=1", "Y!=0", "U=u0", "!(X=2 | Y=1)"] * 2500)
+        first, second = parse_formula(text, SIG), parse_formula(text, SIG)
+        assert first == second and first is not second
+        assert str(first) == text
+        assert parse_formula(str(first), SIG) == first
+        assert len(conjuncts(first)) == 10**4
+        differs = parse_formula("X=0 & " + text.partition(" & ")[2], SIG)
+        assert first != differs and differs != first
 
 
 ROWS = list(SIG.assignments(SIG.all_names()))  # every assignment of SIG

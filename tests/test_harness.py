@@ -95,3 +95,7 @@ class TestDifferentials:
         # at domain 4 this trial's witnesses pin six variables; trying every
         # intervention on them took about two minutes
         assert _trial_theorem1(FuzzCaps(6, 2, 4), trial_rng(77, 33), True) is None
+
+    def test_negated_variant_at_domain_four(self):
+        report = run_differential("theorem1", 500, seed=77, caps=FuzzCaps(6, 2, 4), negated=True)
+        assert report.ok and report.agreements == 500, report.to_json()

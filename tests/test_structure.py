@@ -13,11 +13,15 @@ from causact.formula import (
     BoxArrow,
     ExoEvent,
     FormulaError,
+    Intervene,
     Not,
     Or,
     PrimEvent,
     Signature,
+    Top,
+    Bot,
     evaluate_prop,
+    format_formula,
     parse_formula,
 )
 from causact.harness import FuzzCaps, gen_random_model
@@ -426,6 +430,43 @@ def _random_formula(sig, rng, depth, constants=False):
     left = _random_formula(sig, rng, depth - 1, constants)
     right = _random_formula(sig, rng, depth - 1, constants)
     return {"and": And, "or": Or, "box": BoxArrow}[kind](left, right)
+
+
+def _fmt_recursive(phi, prec=0):
+    """The recursive printer `format_formula` replaced, kept as its reference."""
+    if isinstance(phi, (PrimEvent, ExoEvent)):
+        return f"{phi.var}={phi.val}"
+    if isinstance(phi, Top):
+        return "true"
+    if isinstance(phi, Bot):
+        return "false"
+    if isinstance(phi, Not):
+        if isinstance(phi.sub, (PrimEvent, ExoEvent)):
+            return f"{phi.sub.var}!={phi.sub.val}"
+        return "!" + _fmt_recursive(phi.sub, 3)
+    if isinstance(phi, And):
+        body = f"{_fmt_recursive(phi.left, 2)} & {_fmt_recursive(phi.right, 3)}"
+        return f"({body})" if prec > 2 else body
+    if isinstance(phi, Or):
+        body = f"{_fmt_recursive(phi.left, 1)} | {_fmt_recursive(phi.right, 2)}"
+        return f"({body})" if prec > 1 else body
+    if isinstance(phi, Intervene):
+        asgn = ", ".join(f"{v}<-{x}" for v, x in phi.assignments)
+        return f"[{asgn}] {_fmt_recursive(phi.body, 3)}"
+    if isinstance(phi, BoxArrow):
+        return f"({_fmt_recursive(phi.antecedent, 0)}) ~> ({_fmt_recursive(phi.consequent, 0)})"
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def test_printer_matches_the_recursive_printer():
+    rng = random.Random(3)
+    for _ in range(3000):
+        phi = _random_formula(SIG, rng, rng.randint(0, 6), constants=True)
+        if rng.random() < 0.3:
+            body = _random_formula(SIG, rng, 2, constants=True)
+            inter = Intervene((("X", rng.choice("012")), ("Y", "1"))[: rng.randint(1, 2)], body)
+            phi = rng.choice([inter, Not(inter), And(phi, inter), Or(inter, phi)])
+        assert format_formula(phi) == _fmt_recursive(phi)
 
 
 def _random_tier_structure(rng, centered=True):
