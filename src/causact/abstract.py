@@ -14,15 +14,17 @@ Language members are generated per-variable and filtered to those true
 at the setting, which is complete: AC2' requires tau to hold there, and
 any AC3' candidate is entailed by the (true) cause.
 
-At a causal setting, AC2' for a conjunctive language (`conj`, `conj-neg`)
-does not build a formula per member: a member is one list of allowed
-values per variable, handed to the model's box-arrow search beside the
-residual antecedent (not cause, and the pins), and only the tau reported
-becomes a formula.  The box-arrow there is an intervention, so a negated
-conjunct on a variable outside the cause holds that variable at its actual
-value; such members repeat an earlier one and are not generated.  Other
-languages, and every language at a structure state, test one formula per
-member.
+AC2' builds no formula per member for `conj` and `conj-neg` at a causal
+setting, nor for those and `pair` at a structure state; only the tau
+reported becomes a formula.  At a causal setting a member is one list of
+allowed values per variable, handed to the model's box-arrow search beside
+the residual antecedent (not cause, and the pins).  The box-arrow there is
+an intervention, so no negated conjunct can decide AC2' (an earlier member
+tries the same vectors or more), and `conj-neg` decides as `conj`.  At a
+structure state a member is the mask over the states of its antecedent:
+the AND of the masks of not cause, the pins and its conjuncts.  Blocks of
+such rows are decided by one closest-state query each.  `pair` at a causal
+setting and `gen:K` at either setting test one formula per member.
 
 By default a box-arrow whose antecedent has no closest states counts as
 false here, even in structures where the Lewis semantics would call it
@@ -34,6 +36,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
+
+import numpy as np
 
 from .formula import (
     And,
@@ -202,7 +206,6 @@ def enumerate_witnesses(lang: WitnessLanguage, setting, cause_pairs):
 
     sig = setting.sig
     xvars = [v for v, _ in cause_pairs]
-    xvals = tuple(v for _, v in cause_pairs)
     per_var = _conj_options(sig, actual, lang.allow_negated)
     formulas = [[_option_formula(x, opt) for _, opt in options]
                 for x, options in zip(sig.endo_names, per_var)]
@@ -215,26 +218,21 @@ def enumerate_witnesses(lang: WitnessLanguage, setting, cause_pairs):
             }
             if all(covered.get(v) == x for v, x in cause_pairs):
                 continue  # the conjunction already forces the cause values
-            pos = conjoin([PrimEvent(v, x) for v, x in cause_pairs])
-            for alt in itertools.product(*(sig.range_of(v) for v in xvars)):
-                if alt == xvals:
-                    continue
-                pair = Or(pos, conjoin([PrimEvent(v, a) for v, a in zip(xvars, alt)]))
-                yield _pinned(lang, conjoin(parts + [pair]))
+            for alt in _pair_alternatives(sig, cause_pairs):
+                yield _pinned(lang, conjoin(parts + [_pair_disjunct(cause_pairs, alt)]))
 
 
-def _conj_options(sig, actual, allow_negated, negate_only=None):
+def _conj_options(sig, actual, allow_negated):
     """Each endogenous variable's options for one conjunct of a member true
     at `actual`, as (weight, option): None for no conjunct (weight 0),
     (False, (a,)) for X=a (weight 1), and, with `allow_negated`,
     (True, subset) for X!=v over each v of a proper subset of the
     non-actual values (weight: the subset's size; ruling out every
-    non-actual value is X=a again).  `negate_only`, if given, limits the
-    negated options to those variables."""
+    non-actual value is X=a again)."""
     per_var = []
     for x in sig.endo_names:
         options = [(0, None), (1, (False, (actual[x],)))]
-        if allow_negated and (negate_only is None or x in negate_only):
+        if allow_negated:
             excluded = [v for v in sig.range_of(x) if v != actual[x]]
             for size in range(1, len(excluded)):
                 for subset in itertools.combinations(excluded, size):
@@ -258,6 +256,24 @@ def _option_formula(x, opt):
     if negated:
         return conjoin([Not(PrimEvent(x, v)) for v in values])
     return PrimEvent(x, values[0])
+
+
+def _member_formulas(names, per_var, member):
+    """The conjuncts of a member, one per variable it constrains."""
+    parts = [_option_formula(x, options[j][1]) for x, options, j in zip(names, per_var, member)]
+    return [p for p in parts if p is not None]
+
+
+def _pair_alternatives(sig, cause_pairs):
+    """The value vectors x' over the cause's variables other than its own."""
+    xvals = tuple(x for _, x in cause_pairs)
+    return [alt for alt in itertools.product(*(sig.range_of(v) for v, _ in cause_pairs)) if alt != xvals]
+
+
+def _pair_disjunct(cause_pairs, alt):
+    """(X=x | X=x') for the cause X=x and one alternative x'."""
+    pos = conjoin([PrimEvent(v, x) for v, x in cause_pairs])
+    return Or(pos, conjoin([PrimEvent(v, a) for (v, _), a in zip(cause_pairs, alt)]))
 
 
 def _pins_hold(lang, setting) -> bool:
@@ -381,8 +397,11 @@ def is_actual_cause_abstract(
 
 
 def _ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
-    if isinstance(setting, CausalSetting) and not lang.pair_on_cause and lang.clause_budget is None:
-        return _ac2_at_context(setting, phi, effect, lang)
+    if lang.clause_budget is None:
+        if isinstance(setting, CfSetting):
+            return _ac2_at_state(setting, phi, effect, lang, cause_pairs, allow_vacuous)
+        if not lang.pair_on_cause:
+            return _ac2_at_context(setting, phi, effect, lang)
     not_phi = Not(phi)
     not_effect = Not(effect)
     pin = isinstance(setting, CausalSetting)
@@ -409,11 +428,13 @@ def _ac2_at_context(setting, phi, effect, lang):
     its variable, so a member is one candidate value list per variable it
     constrains; the residual !phi & pins is checked for consistency per
     vector, and its variables range over the values its top-level literals
-    allow.  A negated conjunct on a variable outside the cause pins that
-    variable to its actual value (see `_pin_negated_conjuncts`): the same
-    tau as the member with X=a in its place, which comes earlier.  So only
-    the cause's variables get negated options, and each pinned tau is
-    tried once."""
+    allow.  No member has a negated conjunct, so `conj-neg` decides as
+    `conj` here.  On a variable outside the cause, a negated conjunct pins
+    the variable to its actual value (see `_pin_negated_conjuncts`): the
+    same tau as the member with X=a in its place, which comes earlier.  On a
+    cause variable X, which the residual already varies, the member
+    P & X!=v tries a subset of the vectors P tries, and P comes earlier.
+    So neither can decide AC2', and each pinned tau is tried once."""
     if not _pins_hold(lang, setting):
         return None
     model, sig, actual = setting.model, setting.sig, setting.assignment
@@ -424,19 +445,13 @@ def _ac2_at_context(setting, phi, effect, lang):
     model.check_causal_fragment(BoxArrow(residual, not_effect))
     free = free_endogenous(residual)
     names = sig.endo_names
-    per_var = _conj_options(sig, actual, lang.allow_negated, cause_vars)
-    # each option's candidate values; no conjunct leaves the variable out of
-    # the intervention, unless the residual mentions it
-    candidates = []
-    for x, allowed, options in zip(names, model.literal_candidates(residual, names), per_var):
-        lists = []
-        for _, opt in options:
-            if opt is None:
-                lists.append(allowed if x in free else None)
-            else:
-                negated, values = opt
-                lists.append([v for v in allowed if (v in values) != negated])
-        candidates.append(lists)
+    per_var = _conj_options(sig, actual, False)
+    # each option's candidate values: no conjunct leaves the variable out
+    # of the intervention, unless the residual mentions it, and X=a tries a
+    candidates = [
+        [allowed if x in free else None, [v for v in allowed if v == actual[x]]]
+        for x, allowed in zip(names, model.literal_candidates(residual, names))
+    ]
     for member in _by_weight(per_var):
         ys, values = [], []
         for x, cands, j in zip(names, candidates, member):
@@ -444,9 +459,98 @@ def _ac2_at_context(setting, phi, effect, lang):
                 ys.append(x)
                 values.append(cands[j])
         if model.boxarrow_search(setting.context, ys, values, residual, not_effect):
-            parts = [_option_formula(x, options[j][1]) for x, options, j in zip(names, per_var, member)]
-            tau = _pinned(lang, conjoin([p for p in parts if p is not None]))
+            tau = _pinned(lang, conjoin(_member_formulas(names, per_var, member)))
             return _pin_negated_conjuncts(tau, actual, cause_vars)
+    return None
+
+
+_BLOCK_ROWS = 64  # antecedent rows decided per closest-state query
+
+
+def _ac2_at_state(setting, phi, effect, lang, cause_pairs, allow_vacuous):
+    """AC2' for a conjunctive or pair language at a structure state,
+    deciding each member from its mask without building its formula.
+
+    The antecedent !phi & tau of a member holds where !phi, every pin and
+    each of the member's conjuncts hold, so its mask is the AND of their
+    masks: X=a compares one value column, and X!=v over a subset S is the
+    complement of membership in S.  For `pair`, a member that does not
+    already fix the cause values is followed by one row per alternative x',
+    ANDed with the mask of (X=x | X=x').  The rows keep the order of
+    `enumerate_witnesses`.  The first, the member true, is decided alone,
+    before the option masks are built; the rest are decided in blocks of
+    `_BLOCK_ROWS`, each by one closest-state query.  The first row whose
+    closest states all satisfy !effect wins (no closest state counts as
+    `allow_vacuous`).  Only the winning tau becomes a formula, built as
+    `enumerate_witnesses` builds it.  Pins are labelled at every state, so
+    an intervention in a pin raises FormulaError as it does in a formula's
+    mask."""
+    if not _pins_hold(lang, setting):
+        return None
+    m2, sig, actual = setting.structure, setting.sig, setting.assignment
+    base = m2.extension(Not(phi))
+    for pin in lang.pins:
+        base = base & m2.extension(pin)
+    fails = ~m2.extension(Not(effect))
+
+    def first_pass(rows):
+        """The index of the first row whose antecedent passes, or None."""
+        closest = m2.closest_rows(setting.state, rows)
+        passes = ~(closest & fails).any(axis=1)
+        if not allow_vacuous:
+            passes &= closest.any(axis=1)
+        hits = np.flatnonzero(passes)
+        return hits[0] if hits.size else None
+
+    if first_pass(base[None]) is not None:
+        return _pinned(lang, TRUE)
+
+    names, columns = sig.endo_names, m2._columns
+    per_var = _conj_options(sig, actual, lang.allow_negated)
+    # every variable's option masks in turn; no conjunct holds everywhere
+    everywhere = np.ones(len(m2.states), dtype=bool)
+    option_masks, offsets = [], []
+    for x, options in zip(names, per_var):
+        offsets.append(len(option_masks))
+        option_masks += [everywhere, columns[x] == actual[x]]
+        option_masks += [~np.isin(columns[x], values) for _, (_, values) in options[2:]]
+    option_masks = np.array(option_masks)
+    members = _by_weight(per_var)
+    chosen = np.array(members, dtype=np.intp).reshape(len(members), len(names)) + offsets
+
+    # the rows in try order, as (member, disjunct): each member's own row
+    # (disjunct 0, none), then, for pair, one row per alternative x' unless
+    # the member fixes the cause values, that is has X=x for each of them
+    alts = _pair_alternatives(sig, cause_pairs) if lang.pair_on_cause else []
+    disjuncts = everywhere[None]
+    if alts:
+        xcols = np.array([columns[v] for v, _ in cause_pairs])
+        vectors = np.array([tuple(x for _, x in cause_pairs)] + alts)
+        disjuncts = (xcols == vectors[:, :, None]).all(axis=1)  # X=x, then each X=x'
+        disjuncts[1:] |= disjuncts[0]
+        disjuncts[0] = True
+        position = {x: i for i, x in enumerate(names)}
+        fixing = [position.get(v) if actual[v] == x else None for v, x in cause_pairs]
+    row_member, row_disjunct = [], []
+    for k, member in enumerate(members):
+        row_member.append(k)
+        row_disjunct.append(0)
+        if alts and (None in fixing or any(member[i] != 1 for i in fixing)):
+            row_member += [k] * len(alts)
+            row_disjunct += range(1, len(alts) + 1)
+
+    for start in range(1, len(row_member), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        rows = option_masks[chosen[row_member[block]]].all(axis=1)
+        rows &= base
+        rows &= disjuncts[row_disjunct[block]]
+        hit = first_pass(rows)
+        if hit is not None:
+            k = start + hit
+            parts = _member_formulas(names, per_var, members[row_member[k]])
+            if row_disjunct[k]:
+                parts.append(_pair_disjunct(cause_pairs, alts[row_disjunct[k] - 1]))
+            return _pinned(lang, conjoin(parts))
     return None
 
 

@@ -64,9 +64,12 @@ class FuzzCaps:
 
 DEFAULT_CAPS = FuzzCaps()
 
-# The structure-side differentials enumerate closest states repeatedly, so
-# they run on smaller instances to stay within time budgets.
-STRUCTURE_CAPS = FuzzCaps(max_endogenous=3, max_exogenous=2, max_domain=2)
+# The structure-side differentials build a counterpart over every
+# assignment of the model, so their cost grows with the state count; they
+# keep caps of their own, now equal to the defaults.  300 trials of
+# theorem 2 and of theorem 5 at seed 7 take about 1 s and 2 s on a shared
+# 2-core machine.
+STRUCTURE_CAPS = FuzzCaps(max_endogenous=4, max_exogenous=2, max_domain=3)
 
 
 def trial_rng(seed: int, index: int) -> random.Random:

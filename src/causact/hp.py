@@ -110,7 +110,8 @@ def _ac2_search(m, u, pairs, effect, first_only=False) -> list[HpWitness]:
     xvars = [v for v, _ in pairs]
     xvals = tuple(v for _, v in pairs)
     rest = [v for v in sig.endo_names if v not in xvars]
-    actual = m.solve(u)
+    ctx = m.validate_context(u)
+    actual = m._solve(ctx, {})
     not_effect = Not(effect)
     found: list[HpWitness] = []
     for size in range(len(rest) + 1):
@@ -121,7 +122,7 @@ def _ac2_search(m, u, pairs, effect, first_only=False) -> list[HpWitness]:
                     continue
                 inter = dict(zip(xvars, xprime))
                 inter.update(zip(w, wstar))
-                if m._eval(m.validate_context(u), not_effect, inter):
+                if m._eval(ctx, not_effect, inter):
                     found.append(HpWitness(w, wstar, xprime))
                     if first_only:
                         return found

@@ -197,8 +197,10 @@ class CausalModel:
     def solve(self, u: dict, interventions: dict | None = None) -> dict:
         """The unique simultaneous solution in context u, optionally under an
         intervention that pins some endogenous variables."""
-        ctx = self.validate_context(u)
-        inter = interventions or {}
+        return self._solve(self.validate_context(u), interventions or {})
+
+    def _solve(self, ctx: dict, inter: dict) -> dict:
+        """`solve` for a context `validate_context` has already returned."""
         key = (tuple(ctx[n] for n in self.sig.exo_names), tuple(sorted(inter.items())))
         cached = self._solve_cache.get(key)
         if cached is not None:
@@ -271,9 +273,10 @@ class CausalModel:
         return self._eval(self.validate_context(u), phi, {})
 
     def _eval(self, u: dict, phi: Formula, inter: dict) -> bool:
-        """Truth of phi in the solution of u under `inter`; an intervention
-        adds its assignments to `inter`, a box-arrow enumerates its own (so
-        a lone box-arrow needs no solution here)."""
+        """Truth of phi in the solution of the validated context u under
+        `inter`; an intervention adds its assignments to `inter`, a
+        box-arrow enumerates its own (so a lone box-arrow needs no solution
+        here)."""
         if isinstance(phi, BoxArrow):
             return self._eval_boxarrow(u, phi)
 
@@ -282,7 +285,7 @@ class CausalModel:
                 return self._eval_boxarrow(u, node)
             return self._eval(u, node.body, {**inter, **dict(node.assignments)})
 
-        return evaluate_prop(phi, self.solve(u, inter), modal)
+        return evaluate_prop(phi, self._solve(u, inter), modal)
 
     def _eval_boxarrow(self, u: dict, phi: BoxArrow) -> bool:
         """phi ~> psi holds iff for some value vector y over the endogenous

@@ -160,6 +160,12 @@ class CfStructure:
         closest = self._closest(self.index_of(s), self.extension(phi))
         return frozenset(self.states[j] for j in np.flatnonzero(closest))
 
+    def closest_rows(self, s: str, masks: np.ndarray) -> np.ndarray:
+        """The closest states from s within each row of the r x n boolean
+        matrix `masks`, as an r x n matrix: row k is what `closest_states`
+        gives for a formula whose mask is masks[k]."""
+        return self._closest(self.index_of(s), masks)
+
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
         """Each variable's values over `states`."""
@@ -193,10 +199,13 @@ class CfStructure:
     def _closest(self, i: int, mask: np.ndarray) -> np.ndarray:
         """The states in `mask` to which no state in `mask` is strictly
         closer from states[i]: the least ranks of row i of `near`, or, for
-        relation orders, the minimal elements under `leq`."""
+        relation orders, the minimal elements under `leq`.  For a matrix of
+        masks, one such row per mask."""
         if self.order.ranked:
-            row = np.where(mask, self.near[i], _MASKED)
-            return mask & (row == row.min(initial=_MASKED))
+            ranks = np.where(mask, self.near[i], _MASKED)
+            return mask & (ranks == ranks.min(axis=-1, initial=_MASKED, keepdims=True))
+        if mask.ndim == 2:
+            return np.array([self._closest(i, row) for row in mask], dtype=bool).reshape(mask.shape)
         s, leq = self.states[i], self.order.leq
         sat = [self.states[j] for j in np.flatnonzero(mask)]
         return np.array(

@@ -13,6 +13,7 @@ from causact.formula import (
     Or,
     PrimEvent,
     TRUE,
+    as_event_conjunction,
     conjoin,
     format_formula,
     free_endogenous,
@@ -43,6 +44,7 @@ from causact.abstract import (
     _pin_negated_conjuncts,
 )
 from causact.correspondence import build_counterpart
+from causact.structure import CfStructure, RelationOrder
 from causact.corpus import (
     ROCK_THROWING,
     backtracking_structure,
@@ -307,10 +309,12 @@ class TestMinimalityCandidateScope:
         assert searches and len(searches) == len(set(searches))
 
 
-def _ref_members(lang, setting):
+def _ref_members(lang, setting, cause_pairs=()):
     """Reference enumeration of the conjunctive members as formulas: the
     full product of per-variable options, stably sorted by weight, each
-    conjoined with the pins."""
+    conjoined with the pins.  For the pair extension, each member that does
+    not fix the cause values is followed by the member & (X=x | X=x') for
+    every alternative x'."""
     if not all(setting.holds(pin) for pin in lang.pins):
         return
     actual, sig = setting.assignment, setting.sig
@@ -327,9 +331,21 @@ def _ref_members(lang, setting):
     for combo in itertools.product(*per_var):
         combos.append((sum(w for w, _ in combo), [f for _, f in combo if f is not None]))
     combos.sort(key=lambda wc: wc[0])
+    pinned = lambda parts: conjoin(list(lang.pins) + ([conjoin(parts)] if parts else []))
+    xvars = [v for v, _ in cause_pairs]
+    xvals = tuple(x for _, x in cause_pairs)
+    pos = conjoin([PrimEvent(v, x) for v, x in cause_pairs])
     for _, parts in combos:
-        phi = conjoin(parts)
-        yield conjoin(list(lang.pins) + ([phi] if phi is not TRUE else []))
+        yield pinned(parts)
+        if not lang.pair_on_cause:
+            continue
+        covered = {f.var: f.val for f in parts if isinstance(f, PrimEvent)}
+        if all(covered.get(v) == x for v, x in cause_pairs):
+            continue
+        for alt in itertools.product(*(sig.range_of(v) for v in xvars)):
+            if alt != xvals:
+                pair = Or(pos, conjoin([PrimEvent(v, a) for v, a in zip(xvars, alt)]))
+                yield pinned(parts + [pair])
 
 
 def _ref_ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
@@ -344,6 +360,18 @@ def _ref_ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
         if tau in tested:
             continue
         tested.add(tau)
+        if setting.counterfactual(And(not_phi, tau), not_effect, allow_vacuous):
+            return tau
+    return None
+
+
+def _ref_ac2_at_state(setting, phi, effect, lang, cause_pairs, allow_vacuous):
+    """Reference AC2' at a structure state over formulas: each member is
+    built and tried with the setting's counterfactual, which looks up the
+    closest states of its antecedent."""
+    not_phi = Not(phi)
+    not_effect = Not(effect)
+    for tau in _ref_members(lang, setting, cause_pairs):
         if setting.counterfactual(And(not_phi, tau), not_effect, allow_vacuous):
             return tau
     return None
@@ -416,6 +444,89 @@ class TestValueListAC2:
         cause, effect = parse_formula("ST=1", rt.sig), parse_formula("BS=1", rt.sig)
         with pytest.raises(FormulaError, match="^box-arrow antecedents must be propositional$"):
             is_actual_cause_abstract(rt_setting, cause, effect, lang)
+
+
+def _relation_structure(rng):
+    """Six random states over a random model's signature, closeness from
+    random triples: a relation order that need not be transitive, so a
+    satisfiable antecedent may have no closest state."""
+    m = gen_random_model(FuzzCaps(3, 1, 3), rng)
+    names = [f"s{j}" for j in range(6)]
+    states = {s: {x: rng.choice(m.sig.range_of(x)) for x in m.sig.all_names()} for s in names}
+    triples = {(s, t, t) for s in names for t in names}
+    triples |= {(s, t, w) for s in names for t in names for w in names if rng.random() < 0.4}
+    return m, CfStructure(m.sig, states, RelationOrder(triples)), rng.choice(names)
+
+
+def _counterpart_setting(rng):
+    m = gen_random_model(FuzzCaps(3, 2, 3), rng)
+    m2, ctx_state = build_counterpart(m)
+    return m, m2, ctx_state(random_context(m, rng))
+
+
+class TestMaskAC2AtStates:
+    """AC2' at a structure state decides members from masks; the verdict
+    must match the formula path it replaced, AC3 violators included."""
+
+    def _compare(self, make, trials, monkeypatch, tag):
+        outcomes = set()
+        for i in range(trials):
+            rng = random.Random(f"{tag}:{i}")
+            m, m2, state = make(rng)
+            setting = CfSetting(m2, state)
+            cause = random_event_conjunction(m, rng, prefer_actual=setting.assignment)
+            effect = random_prop_formula(m, rng, 2)
+            # none, U=u, V!=v, V!=v & W=w, V=a | W=b, and a false V=b
+            pins = _random_pins(m, setting.assignment, rng, i % 6)
+            # now and then the pair disjunct ranges over another conjunction
+            other = random_event_conjunction(m, rng, prefer_actual=setting.assignment)
+            pairs = as_event_conjunction(other) if i % 3 == 2 else None
+            for lang in (conj_language(pins), conj_neg_language(pins), pair_language(pins)):
+                for vacuous in (False, True):
+                    check = lambda: is_actual_cause_abstract(setting, cause, effect, lang, vacuous, pairs)
+                    new = check().to_dict()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(abstract, "_ac2_prime", _ref_ac2_at_state)
+                        ref = check().to_dict()
+                    assert json.dumps(new) == json.dumps(ref), (i, lang.describe(), vacuous)
+                    outcomes.add((vacuous, new["ac2"]))
+        return outcomes
+
+    def test_verdicts_match_on_counterparts(self, monkeypatch):
+        outcomes = self._compare(_counterpart_setting, 150, monkeypatch, "state-masks")
+        assert {ac2 for _, ac2 in outcomes} == {True, False}
+
+    def test_verdicts_match_on_relation_orders(self, monkeypatch):
+        outcomes = self._compare(_relation_structure, 100, monkeypatch, "relation-masks")
+        assert {ac2 for _, ac2 in outcomes} == {True, False}
+
+    def test_rows_spanning_several_blocks(self, monkeypatch):
+        queries = []
+        rows = CfStructure.closest_rows
+
+        def counting(self, s, masks):
+            queries.append(len(masks))
+            return rows(self, s, masks)
+
+        monkeypatch.setattr(CfStructure, "closest_rows", counting)
+        self._compare(_counterpart_setting, 12, monkeypatch, "state-blocks")
+        whole = len(queries)
+        queries.clear()
+        monkeypatch.setattr(abstract, "_BLOCK_ROWS", 2)
+        self._compare(_counterpart_setting, 12, monkeypatch, "state-blocks")
+        assert len(queries) > whole and max(queries) == 2
+
+    @pytest.mark.parametrize("pin", ["U=u11 & [ST<-0] BS=1", "U=u11 | [ST<-0] BS=1"])
+    @pytest.mark.parametrize("make", [conj_language, conj_neg_language, pair_language])
+    def test_pin_holding_an_intervention_is_rejected(self, rt, pin, make):
+        # the second pin holds at the state without its intervention being
+        # reached, but its mask labels the intervention at every state
+        m2, ctx_state = build_counterpart(rt)
+        setting = CfSetting(m2, ctx_state({"U": "u11"}))
+        lang = make([parse_formula(pin, rt.sig)])
+        cause, effect = parse_formula("ST=1", rt.sig), parse_formula("BS=1", rt.sig)
+        with pytest.raises(FormulaError, match="^interventions are not evaluable"):
+            is_actual_cause_abstract(setting, cause, effect, lang)
 
 
 class TestDegeneracy:

@@ -248,10 +248,23 @@ def test_top_level_boxarrow_solves_only_its_consequents(monkeypatch):
     # only formula solved for; the box-arrow itself needs no solution.
     m = parse_model(ROCK_THROWING)
     calls = []
-    solve = m.solve
-    monkeypatch.setattr(m, "solve", lambda u, inter=None: calls.append(inter) or solve(u, inter))
+    solve = m._solve
+    monkeypatch.setattr(m, "_solve", lambda u, inter: calls.append(inter) or solve(u, inter))
     assert m.evaluate({"U": "u11"}, parse_formula("(ST=0) ~> (BS=1)", m.sig))
     assert calls == [{"ST": "0"}]
+
+
+def test_each_query_validates_its_context_once(monkeypatch):
+    # the box-arrow solves for each of the three vectors it tries; those
+    # solves take the context the query has already validated
+    m = parse_model(ROCK_THROWING)
+    calls = []
+    validate = m.validate_context
+    monkeypatch.setattr(m, "validate_context", lambda u: calls.append(u) or validate(u))
+    assert not m.evaluate({"U": "u11"}, parse_formula("(ST=0 | BT=0) ~> (BS=1 & BS=0)", m.sig))
+    assert len(calls) == 1
+    with pytest.raises(ModelError, match="outside the range of U"):
+        m.solve({"U": "u99"})
 
 
 class TestContextParsing:
