@@ -14,17 +14,17 @@ Language members are generated per-variable and filtered to those true
 at the setting, which is complete: AC2' requires tau to hold there, and
 any AC3' candidate is entailed by the (true) cause.
 
-AC2' builds no formula per member for `conj` and `conj-neg` at a causal
-setting, nor for those and `pair` at a structure state; only the tau
-reported becomes a formula.  At a causal setting a member is one list of
-allowed values per variable, handed to the model's box-arrow search beside
-the residual antecedent (not cause, and the pins).  The box-arrow there is
-an intervention, so no negated conjunct can decide AC2' (an earlier member
-tries the same vectors or more), and `conj-neg` decides as `conj`.  At a
-structure state a member is the mask over the states of its antecedent:
-the AND of the masks of not cause, the pins and its conjuncts.  Blocks of
-such rows are decided by one closest-state query each.  `pair` at a causal
-setting and `gen:K` at either setting test one formula per member.
+AC2' builds no formula per member for `conj`, `conj-neg` and `pair`; only
+the tau reported becomes a formula.  At a causal setting a member is one
+list of allowed values per variable, handed to the model's box-arrow
+search beside the residual antecedent (not cause, and the pins).  The
+box-arrow there is an intervention, existential over the values of its
+antecedent's variables, so neither a negated conjunct nor a pair disjunct
+can decide AC2' (an earlier member tries the same vectors or more), and
+`conj-neg` and `pair` decide as `conj`.  At a structure state a member is
+the mask over the states of its antecedent: the AND of the masks of not
+cause, the pins and its conjuncts.  Blocks of such rows are decided by one
+closest-state query each.  Only `gen:K` tests one formula per member.
 
 By default a box-arrow whose antecedent has no closest states counts as
 false here, even in structures where the Lewis semantics would call it
@@ -34,7 +34,7 @@ vacuously true; `allow_vacuous=True` restores the literal reading.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
@@ -103,10 +103,11 @@ class CfSetting:
         return self.structure.satisfies_at(self.state, phi)
 
     def counterfactual(self, antecedent, consequent, allow_vacuous=False) -> bool:
-        closest = self.structure.closest_states(self.state, antecedent)
-        if not closest:
+        m2 = self.structure
+        closest = m2.closest_rows(self.state, m2.extension(antecedent)[None])[0]
+        if not closest.any():
             return allow_vacuous
-        return all(self.structure.satisfies_at(t, consequent) for t in closest)
+        return not (closest & ~m2.extension(consequent)).any()
 
     def describe(self) -> str:
         return f"({self.structure.name}, {self.state})"
@@ -330,29 +331,19 @@ def is_actual_cause_abstract(
     effect: Formula,
     lang: WitnessLanguage,
     allow_vacuous: bool = False,
-    lang_cause_pairs=None,
 ) -> AbstractVerdict:
     """Check the language-parameterized cause conditions at a setting.
 
-    The cause may be any propositional formula.  When the language has a
-    pair extension, the variable/value pairs it is built on default to the
-    cause's own conjuncts; `lang_cause_pairs` overrides that (used when
-    checking causehood of a formula drawn from a language that was itself
-    parameterized by some other candidate cause)."""
+    The cause may be any propositional formula.  A pair extension ranges
+    over the variables of the formula under test: the cause for AC2', each
+    weaker candidate for AC3'."""
     if not is_propositional(cause):
         raise FormulaError("the cause must be a Boolean combination of primitive events")
     if not is_propositional(effect):
         raise FormulaError("the effect must be a Boolean combination of primitive events")
-    if lang_cause_pairs is not None:
-        pairs = list(lang_cause_pairs)
-    else:
-        try:
-            pairs = as_event_conjunction(cause)
-        except FormulaError:
-            pairs = []
 
     ac1 = setting.holds(cause) and setting.holds(effect)
-    tau = _ac2_prime(setting, cause, effect, lang, pairs, allow_vacuous)
+    tau = _ac2_prime(setting, cause, effect, lang, allow_vacuous)
     ac2 = tau is not None
 
     # Minimality candidates come from the positive-conjunction core of the
@@ -364,23 +355,12 @@ def is_actual_cause_abstract(
     ac3 = True
     violator = violator_tau = None
     sig = setting.sig
-    seen = set()
-    for phi2 in enumerate_witnesses(cand_lang, setting, pairs):
-        if phi2 in seen:
-            continue
-        seen.add(phi2)
+    for phi2 in enumerate_witnesses(cand_lang, setting, ()):
         if not prop_entails(cause, phi2, sig):
             continue
         if prop_entails(phi2, cause, sig):
             continue
-        # the pair extension for the weaker candidate ranges over its own
-        # variables; keeping the original cause's pair would let the witness
-        # move variables that plain minimality holds fixed
-        try:
-            pairs2 = as_event_conjunction(phi2)
-        except FormulaError:
-            pairs2 = []
-        t2 = _ac2_prime(setting, phi2, effect, lang, pairs2, allow_vacuous)
+        t2 = _ac2_prime(setting, phi2, effect, lang, allow_vacuous)
         if t2 is not None:
             ac3, violator, violator_tau = False, phi2, t2
             break
@@ -396,19 +376,18 @@ def is_actual_cause_abstract(
     )
 
 
-def _ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
+def _ac2_prime(setting, phi, effect, lang, allow_vacuous):
     if lang.clause_budget is None:
         if isinstance(setting, CfSetting):
-            return _ac2_at_state(setting, phi, effect, lang, cause_pairs, allow_vacuous)
-        if not lang.pair_on_cause:
-            return _ac2_at_context(setting, phi, effect, lang)
+            return _ac2_at_state(setting, phi, effect, lang, allow_vacuous)
+        return _ac2_at_context(setting, phi, effect, lang)
     not_phi = Not(phi)
     not_effect = Not(effect)
     pin = isinstance(setting, CausalSetting)
     cause_vars = free_endogenous(phi) if pin else None
     # Pinning maps many members to the same tau; a repeat has already failed.
     tested = set()
-    for tau in enumerate_witnesses(lang, setting, cause_pairs):
+    for tau in enumerate_witnesses(lang, setting, ()):
         if pin:
             tau = _pin_negated_conjuncts(tau, setting.assignment, cause_vars)
         if tau in tested:
@@ -420,21 +399,29 @@ def _ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
 
 
 def _ac2_at_context(setting, phi, effect, lang):
-    """AC2' for a conjunctive language at a causal setting, deciding each
-    member as value lists without building its formula.
+    """AC2' for `conj`, `conj-neg` or `pair` at a causal setting, deciding
+    each member as value lists without building its formula.
 
     The box-arrow (!phi & tau) ~> !effect intervenes on the variables of
-    its antecedent.  A conjunct of tau only restricts the values tried for
-    its variable, so a member is one candidate value list per variable it
-    constrains; the residual !phi & pins is checked for consistency per
-    vector, and its variables range over the values its top-level literals
-    allow.  No member has a negated conjunct, so `conj-neg` decides as
-    `conj` here.  On a variable outside the cause, a negated conjunct pins
-    the variable to its actual value (see `_pin_negated_conjuncts`): the
-    same tau as the member with X=a in its place, which comes earlier.  On a
-    cause variable X, which the residual already varies, the member
-    P & X!=v tries a subset of the vectors P tries, and P comes earlier.
-    So neither can decide AC2', and each pinned tau is tried once."""
+    its antecedent and holds if some vector of values for them satisfies
+    the antecedent and leads to !effect.  A conjunct of tau only restricts
+    the values tried for its variable, so a member is one candidate value
+    list per variable it constrains; the residual !phi & pins is checked for
+    consistency per vector, and its variables range over the values its
+    top-level literals allow.  Every member is a plain conjunction P of
+    actual-value events, and `conj-neg` and `pair` decide as `conj`:
+
+      - on a variable outside the cause, a negated conjunct pins the
+        variable to its actual value (see `_pin_negated_conjuncts`): the
+        same tau as the member with X=a in its place, which comes earlier;
+      - on a cause variable X, which the residual already varies, the
+        member P & X!=v tries a subset of the vectors P tries;
+      - the pair member P & (X=x | X=x') exists only for a cause X=x, whose
+        variables the residual already varies, so it too tries a subset of
+        the vectors P tries.
+
+    P comes earlier in each case, so none of these members can decide AC2',
+    and each pinned tau is tried once."""
     if not _pins_hold(lang, setting):
         return None
     model, sig, actual = setting.model, setting.sig, setting.assignment
@@ -467,24 +454,26 @@ def _ac2_at_context(setting, phi, effect, lang):
 _BLOCK_ROWS = 64  # antecedent rows decided per closest-state query
 
 
-def _ac2_at_state(setting, phi, effect, lang, cause_pairs, allow_vacuous):
+def _ac2_at_state(setting, phi, effect, lang, allow_vacuous):
     """AC2' for a conjunctive or pair language at a structure state,
     deciding each member from its mask without building its formula.
 
     The antecedent !phi & tau of a member holds where !phi, every pin and
     each of the member's conjuncts hold, so its mask is the AND of their
     masks: X=a compares one value column, and X!=v over a subset S is the
-    complement of membership in S.  For `pair`, a member that does not
-    already fix the cause values is followed by one row per alternative x',
-    ANDed with the mask of (X=x | X=x').  The rows keep the order of
-    `enumerate_witnesses`.  The first, the member true, is decided alone,
-    before the option masks are built; the rest are decided in blocks of
-    `_BLOCK_ROWS`, each by one closest-state query.  The first row whose
-    closest states all satisfy !effect wins (no closest state counts as
-    `allow_vacuous`).  Only the winning tau becomes a formula, built as
-    `enumerate_witnesses` builds it.  Pins are labelled at every state, so
-    an intervention in a pin raises FormulaError as it does in a formula's
-    mask."""
+    complement of membership in S.  For `pair`, when phi is a conjunction
+    X=x of events, a member that does not already fix the cause values is
+    followed by one row per alternative x', ANDed with the mask of
+    (X=x | X=x').  The pairs come from phi itself, so an AC3' candidate
+    moves only its own variables, as plain minimality does.  The rows keep
+    the order of `enumerate_witnesses`.  The first, the member true, is
+    decided alone, before the option masks are built; the rest are decided
+    in blocks of `_BLOCK_ROWS`, each by one closest-state query.  The first
+    row whose closest states all satisfy !effect wins (no closest state
+    counts as `allow_vacuous`).  Only the winning tau becomes a formula,
+    built as `enumerate_witnesses` builds it.  Pins are labelled at every
+    state, so an intervention in a pin raises FormulaError as it does in a
+    formula's mask."""
     if not _pins_hold(lang, setting):
         return None
     m2, sig, actual = setting.structure, setting.sig, setting.assignment
@@ -521,7 +510,13 @@ def _ac2_at_state(setting, phi, effect, lang, cause_pairs, allow_vacuous):
     # the rows in try order, as (member, disjunct): each member's own row
     # (disjunct 0, none), then, for pair, one row per alternative x' unless
     # the member fixes the cause values, that is has X=x for each of them
-    alts = _pair_alternatives(sig, cause_pairs) if lang.pair_on_cause else []
+    cause_pairs = []
+    if lang.pair_on_cause:
+        try:
+            cause_pairs = as_event_conjunction(phi)
+        except FormulaError:
+            pass  # a cause that is not an event conjunction has no pair members
+    alts = _pair_alternatives(sig, cause_pairs)
     disjuncts = everywhere[None]
     if alts:
         xcols = np.array([columns[v] for v, _ in cause_pairs])

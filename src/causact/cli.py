@@ -15,7 +15,7 @@ import json
 import sys
 
 from .formula import ExoEvent, FormulaError, format_formula, parse_formula, parse_intervention
-from .model import CausalModel, ModelError, model_to_text, parse_context, parse_model
+from .model import CausalModel, ModelError, parse_context, parse_model
 from .structure import StructureError, parse_structure, structure_to_text, validate_structure
 from .hp import is_actual_cause_hp
 from .abstract import (
@@ -98,22 +98,32 @@ def cmd_eval(args):
     return 0
 
 
-def _setting_for(args, sig_source="model"):
-    """Build the (model or structure) setting shared by cause/explain."""
+def _model_and_context(args):
+    """The model of --model and the context of --context."""
+    if args.model is None:
+        raise CliError("model semantics needs --model and --context", 2)
+    m = _load_model(args.model)
+    if args.context is None:
+        raise CliError("model semantics needs --model and --context", 2)
+    return m, parse_context(args.context, m.sig)
+
+
+def _setting_for(args):
+    """Build the (model or structure) setting of an abstract cause check."""
     if args.semantics == "structure":
         if not args.structure or not args.state:
             raise CliError("structure semantics needs --structure and --state", 2)
         m2 = _load_structure(args.structure)
         return CfSetting(m2, args.state), m2.sig
-    m = _load_model(args.model)
-    u = parse_context(args.context, m.sig)
+    m, u = _model_and_context(args)
     return CausalSetting(m, u), m.sig
 
 
 def cmd_cause(args):
     if args.mode == "hp":
-        m = _load_model(args.model)
-        u = parse_context(args.context, m.sig)
+        if args.semantics == "structure":
+            raise CliError("hp mode checks a causal model; use --mode abstract on a structure", 2)
+        m, u = _model_and_context(args)
         cause = parse_formula(args.cause, m.sig)
         effect = parse_formula(args.effect, m.sig)
         verdict = is_actual_cause_hp(m, u, cause, effect, first_only=args.first)
@@ -158,6 +168,8 @@ def cmd_explain(args):
         lang = parse_language(args.lang, pins=_parse_pins(args.pin, sig))
         verdict = is_explanation_abstract(settings, cand, effect, lang, args.allow_vacuous)
     else:
+        if args.model is None:
+            raise CliError("model semantics needs --model and --K", 2)
         m = _load_model(args.model)
         if not args.K:
             raise CliError("explain needs --K with one or more contexts", 2)

@@ -25,12 +25,12 @@ vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .formula import Formula, Signature, format_formula
-from .model import CausalModel, ModelError
+from .model import CausalModel
 from .structure import CfStructure, ClosenessOrder
 
 

@@ -18,13 +18,9 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from .formula import (
-    And,
     Formula,
     FormulaError,
-    Not,
-    Or,
     PrimEvent,
-    TRUE,
     as_event_conjunction,
     conjoin,
     format_formula,
@@ -35,12 +31,7 @@ from .formula import (
 )
 from .hp import is_actual_cause_hp
 from .model import CausalModel
-from .abstract import (
-    CausalSetting,
-    WitnessLanguage,
-    enumerate_witnesses,
-    is_actual_cause_abstract,
-)
+from .abstract import WitnessLanguage, enumerate_witnesses, is_actual_cause_abstract
 
 
 @dataclass
@@ -198,16 +189,11 @@ def is_explanation_abstract(
 
     def is_cause_at(setting, phi):
         # the pair component of the language, where present, ranges over the
-        # variable vector of the cause formula under test, so it is rebuilt
-        # from phi rather than inherited from the outer candidate
+        # variables of phi itself, not over those of the outer candidate
         key = (id(setting), phi)
         if key not in cause_cache:
-            try:
-                own_pairs = as_event_conjunction(phi)
-            except FormulaError:
-                own_pairs = []
             cause_cache[key] = is_actual_cause_abstract(
-                setting, phi, effect, lang, allow_vacuous, lang_cause_pairs=own_pairs
+                setting, phi, effect, lang, allow_vacuous
             ).is_cause
         return cause_cache[key]
 
@@ -219,7 +205,7 @@ def is_explanation_abstract(
                 certs[i] = None
                 continue
             cert = None
-            members = list(dict.fromkeys(enumerate_witnesses(core, st, pairs)))
+            members = list(enumerate_witnesses(core, st, pairs))
             tau1s = [t for t in members if prop_entails(phi, t, sig) and not prop_valid(t, sig)]
             if tau1s:
                 for tau2 in members:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -84,10 +84,6 @@ class Signature:
         ranges = [self.range_of(n) for n in names]
         for values in itertools.product(*ranges):
             yield dict(zip(names, values))
-
-
-# TotalAssignment: a plain dict mapping every variable name to a value.
-TotalAssignment = dict
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +337,6 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>~>)|(?P<gets><-)|(?P<neq>!=)|(?P<op>[()\[\],&|!=])"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>[0-9]+))"
 )
-
-_KEYWORDS = {"true", "false", "case", "default", "model", "exo", "var", "eq",
-             "structure", "state", "order", "over", "derived"}
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -25,18 +25,16 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .formula import (
     And,
     BoxArrow,
-    Formula,
     Not,
     Or,
     PrimEvent,
     conjoin,
     format_formula,
-    parse_formula,
 )
 from .model import CausalModel, model_to_text, parse_model
 from .hp import is_actual_cause_hp
@@ -50,7 +48,6 @@ from .abstract import (
 )
 from .explanation import is_explanation_hp, is_explanation_abstract
 from .correspondence import build_counterpart
-from .corpus import run_corpus
 
 
 @dataclass(frozen=True)
@@ -63,13 +60,6 @@ class FuzzCaps:
 
 
 DEFAULT_CAPS = FuzzCaps()
-
-# The structure-side differentials build a counterpart over every
-# assignment of the model, so their cost grows with the state count; they
-# keep caps of their own, now equal to the defaults.  300 trials of
-# theorem 2 and of theorem 5 at seed 7 take about 1 s and 2 s on a shared
-# 2-core machine.
-STRUCTURE_CAPS = FuzzCaps(max_endogenous=4, max_exogenous=2, max_domain=3)
 
 
 def trial_rng(seed: int, index: int) -> random.Random:
@@ -201,7 +191,7 @@ def run_differential(
     name: str,
     trials: int,
     seed: int = 0,
-    caps: FuzzCaps | None = None,
+    caps: FuzzCaps = DEFAULT_CAPS,
     negated: bool = False,
 ) -> DifferentialReport:
     runners = {
@@ -213,8 +203,6 @@ def run_differential(
     }
     if name not in runners:
         raise ValueError(f"unknown differential {name!r} (choose from {sorted(runners)})")
-    if caps is None:
-        caps = STRUCTURE_CAPS if name in ("theorem2", "theorem5") else DEFAULT_CAPS
     report = DifferentialReport(differential=name, trials=trials, seed=seed)
     start = time.time()
     for index in range(trials):

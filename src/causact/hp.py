@@ -19,8 +19,6 @@ from .formula import (
     Intervene,
     Not,
     as_event_conjunction,
-    conjoin,
-    event,
     is_propositional,
 )
 from .model import CausalModel
@@ -34,9 +32,6 @@ class HpWitness:
     w: tuple[str, ...]
     wstar: tuple[str, ...]
     xprime: tuple[str, ...]
-
-    def as_dicts(self, cause_vars):
-        return dict(zip(self.w, self.wstar)), dict(zip(cause_vars, self.xprime))
 
 
 @dataclass

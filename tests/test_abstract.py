@@ -348,14 +348,23 @@ def _ref_members(lang, setting, cause_pairs=()):
                 yield pinned(parts + [pair])
 
 
-def _ref_ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
+def _ref_cause_pairs(phi):
+    """The pair extension's (var, value) pairs: phi's own events, if phi
+    is a conjunction of events."""
+    try:
+        return as_event_conjunction(phi)
+    except FormulaError:
+        return []
+
+
+def _ref_ac2_prime(setting, phi, effect, lang, allow_vacuous):
     """Reference AC2' at a causal setting over formulas: each member is
     built, pinned, and tried once with the setting's counterfactual."""
     not_phi = Not(phi)
     not_effect = Not(effect)
     cause_vars = free_endogenous(phi)
     tested = set()
-    for tau in _ref_members(lang, setting):
+    for tau in _ref_members(lang, setting, _ref_cause_pairs(phi)):
         tau = _pin_negated_conjuncts(tau, setting.assignment, cause_vars)
         if tau in tested:
             continue
@@ -365,13 +374,13 @@ def _ref_ac2_prime(setting, phi, effect, lang, cause_pairs, allow_vacuous):
     return None
 
 
-def _ref_ac2_at_state(setting, phi, effect, lang, cause_pairs, allow_vacuous):
+def _ref_ac2_at_state(setting, phi, effect, lang, allow_vacuous):
     """Reference AC2' at a structure state over formulas: each member is
     built and tried with the setting's counterfactual, which looks up the
     closest states of its antecedent."""
     not_phi = Not(phi)
     not_effect = Not(effect)
-    for tau in _ref_members(lang, setting, cause_pairs):
+    for tau in _ref_members(lang, setting, _ref_cause_pairs(phi)):
         if setting.counterfactual(And(not_phi, tau), not_effect, allow_vacuous):
             return tau
     return None
@@ -414,7 +423,7 @@ class TestValueListAC2:
             cause = random_event_conjunction(m, rng, prefer_actual=actual)
             effect = random_prop_formula(m, rng, 2)
             pins = _random_pins(m, actual, rng, i % 6)
-            for lang in (conj_language(pins), conj_neg_language(pins)):
+            for lang in (conj_language(pins), conj_neg_language(pins), pair_language(pins)):
                 setting = CausalSetting(m, u)
                 new = is_actual_cause_abstract(setting, cause, effect, lang).to_dict()
                 with monkeypatch.context() as patch:
@@ -478,12 +487,9 @@ class TestMaskAC2AtStates:
             effect = random_prop_formula(m, rng, 2)
             # none, U=u, V!=v, V!=v & W=w, V=a | W=b, and a false V=b
             pins = _random_pins(m, setting.assignment, rng, i % 6)
-            # now and then the pair disjunct ranges over another conjunction
-            other = random_event_conjunction(m, rng, prefer_actual=setting.assignment)
-            pairs = as_event_conjunction(other) if i % 3 == 2 else None
             for lang in (conj_language(pins), conj_neg_language(pins), pair_language(pins)):
                 for vacuous in (False, True):
-                    check = lambda: is_actual_cause_abstract(setting, cause, effect, lang, vacuous, pairs)
+                    check = lambda: is_actual_cause_abstract(setting, cause, effect, lang, vacuous)
                     new = check().to_dict()
                     with monkeypatch.context() as patch:
                         patch.setattr(abstract, "_ac2_prime", _ref_ac2_at_state)

@@ -110,6 +110,26 @@ class TestCause:
         )
         assert code == 2 and "structure" in err
 
+    def test_missing_model_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "cause", "--cause", "ST=1", "--effect", "BS=1")
+        assert (code, out, err) == (2, "", "error: model semantics needs --model and --context\n")
+
+    @pytest.mark.parametrize("mode", ["hp", "abstract"])
+    def test_missing_context_is_usage_error(self, capsys, rt_file, mode):
+        code, out, err = run(
+            capsys, "cause", "-m", rt_file, "--cause", "ST=1", "--effect", "BS=1", "--mode", mode
+        )
+        assert (code, out, err) == (2, "", "error: model semantics needs --model and --context\n")
+
+    def test_hp_mode_on_a_structure_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "s.cfs"
+        path.write_text("structure toy\nvar X : { 0, 1 }\nstate s0 { X=0 }\nstate s1 { X=1 }\n")
+        code, out, err = run(
+            capsys, "cause", "--semantics", "structure", "-s", str(path), "--state", "s0",
+            "--cause", "X=0", "--effect", "X=0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: hp mode checks a causal model; use --mode abstract on a structure\n"
 
     @pytest.mark.parametrize("pin", ["[ST<-0] BS=1", "(ST=0) ~> (BS=1)", "U=u11 & [ST<-0] BS=1"])
     def test_non_propositional_pin_is_a_parse_error(self, capsys, rt_file, pin):
@@ -234,6 +254,11 @@ class TestExplain:
         )
         assert code == 2 and "--K" in err
 
+    def test_explain_requires_model(self, capsys):
+        code, out, err = run(
+            capsys, "explain", "--candidate", "ST=1", "--effect", "BS=1", "--K", "U=u11"
+        )
+        assert (code, out, err) == (2, "", "error: model semantics needs --model and --K\n")
 
     def test_empty_K_states_is_usage_error(self, capsys, rt_file):
         code, out, err = run(

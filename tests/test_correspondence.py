@@ -20,7 +20,7 @@ from causact.correspondence import (
 )
 from causact.corpus import CHAIN_COPY, ROCK_THROWING, backtracking_structure
 from causact.harness import (
-    STRUCTURE_CAPS,
+    DEFAULT_CAPS,
     FuzzCaps,
     gen_random_model,
     random_context,
@@ -172,7 +172,7 @@ class TestConsistencyAndCompatibility:
         # new one often gets the old one's id; the two orders disagree on
         # strong correspondence.
         rng = trial_rng(3, 0)
-        m = gen_random_model(STRUCTURE_CAPS, rng)
+        m = gen_random_model(DEFAULT_CAPS, rng)
         u = random_context(m, rng)
         built, ctx_state = build_counterpart(m)
         flat = TierOrder({s: [frozenset({s}), frozenset(built.states) - {s}] for s in built.states})
