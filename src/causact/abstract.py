@@ -84,10 +84,6 @@ class CausalSetting:
         # is false regardless of the vacuity policy.
         return self.model.evaluate(self.context, BoxArrow(antecedent, consequent))
 
-    def describe(self) -> str:
-        ctx = ", ".join(f"{n}={self.context[n]}" for n in self.sig.exo_names)
-        return f"({self.model.name}, {ctx})"
-
 
 class CfSetting:
     """A counterfactual structure together with a state."""
@@ -108,9 +104,6 @@ class CfSetting:
         if not closest.any():
             return allow_vacuous
         return not (closest & ~m2.extension(consequent)).any()
-
-    def describe(self) -> str:
-        return f"({self.structure.name}, {self.state})"
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,8 @@ def _setting_for(args):
     if args.semantics == "structure":
         if not args.structure or not args.state:
             raise CliError("structure semantics needs --structure and --state", 2)
-        m2 = _load_structure(args.structure)
-        return CfSetting(m2, args.state), m2.sig
-    m, u = _model_and_context(args)
-    return CausalSetting(m, u), m.sig
+        return CfSetting(_load_structure(args.structure), args.state)
+    return CausalSetting(*_model_and_context(args))
 
 
 def cmd_cause(args):
@@ -138,7 +136,8 @@ def cmd_cause(args):
         _emit(args, verdict.to_dict(), "\n".join(human))
         return 0
 
-    setting, sig = _setting_for(args)
+    setting = _setting_for(args)
+    sig = setting.sig
     cause = parse_formula(args.cause, sig)
     effect = parse_formula(args.effect, sig)
     lang = parse_language(args.lang, pins=_parse_pins(args.pin, sig))
@@ -157,6 +156,8 @@ def cmd_cause(args):
 def cmd_explain(args):
     effect_src = args.effect
     if args.semantics == "structure":
+        if args.mode == "hp":
+            raise CliError("hp mode checks a causal model; use --mode abstract on a structure", 2)
         states = [s.strip() for s in (args.K_states or "").split(",") if s.strip()]
         if not args.structure or not states:
             raise CliError("structure semantics needs --structure and --K-states", 2)

@@ -441,19 +441,9 @@ def compatible(m: CausalModel, m2: CfStructure, strict: bool = False) -> bool:
     return all(exo_of(s) in ctx_keys for s in m2.states)
 
 
-def compatible_K(
-    m: CausalModel,
-    m2: CfStructure,
-    K: list[dict],
-    K2: list[str],
-    assume_model_compatible: bool = True,
-    strict: bool = False,
-) -> bool:
+def compatible_K(m: CausalModel, m2: CfStructure, K: list[dict], K2: list[str]) -> bool:
     """K and K' are compatible: matching strongly consistent mates in both
-    directions.  Model-level compatibility is assumed established unless
-    `assume_model_compatible` is False."""
-    if not assume_model_compatible and not compatible(m, m2, strict):
-        return False
+    directions.  Model-level compatibility is assumed established."""
     if (K and not K2) or (K2 and not K):
         return False
     exo_names = m.sig.exo_names

@@ -184,7 +184,9 @@ def is_explanation_abstract(
     except FormulaError:
         pairs = []
 
+    # the core's members depend on the setting only, so each is listed once
     core = replace(lang, allow_negated=False, pair_on_cause=False, clause_budget=None)
+    members = [list(enumerate_witnesses(core, st, ())) for st in settings]
     cause_cache: dict = {}
 
     def is_cause_at(setting, phi):
@@ -205,10 +207,9 @@ def is_explanation_abstract(
                 certs[i] = None
                 continue
             cert = None
-            members = list(enumerate_witnesses(core, st, pairs))
-            tau1s = [t for t in members if prop_entails(phi, t, sig) and not prop_valid(t, sig)]
+            tau1s = [t for t in members[i] if prop_entails(phi, t, sig) and not prop_valid(t, sig)]
             if tau1s:
-                for tau2 in members:
+                for tau2 in members[i]:
                     matching = [t1 for t1 in tau1s if prop_entails(tau2, t1, sig)]
                     if matching and is_cause_at(st, tau2):
                         cert = {
@@ -231,7 +232,7 @@ def is_explanation_abstract(
 
     ex2 = True
     violator = None
-    for phi2 in _weakenings(cand, pairs, lang, settings, sig):
+    for phi2 in _weakenings(cand, pairs, members, sig):
         if ex1a_for(phi2)[0] and ex1b_for(phi2):
             ex2, violator = False, phi2
             break
@@ -250,24 +251,21 @@ def is_explanation_abstract(
     )
 
 
-def _weakenings(cand, pairs, lang, settings, sig):
+def _weakenings(cand, pairs, members, sig):
     """Candidate strictly weaker formulas for the minimality check:
-    sub-conjunctions of the candidate plus any members of the language's
-    positive-conjunction core the candidate entails, deduplicated up to
-    propositional equivalence.  Like the minimality clause of the cause
-    check, this deliberately stays within event conjunctions: disjunctive
-    or negated members are witness material, and admitting them as rival
-    candidates would fail conjunctions that every sub-conjunction test
-    accepts."""
-    core = replace(lang, allow_negated=False, pair_on_cause=False, clause_budget=None)
-    raw: list[Formula] = []
-    if pairs:
-        for size in range(len(pairs)):
-            for subset in itertools.combinations(pairs, size):
-                raw.append(conjoin([PrimEvent(v, x) for v, x in subset]))
-    for st in settings:
-        for member in enumerate_witnesses(core, st, pairs):
-            raw.append(member)
+    sub-conjunctions of the candidate plus any of `members` (the
+    language's positive-conjunction core at each setting) the candidate
+    entails, deduplicated up to propositional equivalence.  Like the
+    minimality clause of the cause check, this deliberately stays within
+    event conjunctions: disjunctive or negated members are witness
+    material, and admitting them as rival candidates would fail
+    conjunctions that every sub-conjunction test accepts."""
+    raw = [
+        conjoin([PrimEvent(v, x) for v, x in subset])
+        for size in range(len(pairs))
+        for subset in itertools.combinations(pairs, size)
+    ]
+    raw += [member for ms in members for member in ms]
 
     seen: list[Formula] = []
     for phi2 in raw:

@@ -265,12 +265,15 @@ def _trial_theorem2(caps, rng, negated):
     )
 
 
-def _trial_prop3(caps, rng, negated, formulas_per_model=50):
+_PROP3_FORMULAS = 50  # random formulas compared per model
+
+
+def _trial_prop3(caps, rng, negated):
     m = gen_random_model(caps, rng)
     u = random_context(m, rng)
     m2, ctx_state = build_counterpart(m, state_cap=10**4)
     s = ctx_state(u)
-    for _ in range(formulas_per_model):
+    for _ in range(_PROP3_FORMULAS):
         phi = random_intervention_formula(m, rng, caps.formula_depth)
         on_model = m.evaluate(u, phi)
         on_structure = m2.satisfies_at(s, phi)

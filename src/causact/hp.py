@@ -80,15 +80,14 @@ def is_actual_cause_hp(
 
     ac3 = True
     violator = None
-    if len(pairs) > 1:
-        for size in range(1, len(pairs)):
-            for subset in itertools.combinations(pairs, size):
-                if _ac2_search(m, u, list(subset), effect, first_only=True):
-                    ac3 = False
-                    violator = subset
-                    break
-            if not ac3:
+    for size in range(1, len(pairs)):
+        for subset in itertools.combinations(pairs, size):
+            if _ac2_search(m, u, list(subset), effect, first_only=True):
+                ac3 = False
+                violator = subset
                 break
+        if not ac3:
+            break
 
     return CauseVerdict(
         is_cause=ac1 and ac2 and ac3,

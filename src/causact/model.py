@@ -53,8 +53,9 @@ class CausalModel:
     """A recursive causal model over a signature.
 
     Construction validates the equations, compiles each decision table down
-    to a lookup over its semantic parents, and topologically sorts the
-    dependency DAG (raising ModelError with a witness cycle otherwise).
+    to a lookup over its semantic parents (the variables its guards mention
+    but that never change its value are dropped), and topologically sorts
+    the dependency DAG (raising ModelError with a witness cycle otherwise).
     """
 
     def __init__(self, sig: Signature, equations: dict[str, Equation], name: str = "model"):
@@ -63,9 +64,6 @@ class CausalModel:
         self.equations = dict(equations)
         self._validate_equations()
         self._compile()
-        self.parents: dict[str, tuple[str, ...]] = {
-            x: self._semantic_parents(x) for x in sig.endo_names
-        }
         self.topo_order = self._topological_order()
         self._solve_cache: dict = {}
 
@@ -94,9 +92,11 @@ class CausalModel:
                     sig.range_of(name)  # raises on unknown variables
 
     def _compile(self):
-        """Tabulate each equation over its syntactically mentioned variables."""
+        """Tabulate each equation over the variables its guards mention,
+        then keep as parents those that two rows differing only in them map
+        to different values, and re-key the table over the parents."""
         self._tables: dict[str, dict[tuple, str]] = {}
-        self._table_vars: dict[str, tuple[str, ...]] = {}
+        parents = {}
         for x, eq in self.equations.items():
             mentioned = set()
             for guard, _ in eq.rows:
@@ -110,59 +110,28 @@ class CausalModel:
             table = {}
             for values in itertools.product(*(self.sig.range_of(n) for n in order)):
                 asgn = dict(zip(order, values))
-                table[values] = self._eval_rows(eq, asgn)
-            self._tables[x] = table
-            self._table_vars[x] = order
-
-    @staticmethod
-    def _eval_rows(eq: Equation, asgn: dict) -> str:
-        for guard, value in eq.rows:
-            if evaluate_prop(guard, asgn):
-                return value
-        return eq.default
+                table[values] = next((v for g, v in eq.rows if evaluate_prop(g, asgn)), eq.default)
+            keep = [i for i in range(len(order)) if _varies(table, i)]
+            parents[x] = tuple(order[i] for i in keep)
+            self._tables[x] = {tuple(key[i] for i in keep): v for key, v in table.items()}
+        self.parents: dict[str, tuple[str, ...]] = {x: parents[x] for x in self.sig.endo_names}
 
     def equation_value(self, x: str, assignment: dict) -> str:
-        """F_X applied to an assignment of (at least) the other variables."""
-        key = tuple(assignment[n] for n in self._table_vars[x])
-        return self._tables[x][key]
-
-    def _semantic_parents(self, x: str) -> tuple[str, ...]:
-        parents = []
-        cand = self._table_vars[x]
-        for z in cand:
-            others = [n for n in cand if n != z]
-            varies = False
-            for values in itertools.product(*(self.sig.range_of(n) for n in others)):
-                base = dict(zip(others, values))
-                seen = set()
-                for zv in self.sig.range_of(z):
-                    base[z] = zv
-                    seen.add(self.equation_value(x, base))
-                if len(seen) > 1:
-                    varies = True
-                    break
-            if varies:
-                parents.append(z)
-        return tuple(parents)
+        """F_X applied to an assignment of (at least) X's parents."""
+        return self._tables[x][tuple(assignment[n] for n in self.parents[x])]
 
     def _topological_order(self) -> tuple[str, ...]:
+        """Repeatedly place the first endogenous variable, in signature
+        order, whose endogenous parents are all placed."""
         endo = self.sig.endo_names
         preds = {x: [p for p in self.parents[x] if self.sig.is_endogenous(p)] for x in endo}
-        remaining = {x: len(preds[x]) for x in endo}
-        order = []
-        ready = [x for x in endo if remaining[x] == 0]
-        while ready:
-            x = ready.pop(0)
+        order: list[str] = []
+        while len(order) < len(endo):
+            x = next((x for x in endo if x not in order and all(p in order for p in preds[x])), None)
+            if x is None:
+                cycle = self._find_cycle(preds, [x for x in endo if x not in order])
+                raise ModelError("cyclic dependency: " + " -> ".join(cycle))
             order.append(x)
-            for y in endo:
-                if x in preds[y]:
-                    remaining[y] -= 1
-                    if remaining[y] == 0:
-                        ready.append(y)
-                        ready.sort(key=endo.index)
-        if len(order) != len(endo):
-            cycle = self._find_cycle(preds, [x for x in endo if x not in order])
-            raise ModelError("cyclic dependency: " + " -> ".join(cycle))
         return tuple(order)
 
     @staticmethod
@@ -208,37 +177,9 @@ class CausalModel:
         asgn = dict(ctx)
         # The base topological order stays valid: intervening only removes edges.
         for x in self.topo_order:
-            if x in inter:
-                asgn[x] = inter[x]
-            else:
-                missing = [n for n in self._table_vars[x] if n not in asgn]
-                if missing:
-                    # Non-semantic mentions of not-yet-solved variables; the
-                    # value cannot matter, so pick any in-range one.
-                    for n in missing:
-                        asgn[n] = self.sig.range_of(n)[0]
-                    asgn[x] = self.equation_value(x, asgn)
-                    for n in missing:
-                        del asgn[n]
-                else:
-                    asgn[x] = self.equation_value(x, asgn)
+            asgn[x] = inter[x] if x in inter else self.equation_value(x, asgn)
         self._solve_cache[key] = dict(asgn)
         return asgn
-
-    def intervene(self, assignments) -> "CausalModel":
-        """M with each named equation replaced by a constant."""
-        pairs = list(assignments)
-        names = [n for n, _ in pairs]
-        if len(set(names)) != len(names):
-            raise ModelError("intervention assigns the same variable twice")
-        equations = dict(self.equations)
-        for name, value in pairs:
-            if not self.sig.is_endogenous(name):
-                raise ModelError(f"cannot intervene on non-endogenous variable {name}")
-            if value not in self.sig.range_of(name):
-                raise ModelError(f"value {value!r} outside the range of {name}")
-            equations[name] = Equation(name, (), value)
-        return CausalModel(self.sig, equations, name=self.name)
 
     # -- satisfaction
 
@@ -341,6 +282,16 @@ class CausalModel:
             if evaluate_prop(ant, asgn):
                 return True
         return False
+
+
+def _varies(table: dict[tuple, str], i: int) -> bool:
+    """Whether two keys of `table` that differ only at position i map to
+    different values."""
+    seen: dict[tuple, str] = {}
+    for key, value in table.items():
+        if seen.setdefault(key[:i] + key[i + 1 :], value) != value:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,20 @@ class TestExplain:
         assert code == 2
         assert out == "" and "--K-states" in err
 
+    @pytest.mark.parametrize("with_structure", [True, False])
+    def test_hp_mode_on_a_structure_is_usage_error(self, capsys, tmp_path, with_structure):
+        # the default mode is hp, and the mode is checked before the
+        # structure and its states are read
+        path = tmp_path / "s.cfs"
+        path.write_text("structure toy\nvar X : { 0, 1 }\nstate s0 { X=0 }\nstate s1 { X=1 }\n")
+        args = ["-s", str(path), "--K-states", "s0"] if with_structure else ["--mode", "hp"]
+        code, out, err = run(
+            capsys, "explain", "--semantics", "structure", *args,
+            "--candidate", "X=0", "--effect", "X=0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: hp mode checks a causal model; use --mode abstract on a structure\n"
+
 
 class TestLanguageSpec:
     @pytest.mark.parametrize(

@@ -354,3 +354,115 @@ class TestBoxArrowAgainstBruteForce:
                 assert m.evaluate(u, BoxArrow(ant, cons)) == expected, (i, str(ant), str(cons))
                 outcomes.add(expected)
         assert outcomes == {True, False}
+
+
+def _row_value(eq, asgn):
+    """An equation's value read straight off its rows: the first guard that
+    holds wins, the default covers the rest."""
+    return next((v for g, v in eq.rows if evaluate_prop(g, asgn)), eq.default)
+
+
+def _ref_parents(m, x):
+    """The variables mentioned in x's guards on which x's value varies: some
+    assignment of the mentioned variables and another value of one of them
+    give x a different value."""
+    eq = m.equations[x]
+    mentioned = set().union(*(variables_of(g) for g, _ in eq.rows))
+    names = [n for n in m.sig.all_names() if n in mentioned]
+    parents = []
+    for z in names:
+        for asgn in m.sig.assignments(names):
+            if any(_row_value(eq, {**asgn, z: v}) != _row_value(eq, asgn) for v in m.sig.range_of(z)):
+                parents.append(z)
+                break
+    return tuple(parents)
+
+
+def _ref_solution(m, u, inter):
+    """The unique assignment that agrees with u and `inter` and satisfies
+    every equation not intervened on."""
+    found = []
+    for endo in m.sig.assignments(m.sig.endo_names):
+        asgn = {**u, **endo}
+        if all(asgn[x] == inter[x] if x in inter else asgn[x] == _row_value(m.equations[x], asgn)
+               for x in m.sig.endo_names):
+            found.append(asgn)
+    assert len(found) == 1
+    return found[0]
+
+
+def _random_model_text(rng):
+    """A recursive model whose guards mix real dependencies on earlier
+    variables with vacuous mentions (X=v | !X=v) of later ones; some ranges
+    have a single value."""
+    exo = [f"U{i}" for i in range(rng.randint(1, 2))]
+    endo = [f"V{i}" for i in range(rng.randint(1, 4))]
+    dom = {n: [str(k) for k in range(rng.choice([1, 2, 2, 3]))] for n in exo + endo}
+
+    def event(pool):
+        n = rng.choice(pool)
+        return f"{n}={rng.choice(dom[n])}"
+
+    lines = ["model gen"]
+    lines += [f"exo {n} : {{ {', '.join(dom[n])} }}" for n in exo]
+    lines += [f"var {n} : {{ {', '.join(dom[n])} }}" for n in endo]
+    for i, x in enumerate(endo):
+        up, later = exo + endo[:i], endo[i + 1 :]
+        rows = []
+        for _ in range(rng.randint(0, 3)):
+            guard = rng.choice(["{}", "!{}", "({} & {})", "({} | {})"]).format(event(up), event(up))
+            if later and rng.random() < 0.5:
+                w = event(later)
+                guard = f"({guard} & ({w} | !{w}))"
+            rows.append(f"{guard} : {rng.choice(dom[x])} ; ")
+        lines.append(f"eq {x} = case {{ {''.join(rows)}default : {rng.choice(dom[x])} }}")
+    return "\n".join(lines) + "\n"
+
+
+class TestEquationsAgainstReference:
+    def test_parents_solutions_and_order(self):
+        vacuous = 0
+        for i in range(150):
+            rng = trial_rng(21, i)
+            m = parse_model(_random_model_text(rng))
+            endo = m.sig.endo_names
+            assert list(m.parents) == list(endo)
+            for x in endo:
+                assert m.parents[x] == _ref_parents(m, x), (i, x)
+                mentioned = set().union(*(variables_of(g) for g, _ in m.equations[x].rows))
+                vacuous += bool(mentioned - set(m.parents[x]))
+            assert sorted(m.topo_order) == sorted(endo)
+            pos = {x: k for k, x in enumerate(m.topo_order)}
+            assert all(pos[p] < pos[x] for x in endo for p in m.parents[x] if p in pos)
+            for u in m.sig.assignments(m.sig.exo_names):
+                for _ in range(3):
+                    inter = {x: rng.choice(m.sig.range_of(x)) for x in endo if rng.random() < 0.3}
+                    assert m.solve(u, inter) == _ref_solution(m, u, inter), (i, u, inter)
+        assert vacuous > 50
+
+    def test_topological_order_takes_the_first_ready_variable(self):
+        # A waits for C, and C for B; D's mention of A is vacuous
+        m = parse_model(
+            "model m\nexo U : { 0, 1 }\n"
+            "var A : { 0, 1 }\nvar B : { 0, 1 }\nvar C : { 0, 1 }\nvar D : { 0, 1 }\n"
+            "eq A = case { C=1 : 1 ; default: 0 }\n"
+            "eq B = case { U=1 : 1 ; default: 0 }\n"
+            "eq C = case { B=1 : 1 ; default: 0 }\n"
+            "eq D = case { (A=0 | A=1) & U=1 : 1 ; default: 0 }\n"
+        )
+        assert m.parents == {"A": ("C",), "B": ("U",), "C": ("B",), "D": ("U",)}
+        assert m.topo_order == ("B", "C", "A", "D")
+
+    def test_three_cycle_is_named_from_the_first_stuck_variable(self):
+        # D is stuck behind the cycle; the walk starts at D and reports the
+        # cycle it reaches
+        with pytest.raises(ModelError) as exc:
+            parse_model(
+                "model m\nexo U : { 0, 1 }\n"
+                "var D : { 0, 1 }\nvar X : { 0, 1 }\nvar Y : { 0, 1 }\nvar Z : { 0, 1 }\n"
+                "eq D = case { X=1 : 1 ; default: 0 }\n"
+                "eq X = case { Z=1 : 1 ; default: 0 }\n"
+                "eq Y = case { X=1 : 1 ; default: 0 }\n"
+                "eq Z = case { Y=1 | U=1 : 1 ; default: 0 }\n"
+            )
+        assert str(exc.value) == "cyclic dependency: X -> Z -> Y -> X"
