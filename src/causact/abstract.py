@@ -12,7 +12,9 @@ language, and checks:
 
 Language members are generated per-variable and filtered to those true
 at the setting, which is complete: AC2' requires tau to hold there, and
-any AC3' candidate is entailed by the (true) cause.
+any AC3' candidate is entailed by the (true) cause.  AC3' candidates are
+generated from the literals the cause entails: only the variables whose
+actual-value event the cause entails get a conjunct.
 
 AC2' builds no formula per member for `conj`, `conj-neg` and `pair`; only
 the tau reported becomes a formula.  At a causal setting a member is one
@@ -34,7 +36,7 @@ vacuously true; `allow_vacuous=True` restores the literal reading.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -53,10 +55,11 @@ from .formula import (
     disjoin,
     conjuncts,
     evaluate_prop,
+    event_literals,
     format_formula,
     free_endogenous,
     is_propositional,
-    prop_entails,
+    prop_entails_given,
 )
 from .model import CausalModel
 from .structure import CfStructure
@@ -343,20 +346,13 @@ def is_actual_cause_abstract(
     # language.  Negated or disjunctive members only widen the witness side;
     # letting them in here would let e.g. X!=0 undercut the cause X=2 and
     # break agreement with plain sub-conjunction minimality.
-    cand_lang = replace(lang, allow_negated=False, pair_on_cause=False, clause_budget=None)
-
-    ac3 = True
     violator = violator_tau = None
-    sig = setting.sig
-    for phi2 in enumerate_witnesses(cand_lang, setting, ()):
-        if not prop_entails(cause, phi2, sig):
-            continue
-        if prop_entails(phi2, cause, sig):
-            continue
-        t2 = _ac2_prime(setting, phi2, effect, lang, allow_vacuous)
-        if t2 is not None:
-            ac3, violator, violator_tau = False, phi2, t2
+    for phi2 in _weaker_core_members(setting, cause, lang):
+        violator_tau = _ac2_prime(setting, phi2, effect, lang, allow_vacuous)
+        if violator_tau is not None:
+            violator = phi2
             break
+    ac3 = violator is None
 
     return AbstractVerdict(
         is_cause=ac1 and ac2 and ac3,
@@ -367,6 +363,25 @@ def is_actual_cause_abstract(
         ac3_violator=violator,
         ac3_violator_tau=violator_tau,
     )
+
+
+def _weaker_core_members(setting, cause, lang):
+    """The members of the language's positive-conjunction core (the pins
+    and actual-value events) strictly weaker than the cause, in the order
+    of `enumerate_witnesses`.  The cause entails a member exactly when it
+    entails the pins and each event, so only the variables whose actual
+    event it entails get options beyond no conjunct."""
+    sig, actual = setting.sig, setting.assignment
+    lits = event_literals(cause, sig)
+    entails = lambda psi: prop_entails_given(cause, lits, psi, event_literals(psi, sig), sig)
+    if not _pins_hold(lang, setting) or not entails(conjoin(lang.pins)):
+        return
+    per_var = [options if entails(PrimEvent(x, actual[x])) else options[:1]
+               for x, options in zip(sig.endo_names, _conj_options(sig, actual, False))]
+    for member in _by_weight(per_var):
+        phi2 = _pinned(lang, conjoin(_member_formulas(sig.endo_names, per_var, member)))
+        if not prop_entails_given(phi2, event_literals(phi2, sig), cause, lits, sig):
+            yield phi2
 
 
 def _ac2_prime(setting, phi, effect, lang, allow_vacuous):

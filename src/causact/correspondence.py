@@ -431,14 +431,9 @@ def compatible(m: CausalModel, m2: CfStructure, strict: bool = False) -> bool:
     """Every context has a strongly consistent state and vice versa."""
     if not check_correspondence(m2, m, strong=True, strict=strict).ok:
         return False
-    contexts = list(m.sig.assignments(m.sig.exo_names))
-    exo_of = lambda s: tuple(m2.interp[s][n] for n in m.sig.exo_names)
-    state_exos = {exo_of(s) for s in m2.states}
-    for u in contexts:
-        if tuple(u[n] for n in m.sig.exo_names) not in state_exos:
-            return False
-    ctx_keys = {tuple(u[n] for n in m.sig.exo_names) for u in contexts}
-    return all(exo_of(s) in ctx_keys for s in m2.states)
+    names = m.sig.exo_names
+    contexts = {tuple(u[n] for n in names) for u in m.sig.assignments(names)}
+    return contexts == {tuple(m2.interp[s][n] for n in names) for s in m2.states}
 
 
 def compatible_K(m: CausalModel, m2: CfStructure, K: list[dict], K2: list[str]) -> bool:

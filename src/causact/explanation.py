@@ -18,16 +18,17 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from .formula import (
+    TRUE,
     Formula,
     FormulaError,
     PrimEvent,
     as_event_conjunction,
     conjoin,
+    event_literals,
     format_formula,
     is_propositional,
-    prop_entails,
+    prop_entails_given,
     prop_equivalent,
-    prop_valid,
 )
 from .hp import is_actual_cause_hp
 from .model import CausalModel
@@ -91,16 +92,11 @@ def is_explanation_hp(
         not m.evaluate(u, cand) and m.evaluate(u, effect) for u in contexts
     )
 
-    ex2 = True
-    violator = None
-    for size in range(len(pairs)):
-        for subset in itertools.combinations(pairs, size):
-            sub = list(subset)
-            if _ex1a_hp(m, contexts, sub, effect)[0] and _ex1b_hp(m, contexts, sub, effect):
-                ex2, violator = False, conjoin([PrimEvent(v, x) for v, x in sub])
-                break
-        if not ex2:
-            break
+    subsets = (list(s) for size in range(len(pairs)) for s in itertools.combinations(pairs, size))
+    weaker = next((sub for sub in subsets
+                   if _ex1a_hp(m, contexts, sub, effect)[0] and _ex1b_hp(m, contexts, sub, effect)), None)
+    ex2 = weaker is None
+    violator = None if ex2 else conjoin([PrimEvent(v, x) for v, x in weaker])
 
     is_expl = ex1a and ex1b and ex2 and ex3
     return ExplanationVerdict(
@@ -184,9 +180,11 @@ def is_explanation_abstract(
     except FormulaError:
         pairs = []
 
-    # the core's members depend on the setting only, so each is listed once
+    # the core's members depend on the setting only, so each is listed once,
+    # with its `event_literals` (None for a member with a pin that is no event)
     core = replace(lang, allow_negated=False, pair_on_cause=False, clause_budget=None)
-    members = [list(enumerate_witnesses(core, st, ())) for st in settings]
+    members = [[(t, event_literals(t, sig)) for t in enumerate_witnesses(core, st, ())]
+               for st in settings]
     cause_cache: dict = {}
 
     def is_cause_at(setting, phi):
@@ -194,28 +192,26 @@ def is_explanation_abstract(
         # variables of phi itself, not over those of the outer candidate
         key = (id(setting), phi)
         if key not in cause_cache:
-            cause_cache[key] = is_actual_cause_abstract(
-                setting, phi, effect, lang, allow_vacuous
-            ).is_cause
+            cause_cache[key] = is_actual_cause_abstract(setting, phi, effect, lang, allow_vacuous).is_cause
         return cause_cache[key]
 
     def ex1a_for(phi):
         certs = {}
         ok = True
+        lits = event_literals(phi, sig)
         for i, st in enumerate(settings):
             if not (st.holds(phi) and st.holds(effect)):
                 certs[i] = None
                 continue
             cert = None
-            tau1s = [t for t in members[i] if prop_entails(phi, t, sig) and not prop_valid(t, sig)]
+            # tau1 is entailed by phi and not valid (entailed by true)
+            tau1s = [(t, a) for t, a in members[i] if prop_entails_given(phi, lits, t, a, sig)
+                     and not prop_entails_given(TRUE, frozenset(), t, a, sig)]
             if tau1s:
-                for tau2 in members[i]:
-                    matching = [t1 for t1 in tau1s if prop_entails(tau2, t1, sig)]
+                for tau2, b in members[i]:
+                    matching = [t1 for t1, a in tau1s if prop_entails_given(tau2, b, t1, a, sig)]
                     if matching and is_cause_at(st, tau2):
-                        cert = {
-                            "tau1": format_formula(matching[0]),
-                            "tau2": format_formula(tau2),
-                        }
+                        cert = {"tau1": format_formula(matching[0]), "tau2": format_formula(tau2)}
                         break
             certs[i] = cert
             if cert is None:
@@ -230,12 +226,9 @@ def is_explanation_abstract(
     ex3 = any(st.holds(cand) and st.holds(effect) for st in settings)
     ex4 = any(not st.holds(cand) and st.holds(effect) for st in settings)
 
-    ex2 = True
-    violator = None
-    for phi2 in _weakenings(cand, pairs, members, sig):
-        if ex1a_for(phi2)[0] and ex1b_for(phi2):
-            ex2, violator = False, phi2
-            break
+    weakenings = _weakenings(cand, pairs, members, sig)
+    violator = next((phi2 for phi2 in weakenings if ex1a_for(phi2)[0] and ex1b_for(phi2)), None)
+    ex2 = violator is None
 
     is_expl = ex1a and ex1b and ex2 and ex3
     return ExplanationVerdict(
@@ -254,24 +247,30 @@ def is_explanation_abstract(
 def _weakenings(cand, pairs, members, sig):
     """Candidate strictly weaker formulas for the minimality check:
     sub-conjunctions of the candidate plus any of `members` (the
-    language's positive-conjunction core at each setting) the candidate
-    entails, deduplicated up to propositional equivalence.  Like the
-    minimality clause of the cause check, this deliberately stays within
-    event conjunctions: disjunctive or negated members are witness
-    material, and admitting them as rival candidates would fail
-    conjunctions that every sub-conjunction test accepts."""
+    language's positive-conjunction core at each setting, with their
+    `event_literals`) the candidate entails, deduplicated up to
+    propositional equivalence: by their literals for event conjunctions,
+    by truth table for any other formula.  Like the minimality clause of
+    the cause check, this deliberately stays within event conjunctions:
+    disjunctive or negated members are witness material, and admitting
+    them as rival candidates would fail conjunctions that every
+    sub-conjunction test accepts."""
     raw = [
         conjoin([PrimEvent(v, x) for v, x in subset])
         for size in range(len(pairs))
         for subset in itertools.combinations(pairs, size)
     ]
-    raw += [member for ms in members for member in ms]
+    raw = [(phi2, event_literals(phi2, sig)) for phi2 in raw] + [m for ms in members for m in ms]
 
-    seen: list[Formula] = []
-    for phi2 in raw:
-        if not prop_entails(cand, phi2, sig) or prop_entails(phi2, cand, sig):
+    # The members of one language share its pins, so every event conjunction
+    # comes before any other formula: only the latter need a truth table.
+    c = event_literals(cand, sig)
+    keys, seen = set(), []
+    for phi2, a in raw:
+        if not prop_entails_given(cand, c, phi2, a, sig) or prop_entails_given(phi2, a, cand, c, sig):
             continue
-        if any(prop_equivalent(phi2, prev, sig) for prev in seen):
+        if a in keys if a is not None else any(prop_equivalent(phi2, p, sig) for p in seen):
             continue
+        keys.add(a)
         seen.append(phi2)
         yield phi2

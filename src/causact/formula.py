@@ -1,9 +1,10 @@
 """Formula AST, concrete syntax, and finite-domain propositional reasoning.
 
 Values are opaque tokens (identifiers or unsigned integers) compared by exact
-string equality.  Consistency and entailment are decided by exhaustive
-enumeration over the variables that actually occur in the formulas, which is
-exact for the finite signatures this library targets.
+string equality.  Entailment between two conjunctions of events is literal
+inclusion; between any other formulas it is decided by exhaustive enumeration
+over the variables that actually occur in them, which is exact for the finite
+signatures this library targets.
 """
 
 from __future__ import annotations
@@ -548,16 +549,21 @@ def format_formula(phi: Formula) -> str:
 
 def _variables(phi: Formula, kinds, out: set[str]) -> set[str]:
     """Add to `out` the variables of the events of the given kinds in a
-    propositional formula; raises FormulaError at any other node."""
-    if isinstance(phi, kinds):
-        out.add(phi.var)
-    elif isinstance(phi, Not):
-        _variables(phi.sub, kinds, out)
-    elif isinstance(phi, (And, Or)):
-        _variables(phi.left, kinds, out)
-        _variables(phi.right, kinds, out)
-    elif not isinstance(phi, (PrimEvent, ExoEvent, Top, Bot)):
-        raise FormulaError(f"formula is not propositional: contains {type(phi).__name__}")
+    propositional formula; raises FormulaError at any other node.  The walk
+    keeps its own stack, so phi's depth is not bounded by the recursion limit."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is And or kind is Or:
+            stack += node.left, node.right
+        elif kind is Not:
+            stack.append(node.sub)
+        elif kind is PrimEvent or kind is ExoEvent:
+            if kind in kinds:
+                out.add(node.var)
+        elif kind is not Top and kind is not Bot:
+            raise FormulaError(f"formula is not propositional: contains {kind.__name__}")
     return out
 
 
@@ -578,7 +584,7 @@ def variables_of(phi: Formula) -> set[str]:
 def free_endogenous(phi: Formula) -> set[str]:
     """Endogenous variable names syntactically occurring in a propositional
     formula (negated or not)."""
-    return _variables(phi, PrimEvent, set())
+    return _variables(phi, (PrimEvent,), set())
 
 
 def evaluate_prop(phi: Formula, assignment: dict, modal=None) -> bool:
@@ -655,26 +661,48 @@ def truth_mask(phi: Formula, columns: dict, n: int, modal=None, cache: dict | No
     return mask  # phi's: the walk computes it last
 
 
-def prop_consistent(phi: Formula, sig: Signature) -> bool:
-    """True iff some assignment over the occurring variables satisfies phi."""
-    names = variables_of(phi)
-    for asgn in sig.assignments(names):
-        if evaluate_prop(phi, asgn):
-            return True
-    return False
+def event_literals(phi: Formula, sig: Signature):
+    """A conjunction of events and `true` as the frozenset of its (var,
+    value) literals, leaving out the valid ones (their variable's range has
+    one value); FALSE if it gives a variable two values or a value outside
+    its range.  None for any other formula."""
+    values, unsatisfiable, stack = {}, False, [phi]
+    while stack:  # the walk of `conjuncts`, inlined: this runs once per entailment test
+        node = stack.pop()
+        kind = type(node)
+        if kind is And:
+            stack += node.right, node.left
+        elif kind is PrimEvent or kind is ExoEvent:
+            unsatisfiable |= values.setdefault(node.var, node.val) != node.val
+        elif kind is not Top:
+            return None
+    literals = []
+    for x, v in values.items():
+        rng = sig.range_of(x)
+        if v not in rng:
+            unsatisfiable = True
+        elif len(rng) > 1:
+            literals.append((x, v))
+    return FALSE if unsatisfiable else frozenset(literals)
 
 
 def prop_entails(phi: Formula, psi: Formula, sig: Signature) -> bool:
     """True iff every satisfying assignment of phi satisfies psi."""
+    a = event_literals(phi, sig)
+    return prop_entails_given(phi, a, psi, None if a is None else event_literals(psi, sig), sig)
+
+
+def prop_entails_given(phi: Formula, a, psi: Formula, b, sig: Signature) -> bool:
+    """`prop_entails(phi, psi)`, given `event_literals` a of phi and b of psi:
+    by literal inclusion when both are event conjunctions, else by truth
+    table."""
+    if a is not None and b is not None:
+        return a is FALSE or (b is not FALSE and b <= a)
     names = variables_of(phi) | variables_of(psi)
     for asgn in sig.assignments(names):
         if evaluate_prop(phi, asgn) and not evaluate_prop(psi, asgn):
             return False
     return True
-
-
-def prop_valid(phi: Formula, sig: Signature) -> bool:
-    return prop_entails(TRUE, phi, sig)
 
 
 def prop_equivalent(phi: Formula, psi: Formula, sig: Signature) -> bool:

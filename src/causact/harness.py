@@ -179,12 +179,7 @@ class DifferentialReport:
 
 
 def _bundle(m, u, **extra):
-    out = {
-        "model": model_to_text(m),
-        "context": dict(u),
-    }
-    out.update(extra)
-    return out
+    return {"model": model_to_text(m), "context": dict(u), **extra}
 
 
 def run_differential(
@@ -221,48 +216,35 @@ def run_differential(
 # Individual trials; each returns None on agreement or a repro bundle.
 
 
-def _trial_theorem1(caps, rng, negated):
+def _cause_trial(caps, rng, place):
+    """Interventionist cause vs. abstract cause for a random query;
+    `place(m, u)` gives the abstract check's setting, its language and the
+    bundle fields that say where it ran."""
     m = gen_random_model(caps, rng)
     u = random_context(m, rng)
-    actual = m.solve(u)
-    cause = random_event_conjunction(m, rng, prefer_actual=actual)
+    cause = random_event_conjunction(m, rng, prefer_actual=m.solve(u))
     effect = random_prop_formula(m, rng, caps.formula_depth)
     hp = is_actual_cause_hp(m, u, cause, effect, first_only=True)
-    lang = conj_neg_language() if negated else conj_language()
-    ab = is_actual_cause_abstract(CausalSetting(m, u), cause, effect, lang)
+    setting, lang, where = place(m, u)
+    ab = is_actual_cause_abstract(setting, cause, effect, lang)
     if hp.is_cause == ab.is_cause:
         return None
-    return _bundle(
-        m,
-        u,
-        cause=format_formula(cause),
-        effect=format_formula(effect),
-        language=lang.describe(),
-        interventionist=hp.to_dict(),
-        abstract=ab.to_dict(),
-    )
+    return _bundle(m, u, cause=format_formula(cause), effect=format_formula(effect), **where,
+                   interventionist=hp.to_dict(), abstract=ab.to_dict())
+
+
+def _trial_theorem1(caps, rng, negated):
+    lang = conj_neg_language() if negated else conj_language()
+    place = lambda m, u: (CausalSetting(m, u), lang, {"language": lang.describe()})
+    return _cause_trial(caps, rng, place)
 
 
 def _trial_theorem2(caps, rng, negated):
-    m = gen_random_model(caps, rng)
-    u = random_context(m, rng)
-    actual = m.solve(u)
-    cause = random_event_conjunction(m, rng, prefer_actual=actual)
-    effect = random_prop_formula(m, rng, caps.formula_depth)
-    hp = is_actual_cause_hp(m, u, cause, effect, first_only=True)
-    m2, ctx_state = build_counterpart(m, state_cap=10**4)
-    ab = is_actual_cause_abstract(CfSetting(m2, ctx_state(u)), cause, effect, pair_language())
-    if hp.is_cause == ab.is_cause:
-        return None
-    return _bundle(
-        m,
-        u,
-        cause=format_formula(cause),
-        effect=format_formula(effect),
-        state=ctx_state(u),
-        interventionist=hp.to_dict(),
-        abstract=ab.to_dict(),
-    )
+    def place(m, u):
+        m2, ctx_state = build_counterpart(m, state_cap=10**4)
+        return CfSetting(m2, ctx_state(u)), pair_language(), {"state": ctx_state(u)}
+
+    return _cause_trial(caps, rng, place)
 
 
 _PROP3_FORMULAS = 50  # random formulas compared per model
@@ -278,14 +260,8 @@ def _trial_prop3(caps, rng, negated):
         on_model = m.evaluate(u, phi)
         on_structure = m2.satisfies_at(s, phi)
         if on_model != on_structure:
-            return _bundle(
-                m,
-                u,
-                formula=format_formula(phi),
-                state=s,
-                onModel=on_model,
-                onStructure=on_structure,
-            )
+            return _bundle(m, u, formula=format_formula(phi), state=s, onModel=on_model,
+                           onStructure=on_structure)
     return None
 
 
@@ -295,46 +271,34 @@ def _random_K(m, rng, max_size=4):
     return rng.sample(contexts, size)
 
 
-def _trial_theorem4(caps, rng, negated):
+def _explanation_trial(caps, rng, place):
+    """Interventionist explanation vs. abstract explanation for a random
+    query; `place(m, K)` gives the abstract check's settings, its language
+    and the bundle fields that say where it ran."""
     m = gen_random_model(caps, rng)
     K = _random_K(m, rng)
     anchor = m.solve(rng.choice(K))
     cand = random_event_conjunction(m, rng, prefer_actual=anchor)
     effect = random_prop_formula(m, rng, caps.formula_depth)
     hp = is_explanation_hp(m, K, cand, effect)
-    ab = is_explanation_abstract(
-        [CausalSetting(m, u) for u in K], cand, effect, conj_language()
-    )
+    settings, lang, where = place(m, K)
+    ab = is_explanation_abstract(settings, cand, effect, lang)
     if (hp.is_explanation, hp.nontrivial) == (ab.is_explanation, ab.nontrivial):
         return None
-    return _bundle(
-        m,
-        {f"K[{i}]": dict(u) for i, u in enumerate(K)},
-        candidate=format_formula(cand),
-        effect=format_formula(effect),
-        interventionist=hp.to_dict(),
-        abstract=ab.to_dict(),
-    )
+    contexts = {f"K[{i}]": dict(u) for i, u in enumerate(K)}
+    return _bundle(m, contexts, candidate=format_formula(cand), effect=format_formula(effect), **where,
+                   interventionist=hp.to_dict(), abstract=ab.to_dict())
+
+
+def _trial_theorem4(caps, rng, negated):
+    place = lambda m, K: ([CausalSetting(m, u) for u in K], conj_language(), {})
+    return _explanation_trial(caps, rng, place)
 
 
 def _trial_theorem5(caps, rng, negated):
-    m = gen_random_model(caps, rng)
-    K = _random_K(m, rng)
-    anchor = m.solve(rng.choice(K))
-    cand = random_event_conjunction(m, rng, prefer_actual=anchor)
-    effect = random_prop_formula(m, rng, caps.formula_depth)
-    hp = is_explanation_hp(m, K, cand, effect)
-    m2, ctx_state = build_counterpart(m, state_cap=10**4)
-    settings = [CfSetting(m2, ctx_state(u)) for u in K]
-    ab = is_explanation_abstract(settings, cand, effect, pair_language())
-    if (hp.is_explanation, hp.nontrivial) == (ab.is_explanation, ab.nontrivial):
-        return None
-    return _bundle(
-        m,
-        {f"K[{i}]": dict(u) for i, u in enumerate(K)},
-        candidate=format_formula(cand),
-        effect=format_formula(effect),
-        states=[st.state for st in settings],
-        interventionist=hp.to_dict(),
-        abstract=ab.to_dict(),
-    )
+    def place(m, K):
+        m2, ctx_state = build_counterpart(m, state_cap=10**4)
+        settings = [CfSetting(m2, ctx_state(u)) for u in K]
+        return settings, pair_language(), {"states": [st.state for st in settings]}
+
+    return _explanation_trial(caps, rng, place)

@@ -78,16 +78,9 @@ def is_actual_cause_hp(
     witnesses = _ac2_search(m, u, pairs, effect, first_only=first_only)
     ac2 = bool(witnesses)
 
-    ac3 = True
-    violator = None
-    for size in range(1, len(pairs)):
-        for subset in itertools.combinations(pairs, size):
-            if _ac2_search(m, u, list(subset), effect, first_only=True):
-                ac3 = False
-                violator = subset
-                break
-        if not ac3:
-            break
+    subsets = (s for size in range(1, len(pairs)) for s in itertools.combinations(pairs, size))
+    violator = next((s for s in subsets if _ac2_search(m, u, list(s), effect, first_only=True)), None)
+    ac3 = violator is None
 
     return CauseVerdict(
         is_cause=ac1 and ac2 and ac3,

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,10 +16,12 @@ from causact.formula import (
     TRUE,
     as_event_conjunction,
     conjoin,
+    evaluate_prop,
     format_formula,
     free_endogenous,
     parse_formula,
     prop_entails,
+    variables_of,
 )
 from causact.harness import (
     DEFAULT_CAPS,
@@ -28,7 +31,7 @@ from causact.harness import (
     random_event_conjunction,
     random_prop_formula,
 )
-from causact.model import parse_model
+from causact.model import model_to_text, parse_model
 from causact.hp import is_actual_cause_hp
 from causact.abstract import (
     CausalSetting,
@@ -453,6 +456,83 @@ class TestValueListAC2:
         cause, effect = parse_formula("ST=1", rt.sig), parse_formula("BS=1", rt.sig)
         with pytest.raises(FormulaError, match="^box-arrow antecedents must be propositional$"):
             is_actual_cause_abstract(rt_setting, cause, effect, lang)
+
+
+def _entails_by_truth_table(phi, psi, sig):
+    names = variables_of(phi) | variables_of(psi)
+    return all(
+        not evaluate_prop(phi, asgn) or evaluate_prop(psi, asgn) for asgn in sig.assignments(names)
+    )
+
+
+def _ref_weaker_core_members(setting, cause, lang):
+    """Reference AC3' candidates, as the checker listed them before it
+    generated them from the cause's literals: every member of the
+    positive-conjunction core, kept when the cause entails it and it does
+    not entail the cause, both decided by truth table."""
+    core = replace(lang, allow_negated=False, pair_on_cause=False, clause_budget=None)
+    entails = lambda phi, psi: _entails_by_truth_table(phi, psi, setting.sig)
+    for phi2 in _ref_members(core, setting):
+        if entails(cause, phi2) and not entails(phi2, cause):
+            yield phi2
+
+
+def _with_one_value_ranges(m):
+    """m with a one-value exogenous W and a one-value endogenous C added."""
+    extra = "\nexo W : { w }\nvar C : { 0 }\neq C = case { default: 0 }\n"
+    return parse_model(model_to_text(m) + extra)
+
+
+class TestAC3CandidatesFromEntailedLiterals:
+    """AC3' candidates are generated over the variables whose actual-value
+    event the cause entails; the verdict must match enumerating the whole
+    core and filtering it by entailment."""
+
+    def _compare(self, make_setting, trials, monkeypatch, tag):
+        violated = 0
+        for i in range(trials):
+            rng = random.Random(f"{tag}:{i}")
+            m = _with_one_value_ranges(gen_random_model(DEFAULT_CAPS, rng))
+            setting = make_setting(m, random_context(m, rng))
+            sig, actual = m.sig, setting.assignment
+            exo = rng.choice(sig.exo_names)
+            v, w = rng.choice(sig.endo_names), rng.choice(sig.endo_names)
+            nonactual = [x for x in sig.range_of(w) if x != actual[w]] or [actual[w]]
+            events = random_event_conjunction(m, rng, max_size=3, prefer_actual=actual)
+            causes = [
+                events,
+                And(events, PrimEvent("C", "0")),
+                And(events, ExoEvent(exo, actual[exo])),
+                Not(events),
+                random_prop_formula(m, rng, 2),
+            ]
+            pins = [
+                (),
+                (PrimEvent(v, actual[v]),),
+                (ExoEvent(exo, actual[exo]), ExoEvent("W", "w")),
+                (Or(PrimEvent(v, actual[v]), PrimEvent(w, rng.choice(nonactual))),),
+                (PrimEvent(w, rng.choice(nonactual)),),
+            ][i % 5]
+            effect = random_prop_formula(m, rng, 2)
+            for cause in causes:
+                for lang in (conj_language(pins), pair_language(pins)):
+                    new = is_actual_cause_abstract(setting, cause, effect, lang).to_dict()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(abstract, "_weaker_core_members", _ref_weaker_core_members)
+                        ref = is_actual_cause_abstract(setting, cause, effect, lang).to_dict()
+                    assert json.dumps(new) == json.dumps(ref), (i, format_formula(cause), lang.describe())
+                    violated += new["ac3Violator"] is not None
+        assert violated
+
+    def test_causal_settings(self, monkeypatch):
+        self._compare(CausalSetting, 120, monkeypatch, "ac3-candidates")
+
+    def test_counterpart_states(self, monkeypatch):
+        def make(m, u):
+            m2, ctx_state = build_counterpart(m)
+            return CfSetting(m2, ctx_state(u))
+
+        self._compare(make, 60, monkeypatch, "ac3-candidates-cf")
 
 
 def _relation_structure(rng):

@@ -1,8 +1,34 @@
+import itertools
+import json
+import random
+
 import pytest
 
-from causact.formula import FormulaError, parse_formula
-from causact.model import parse_context, parse_model
-from causact.abstract import CausalSetting, conj_language, pair_language
+from causact import explanation
+from causact.formula import (
+    And,
+    ExoEvent,
+    FormulaError,
+    Not,
+    Or,
+    PrimEvent,
+    conjoin,
+    evaluate_prop,
+    event_literals,
+    format_formula,
+    parse_formula,
+    variables_of,
+)
+from causact.harness import (
+    DEFAULT_CAPS,
+    gen_random_model,
+    random_context,
+    random_event_conjunction,
+    random_prop_formula,
+)
+from causact.model import model_to_text, parse_context, parse_model
+from causact.abstract import CausalSetting, CfSetting, conj_language, pair_language
+from causact.correspondence import build_counterpart
 from causact.explanation import is_explanation_abstract, is_explanation_hp
 from causact.corpus import THREE_CONTEXT
 
@@ -150,6 +176,114 @@ class TestStructureSideRegressions:
         settings = [CfSetting(m2, ctx_state(u)) for u in K]
         ab = is_explanation_abstract(settings, cand, effect, pair_language())
         assert not ab.is_explanation and not ab.ex2, ab.to_dict()
+
+
+def _entails_by_truth_table(phi, psi, sig):
+    names = variables_of(phi) | variables_of(psi)
+    return all(
+        not evaluate_prop(phi, asgn) or evaluate_prop(psi, asgn) for asgn in sig.assignments(names)
+    )
+
+
+def _ref_weakenings(cand, pairs, members, sig):
+    """Reference EX2 candidates: sub-conjunctions of the candidate and the
+    core members it entails, strictly weaker than it, deduplicated by a
+    pairwise truth-table equivalence scan.  `members` pairs each member
+    with its literals, which are not read."""
+    raw = [
+        conjoin([PrimEvent(v, x) for v, x in subset])
+        for size in range(len(pairs))
+        for subset in itertools.combinations(pairs, size)
+    ]
+    raw += [member for ms in members for member, _ in ms]
+    entails = lambda a, b: _entails_by_truth_table(a, b, sig)
+    seen = []
+    for phi2 in raw:
+        if not entails(cand, phi2) or entails(phi2, cand):
+            continue
+        if any(entails(phi2, prev) and entails(prev, phi2) for prev in seen):
+            continue
+        seen.append(phi2)
+        yield phi2
+
+
+class TestWeakeningsFromLiterals:
+    """EX1(a)'s member filters and EX2's weakenings compare literal sets;
+    the verdict must match truth-table entailment and the pairwise
+    equivalence scan."""
+
+    def _compare(self, make_settings, trials, monkeypatch, tag):
+        violated = 0
+        for i in range(trials):
+            rng = random.Random(f"{tag}:{i}")
+            m = parse_model(
+                model_to_text(gen_random_model(DEFAULT_CAPS, rng))
+                + "\nexo W : { w }\nvar C : { 0 }\neq C = case { default: 0 }\n"
+            )
+            K = [random_context(m, rng) for _ in range(rng.randint(1, 3))]
+            settings = make_settings(m, K)
+            sig, actual = m.sig, settings[0].assignment
+            exo = rng.choice(sig.exo_names)
+            v, w = rng.choice(sig.endo_names), rng.choice(sig.endo_names)
+            nonactual = [x for x in sig.range_of(w) if x != actual[w]] or [actual[w]]
+            events = random_event_conjunction(m, rng, max_size=3, prefer_actual=actual)
+            cands = [
+                events,
+                And(events, PrimEvent("C", "0")),
+                Not(events),
+                Or(events, random_event_conjunction(m, rng, prefer_actual=actual)),
+            ]
+            pins = [
+                (),
+                (PrimEvent(v, actual[v]),),
+                (ExoEvent(exo, actual[exo]), ExoEvent("W", "w")),
+                (Or(PrimEvent(v, actual[v]), PrimEvent(w, rng.choice(nonactual))),),
+                (PrimEvent(w, rng.choice(nonactual)),),
+            ][i % 5]
+            effect = random_prop_formula(m, rng, 2)
+            for cand in cands:
+                for lang in (conj_language(pins), pair_language(pins)):
+                    check = lambda: is_explanation_abstract(settings, cand, effect, lang)
+                    new = check().to_dict()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(explanation, "_weakenings", _ref_weakenings)
+                        patch.setattr(explanation, "prop_entails_given",
+                                      lambda phi, a, psi, b, sig: _entails_by_truth_table(phi, psi, sig))
+                        ref = check().to_dict()
+                    assert json.dumps(new) == json.dumps(ref), (i, format_formula(cand), lang.describe())
+                    violated += new["ex2Violator"] is not None
+        assert violated
+
+    def test_pinned_members_equivalent_to_sub_conjunctions_are_dropped(self, mt):
+        sig = mt.sig
+        cand = parse_formula("ST=1 & BT=0", sig)
+        pin = parse_formula("ST=1 | BT=0", sig)
+        members = [[(t, None) for t in (pin, And(pin, PrimEvent("ST", "1")), And(pin, PrimEvent("BT", "0")))]]
+        pairs = [("ST", "1"), ("BT", "0")]
+        got = list(explanation._weakenings(cand, pairs, members, sig))
+        assert got == list(_ref_weakenings(cand, pairs, members, sig))
+        assert [format_formula(phi) for phi in got] == ["true", "ST=1", "BT=0", "ST=1 | BT=0"]
+
+    def test_repeated_members_are_dropped(self, mt):
+        sig = mt.sig
+        cand = parse_formula("ST=1 & BT=0", sig)
+        listed = [parse_formula(text, sig) for text in ("ST=1", "BT=0 & ST=1")]
+        members = [[(t, event_literals(t, sig)) for t in listed]] * 2
+        pairs = [("ST", "1"), ("BT", "0")]
+        got = list(explanation._weakenings(cand, pairs, members, sig))
+        assert got == list(_ref_weakenings(cand, pairs, members, sig))
+        assert [format_formula(phi) for phi in got] == ["true", "ST=1", "BT=0"]
+
+    def test_causal_settings(self, monkeypatch):
+        make = lambda m, K: [CausalSetting(m, u) for u in K]
+        self._compare(make, 40, monkeypatch, "ex2-weakenings")
+
+    def test_counterpart_states(self, monkeypatch):
+        def make(m, K):
+            m2, ctx_state = build_counterpart(m)
+            return [CfSetting(m2, ctx_state(u)) for u in K]
+
+        self._compare(make, 8, monkeypatch, "ex2-weakenings-cf")
 
 
 class TestValidation:

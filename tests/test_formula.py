@@ -23,14 +23,13 @@ from causact.formula import (
     as_event_conjunction,
     conjuncts,
     evaluate_prop,
+    event_literals,
     format_formula,
     free_endogenous,
     is_propositional,
     parse_formula,
-    prop_consistent,
     prop_entails,
     prop_equivalent,
-    prop_valid,
     truth_mask,
     variables_of,
 )
@@ -215,11 +214,11 @@ class TestPropositional:
         assert not prop_entails(parse_formula("X!=0", SIG), parse_formula("X=1", SIG), SIG)
 
     def test_valid_and_consistent(self):
-        assert prop_valid(parse_formula("X=0 | X!=0", SIG), SIG)
-        assert not prop_consistent(parse_formula("X=0 & X=1", SIG), SIG)
+        assert prop_entails(TRUE, parse_formula("X=0 | X!=0", SIG), SIG)  # valid
+        assert prop_entails(parse_formula("X=0 & X=1", SIG), FALSE, SIG)  # inconsistent
 
     def test_exhaustive_event_disjunction_is_valid(self):
-        assert prop_valid(parse_formula("X=0 | X=1 | X=2", SIG), SIG)
+        assert prop_entails(TRUE, parse_formula("X=0 | X=1 | X=2", SIG), SIG)
 
     @given(formulas(depth=3), formulas(depth=3))
     def test_entailment_via_conjunction(self, a, b):
@@ -235,6 +234,90 @@ class TestPropositional:
     def test_de_morgan_pair(self, a, b):
         assert prop_equivalent(Not(And(a, b)), Or(Not(a), Not(b)), SIG)
         assert prop_equivalent(Not(Or(a, b)), And(Not(a), Not(b)), SIG)
+
+    def test_deep_formulas_list_their_variables_without_recursion(self):
+        text = " & ".join(["X=1", "Y!=0", "U=u0", "!(X=2 | Y=1)"] * 2500)
+        phi = parse_formula(text, SIG)
+        assert len(conjuncts(phi)) == 10**4
+        assert variables_of(phi) == {"X", "Y", "U"}
+        assert free_endogenous(phi) == {"X", "Y"}
+        assert is_propositional(phi)
+        assert not is_propositional(And(phi, Intervene((("X", "1"),), TRUE)))
+
+
+# A signature with one-value ranges, endogenous and exogenous, for the
+# entailment property below.
+SIG1 = Signature(
+    exogenous=(("U", ("u0", "u1")), ("V", ("v",))),
+    endogenous=(("X", ("0", "1", "2")), ("Y", ("0", "1")), ("Z", ("z",))),
+)
+
+# events over SIG1, some with a value outside the variable's range
+LITERALS = (
+    [PrimEvent("X", v) for v in ("0", "1", "2", "3")]
+    + [PrimEvent("Y", v) for v in ("0", "1")]
+    + [PrimEvent("Z", v) for v in ("z", "w")]
+    + [ExoEvent("U", v) for v in ("u0", "u1", "u2")]
+    + [ExoEvent("V", "v")]
+)
+
+
+def entails_by_truth_table(phi, psi, sig):
+    """The reference: every assignment to the occurring variables that
+    satisfies phi satisfies psi."""
+    names = variables_of(phi) | variables_of(psi)
+    return all(
+        not evaluate_prop(phi, asgn) or evaluate_prop(psi, asgn) for asgn in sig.assignments(names)
+    )
+
+
+@st.composite
+def event_conjunctions(draw):
+    """A conjunction of events and `true`, built with And in any shape, with
+    repeated and conflicting literals allowed."""
+    parts = draw(st.lists(st.sampled_from(LITERALS + [TRUE]), max_size=6))
+    if not parts:
+        return TRUE
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        parts[i : i + 2] = [And(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def sig1_formulas():
+    """Formulas over SIG1 that are mostly not event conjunctions."""
+    return st.recursive(
+        st.sampled_from(LITERALS + [TRUE, FALSE]),
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.tuples(sub, sub).map(lambda p: And(*p)),
+            st.tuples(sub, sub).map(lambda p: Or(*p)),
+        ),
+        max_leaves=6,
+    )
+
+
+class TestEntailmentByInclusion:
+    @given(event_conjunctions(), event_conjunctions())
+    def test_conjunctions_agree_with_truth_table(self, a, b):
+        assert event_literals(a, SIG1) is not None
+        assert (event_literals(a, SIG1) is FALSE) == entails_by_truth_table(a, FALSE, SIG1)
+        assert prop_entails(a, b, SIG1) == entails_by_truth_table(a, b, SIG1)
+
+    @given(st.one_of(event_conjunctions(), sig1_formulas()),
+           st.one_of(event_conjunctions(), sig1_formulas()))
+    def test_mixed_pairs_agree_with_truth_table(self, a, b):
+        assert prop_entails(a, b, SIG1) == entails_by_truth_table(a, b, SIG1)
+
+    def test_literals(self):
+        x1, z, u0 = PrimEvent("X", "1"), PrimEvent("Z", "z"), ExoEvent("U", "u0")
+        assert event_literals(TRUE, SIG1) == frozenset()
+        assert event_literals(And(And(x1, z), And(TRUE, u0)), SIG1) == {("X", "1"), ("U", "u0")}
+        assert event_literals(And(x1, PrimEvent("X", "2")), SIG1) is FALSE
+        assert event_literals(PrimEvent("X", "3"), SIG1) is FALSE
+        assert event_literals(Or(x1, z), SIG1) is None
+        assert event_literals(And(x1, Not(z)), SIG1) is None
+        assert event_literals(FALSE, SIG1) is None
 
 
 class TestHelpers:
