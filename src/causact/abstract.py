@@ -10,11 +10,15 @@ language, and checks:
   AC3': no strictly weaker language member passes AC2' in place of
         the cause.
 
-Language members are generated per-variable and filtered to those true
-at the setting, which is complete: AC2' requires tau to hold there, and
-any AC3' candidate is entailed by the (true) cause.  AC3' candidates are
-generated from the literals the cause entails: only the variables whose
-actual-value event the cause entails get a conjunct.
+A language is a spec, `conj`, `conj-neg`, `pair` or `gen:K`, and pins
+(see `WitnessLanguage`).  Its members are generated per-variable and
+filtered to those true at the setting, which is complete: AC2' requires
+tau to hold there, and any AC3' candidate is entailed by the (true)
+cause.  The members of `conj`, `conj-neg` and `pair` are listed once, as
+rows (member, pair alternative) in try order, and a row becomes tau in
+one place.  AC3' candidates are generated from the literals the cause
+entails: only the variables whose actual-value event the cause entails
+get a conjunct.
 
 AC2' builds no formula per member for `conj`, `conj-neg` and `pair`; only
 the tau reported becomes a formula.  At a causal setting a member is one
@@ -102,11 +106,20 @@ class CfSetting:
         return self.structure.satisfies_at(self.state, phi)
 
     def counterfactual(self, antecedent, consequent, allow_vacuous=False) -> bool:
-        m2 = self.structure
-        closest = m2.closest_rows(self.state, m2.extension(antecedent)[None])[0]
-        if not closest.any():
-            return allow_vacuous
-        return not (closest & ~m2.extension(consequent)).any()
+        ext = self.structure.extension
+        return self.first_box_arrow(ext(antecedent)[None], ext(consequent), allow_vacuous) is not None
+
+    def first_box_arrow(self, antecedents, consequent, allow_vacuous):
+        """The index of the first row of the boolean matrix `antecedents`
+        whose closest states from this state all lie in the mask
+        `consequent`, or None.  A row with no closest states passes only
+        with `allow_vacuous`."""
+        closest = self.structure.closest_rows(self.state, antecedents)
+        passes = ~(closest & ~consequent).any(axis=1)
+        if not allow_vacuous:
+            passes &= closest.any(axis=1)
+        hits = np.flatnonzero(passes)
+        return hits[0] if hits.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -115,125 +128,110 @@ class CfSetting:
 
 @dataclass(frozen=True)
 class WitnessLanguage:
-    """Which formulas may serve as the conditioning formula tau.
+    """Which formulas may serve as the conditioning formula tau: the
+    members of `spec`, each conjoined with the `pins`.
 
-    The base language is conjunctions of endogenous primitive events
-    (including the empty conjunction, true).  Options:
+      conj       conjunctions of endogenous primitive events, the empty
+                 conjunction (true) included;
+      conj-neg   also negated events, as conjunctions X!=v1 & X!=v2 over
+                 proper subsets of a variable's non-actual values (ruling
+                 out every non-actual value is the positive event again
+                 and is not repeated);
+      pair       `conj`, and each conjunction with one disjunct
+                 (X=x | X=x') over the variables of the cause X=x;
+      gen:K      single disjunctions of at most K+1 literals (events or
+                 negated events), K >= 0.
 
-      allow_negated   also negated events, as conjunctions X!=v1 & X!=v2
-                      over proper subsets of the non-actual values (ruling
-                      out every non-actual value is the positive event
-                      again and is not repeated);
-      pair_on_cause   additionally one disjunct of the form
-                      (X=x | X=x') over the cause variables;
-      clause_budget   instead of conjunctions, single disjunctions of at
-                      most clause_budget+1 literals (events or negated
-                      events);
-      pins            formulas conjoined to every member, e.g. exogenous
-                      events that freeze the context.
-    """
+    A pin is a formula conjoined to every member, e.g. an exogenous event
+    that freezes the context.  An unknown spec raises FormulaError, and
+    `gen:K` is normalised (`gen:01` is `gen:1`)."""
 
-    allow_negated: bool = False
-    pair_on_cause: bool = False
-    clause_budget: int | None = None
+    spec: str = "conj"
     pins: tuple[Formula, ...] = ()
 
+    def __post_init__(self):
+        if self.spec in ("conj", "conj-neg", "pair"):
+            return
+        if not self.spec.startswith("gen:"):
+            raise FormulaError(f"unknown witness language {self.spec!r} (conj, conj-neg, pair, gen:K)")
+        object.__setattr__(self, "spec", f"gen:{_gen_budget(self.spec)}")
+
     def describe(self) -> str:
-        if self.clause_budget is not None:
-            base = f"gen:{self.clause_budget}"
-        elif self.pair_on_cause:
-            base = "pair"
-        elif self.allow_negated:
-            base = "conj-neg"
-        else:
-            base = "conj"
-        if self.pins:
-            base += " + pins " + ", ".join(format_formula(p) for p in self.pins)
-        return base
+        if not self.pins:
+            return self.spec
+        return self.spec + " + pins " + ", ".join(format_formula(p) for p in self.pins)
 
 
-def conj_language(pins=()) -> WitnessLanguage:
-    return WitnessLanguage(pins=tuple(pins))
-
-
-def conj_neg_language(pins=()) -> WitnessLanguage:
-    return WitnessLanguage(allow_negated=True, pins=tuple(pins))
-
-
-def pair_language(pins=()) -> WitnessLanguage:
-    return WitnessLanguage(pair_on_cause=True, pins=tuple(pins))
-
-
-def gen_language(budget: int, pins=()) -> WitnessLanguage:
+def _gen_budget(spec: str) -> int:
+    """The clause budget K of the spec `gen:K`."""
+    try:
+        budget = int(spec[4:])
+    except ValueError:
+        raise FormulaError(f"clause budget must be an integer, got {spec[4:]!r}") from None
     if budget < 0:
         raise FormulaError("clause budget must be nonnegative")
-    return WitnessLanguage(clause_budget=budget, pins=tuple(pins))
+    return budget
 
 
 def parse_language(spec: str, pins=()) -> WitnessLanguage:
-    if spec == "conj":
-        return conj_language(pins)
-    if spec == "conj-neg":
-        return conj_neg_language(pins)
-    if spec == "pair":
-        return pair_language(pins)
-    if spec.startswith("gen:"):
-        try:
-            budget = int(spec[4:])
-        except ValueError:
-            raise FormulaError(f"clause budget must be an integer, got {spec[4:]!r}") from None
-        return gen_language(budget, pins)
-    raise FormulaError(f"unknown witness language {spec!r} (conj, conj-neg, pair, gen:K)")
+    return WitnessLanguage(spec, tuple(pins))
+
+
+def conj_language(pins=()) -> WitnessLanguage:
+    return WitnessLanguage("conj", tuple(pins))
+
+
+def conj_neg_language(pins=()) -> WitnessLanguage:
+    return WitnessLanguage("conj-neg", tuple(pins))
+
+
+def pair_language(pins=()) -> WitnessLanguage:
+    return WitnessLanguage("pair", tuple(pins))
+
+
+def gen_language(budget: int, pins=()) -> WitnessLanguage:
+    return WitnessLanguage(f"gen:{budget}", tuple(pins))
+
+
+def check_pins(lang: WitnessLanguage):
+    """Raise FormulaError unless every pin is propositional."""
+    if not all(map(is_propositional, lang.pins)):
+        raise FormulaError("pins must be Boolean combinations of primitive events")
 
 
 def enumerate_witnesses(lang: WitnessLanguage, setting, cause_pairs):
     """Yield the language members true at the setting, smaller formulas
     first.  `cause_pairs` is the cause as (var, value) pairs; it only
-    matters for the pair extension."""
+    matters for `pair`."""
     if not _pins_hold(lang, setting):
         return  # a false pin makes every pinned member false at s
-    actual = setting.assignment
-
-    if lang.clause_budget is not None:
+    sig, actual = setting.sig, setting.assignment
+    if lang.spec.startswith("gen:"):
         yield _pinned(lang, TRUE)
-        for clause in _clauses(setting.sig, lang.clause_budget):
+        for clause in _clauses(sig, _gen_budget(lang.spec)):
             if evaluate_prop(clause, actual):
                 yield _pinned(lang, clause)
         return
-
-    sig = setting.sig
-    xvars = [v for v, _ in cause_pairs]
-    per_var = _conj_options(sig, actual, lang.allow_negated)
-    formulas = [[_option_formula(x, opt) for _, opt in options]
-                for x, options in zip(sig.endo_names, per_var)]
-    for member in _by_weight(per_var):
-        parts = [f for fs, j in zip(formulas, member) if (f := fs[j]) is not None]
-        yield _pinned(lang, conjoin(parts))
-        if lang.pair_on_cause:
-            covered = {
-                f.var: f.val for f in parts if isinstance(f, PrimEvent) and f.var in xvars
-            }
-            if all(covered.get(v) == x for v, x in cause_pairs):
-                continue  # the conjunction already forces the cause values
-            for alt in _pair_alternatives(sig, cause_pairs):
-                yield _pinned(lang, conjoin(parts + [_pair_disjunct(cause_pairs, alt)]))
+    per_var = _conj_options(sig, actual, lang.spec == "conj-neg")
+    pairs = cause_pairs if lang.spec == "pair" else ()
+    for member, alt in _rows(per_var, sig, actual, pairs):
+        yield _tau(lang, per_var, member, pairs, alt)
 
 
-def _conj_options(sig, actual, allow_negated):
+def _conj_options(sig, actual, negated):
     """Each endogenous variable's options for one conjunct of a member true
-    at `actual`, as (weight, option): None for no conjunct (weight 0),
-    (False, (a,)) for X=a (weight 1), and, with `allow_negated`,
-    (True, subset) for X!=v over each v of a proper subset of the
-    non-actual values (weight: the subset's size; ruling out every
-    non-actual value is X=a again)."""
+    at `actual`, as (weight, conjunct): None for no conjunct (weight 0),
+    X=a (weight 1), and, with `negated`, X!=v & ... over each v of a proper
+    subset of the non-actual values (weight: the subset's size; ruling out
+    every non-actual value is X=a again)."""
     per_var = []
     for x in sig.endo_names:
-        options = [(0, None), (1, (False, (actual[x],)))]
-        if allow_negated:
+        options = [(0, None), (1, PrimEvent(x, actual[x]))]
+        if negated:
             excluded = [v for v in sig.range_of(x) if v != actual[x]]
             for size in range(1, len(excluded)):
                 for subset in itertools.combinations(excluded, size):
-                    options.append((size, (True, subset)))
+                    options.append((size, conjoin([Not(PrimEvent(x, v)) for v in subset])))
         per_var.append(options)
     return per_var
 
@@ -246,19 +244,33 @@ def _by_weight(per_var):
     return [member for _, member in sorted(zip(weights, members), key=itemgetter(0))]
 
 
-def _option_formula(x, opt):
-    if opt is None:
-        return None
-    negated, values = opt
-    if negated:
-        return conjoin([Not(PrimEvent(x, v)) for v in values])
-    return PrimEvent(x, values[0])
+def _rows(per_var, sig, actual, cause_pairs):
+    """The rows of a `conj`, `conj-neg` or `pair` language in try order, as
+    (member, alternative): each member of `per_var` with no alternative
+    (None), followed, unless it fixes the cause values (has X=x for each
+    of `cause_pairs`), by one row per alternative x' to them.  Only `pair`
+    passes cause pairs."""
+    members = _by_weight(per_var)
+    if not cause_pairs:
+        return [(member, None) for member in members]
+    alts = _pair_alternatives(sig, cause_pairs)
+    position = {x: i for i, x in enumerate(sig.endo_names)}
+    fixing = [position.get(v) if actual[v] == x else None for v, x in cause_pairs]
+    rows = []
+    for member in members:
+        rows.append((member, None))
+        if None in fixing or any(member[i] != 1 for i in fixing):
+            rows += [(member, alt) for alt in alts]
+    return rows
 
 
-def _member_formulas(names, per_var, member):
-    """The conjuncts of a member, one per variable it constrains."""
-    parts = [_option_formula(x, options[j][1]) for x, options, j in zip(names, per_var, member)]
-    return [p for p in parts if p is not None]
+def _tau(lang, per_var, member, cause_pairs=(), alt=None):
+    """The row (member, alt) as a formula: the pins, the member's conjunct
+    on each variable, and, for an alternative x', (X=x | X=x')."""
+    parts = [f for options, j in zip(per_var, member) if (f := options[j][1]) is not None]
+    if alt is not None:
+        parts.append(_pair_disjunct(cause_pairs, alt))
+    return _pinned(lang, conjoin(parts))
 
 
 def _pair_alternatives(sig, cause_pairs):
@@ -337,6 +349,7 @@ def is_actual_cause_abstract(
         raise FormulaError("the cause must be a Boolean combination of primitive events")
     if not is_propositional(effect):
         raise FormulaError("the effect must be a Boolean combination of primitive events")
+    check_pins(lang)
 
     ac1 = setting.holds(cause) and setting.holds(effect)
     tau = _ac2_prime(setting, cause, effect, lang, allow_vacuous)
@@ -376,16 +389,18 @@ def _weaker_core_members(setting, cause, lang):
     entails = lambda psi: prop_entails_given(cause, lits, psi, event_literals(psi, sig), sig)
     if not _pins_hold(lang, setting) or not entails(conjoin(lang.pins)):
         return
-    per_var = [options if entails(PrimEvent(x, actual[x])) else options[:1]
-               for x, options in zip(sig.endo_names, _conj_options(sig, actual, False))]
+    per_var = [options if entails(options[1][1]) else options[:1]
+               for options in _conj_options(sig, actual, False)]
     for member in _by_weight(per_var):
-        phi2 = _pinned(lang, conjoin(_member_formulas(sig.endo_names, per_var, member)))
+        phi2 = _tau(lang, per_var, member)
         if not prop_entails_given(phi2, event_literals(phi2, sig), cause, lits, sig):
             yield phi2
 
 
 def _ac2_prime(setting, phi, effect, lang, allow_vacuous):
-    if lang.clause_budget is None:
+    if not _pins_hold(lang, setting):
+        return None  # a false pin makes every member false at the setting
+    if not lang.spec.startswith("gen:"):
         if isinstance(setting, CfSetting):
             return _ac2_at_state(setting, phi, effect, lang, allow_vacuous)
         return _ac2_at_context(setting, phi, effect, lang)
@@ -430,8 +445,6 @@ def _ac2_at_context(setting, phi, effect, lang):
 
     P comes earlier in each case, so none of these members can decide AC2',
     and each pinned tau is tried once."""
-    if not _pins_hold(lang, setting):
-        return None
     model, sig, actual = setting.model, setting.sig, setting.assignment
     cause_vars = free_endogenous(phi)
     pins = _pin_negated_conjuncts(conjoin(lang.pins), actual, cause_vars)
@@ -441,8 +454,8 @@ def _ac2_at_context(setting, phi, effect, lang):
     free = free_endogenous(residual)
     names = sig.endo_names
     per_var = _conj_options(sig, actual, False)
-    # each option's candidate values: no conjunct leaves the variable out
-    # of the intervention, unless the residual mentions it, and X=a tries a
+    # each option's candidate values: no conjunct leaves the variable out of
+    # the intervention unless the residual mentions it; X=a tries only a
     candidates = [
         [allowed if x in free else None, [v for v in allowed if v == actual[x]]]
         for x, allowed in zip(names, model.literal_candidates(residual, names))
@@ -454,8 +467,7 @@ def _ac2_at_context(setting, phi, effect, lang):
                 ys.append(x)
                 values.append(cands[j])
         if model.boxarrow_search(setting.context, ys, values, residual, not_effect):
-            tau = _pinned(lang, conjoin(_member_formulas(names, per_var, member)))
-            return _pin_negated_conjuncts(tau, actual, cause_vars)
+            return _pin_negated_conjuncts(_tau(lang, per_var, member), actual, cause_vars)
     return None
 
 
@@ -464,96 +476,58 @@ _BLOCK_ROWS = 64  # antecedent rows decided per closest-state query
 
 def _ac2_at_state(setting, phi, effect, lang, allow_vacuous):
     """AC2' for a conjunctive or pair language at a structure state,
-    deciding each member from its mask without building its formula.
+    deciding each row of `_rows` from its mask without building its formula.
 
-    The antecedent !phi & tau of a member holds where !phi, every pin and
-    each of the member's conjuncts hold, so its mask is the AND of their
-    masks: X=a compares one value column, and X!=v over a subset S is the
-    complement of membership in S.  For `pair`, when phi is a conjunction
-    X=x of events, a member that does not already fix the cause values is
-    followed by one row per alternative x', ANDed with the mask of
-    (X=x | X=x').  The pairs come from phi itself, so an AC3' candidate
-    moves only its own variables, as plain minimality does.  The rows keep
-    the order of `enumerate_witnesses`.  The first, the member true, is
-    decided alone, before the option masks are built; the rest are decided
-    in blocks of `_BLOCK_ROWS`, each by one closest-state query.  The first
-    row whose closest states all satisfy !effect wins (no closest state
-    counts as `allow_vacuous`).  Only the winning tau becomes a formula,
-    built as `enumerate_witnesses` builds it.  Pins are labelled at every
-    state, so an intervention in a pin raises FormulaError as it does in a
-    formula's mask."""
-    if not _pins_hold(lang, setting):
-        return None
+    The antecedent !phi & tau of a row holds where !phi, every pin and each
+    of its conjuncts hold, so its mask is the AND of their masks, each
+    conjunct's mask labelled once per call.  For `pair` the pairs come from
+    phi itself, when it is a conjunction X=x of events, and a row with an
+    alternative x' is ANDed with the mask of (X=x | X=x'); so an AC3'
+    candidate moves only its own variables, as plain minimality does.  The
+    first row, the member true, is decided alone, before the option masks
+    are built; the rest are decided in blocks of `_BLOCK_ROWS`, each by one
+    closest-state query.  Only the winning tau becomes a formula."""
     m2, sig, actual = setting.structure, setting.sig, setting.assignment
     base = m2.extension(Not(phi))
     for pin in lang.pins:
         base = base & m2.extension(pin)
-    fails = ~m2.extension(Not(effect))
+    inside = m2.extension(Not(effect))
+    if setting.first_box_arrow(base[None], inside, allow_vacuous) is not None:
+        return _tau(lang, (), ())  # the member true
+    per_var = _conj_options(sig, actual, lang.spec == "conj-neg")
 
-    def first_pass(rows):
-        """The index of the first row whose antecedent passes, or None."""
-        closest = m2.closest_rows(setting.state, rows)
-        passes = ~(closest & fails).any(axis=1)
-        if not allow_vacuous:
-            passes &= closest.any(axis=1)
-        hits = np.flatnonzero(passes)
-        return hits[0] if hits.size else None
-
-    if first_pass(base[None]) is not None:
-        return _pinned(lang, TRUE)
-
-    names, columns = sig.endo_names, m2._columns
-    per_var = _conj_options(sig, actual, lang.allow_negated)
     # every variable's option masks in turn; no conjunct holds everywhere
     everywhere = np.ones(len(m2.states), dtype=bool)
     option_masks, offsets = [], []
-    for x, options in zip(names, per_var):
+    for options in per_var:
         offsets.append(len(option_masks))
-        option_masks += [everywhere, columns[x] == actual[x]]
-        option_masks += [~np.isin(columns[x], values) for _, (_, values) in options[2:]]
+        option_masks += [everywhere if f is None else m2.extension(f) for _, f in options]
     option_masks = np.array(option_masks)
-    members = _by_weight(per_var)
-    chosen = np.array(members, dtype=np.intp).reshape(len(members), len(names)) + offsets
 
-    # the rows in try order, as (member, disjunct): each member's own row
-    # (disjunct 0, none), then, for pair, one row per alternative x' unless
-    # the member fixes the cause values, that is has X=x for each of them
-    cause_pairs = []
-    if lang.pair_on_cause:
-        try:
-            cause_pairs = as_event_conjunction(phi)
-        except FormulaError:
-            pass  # a cause that is not an event conjunction has no pair members
+    try:  # a cause that is not an event conjunction has no pair members
+        cause_pairs = as_event_conjunction(phi) if lang.spec == "pair" else []
+    except FormulaError:
+        cause_pairs = []
+    rows = _rows(per_var, sig, actual, cause_pairs)
+    # a row's disjunct (X=x | X=x') holds inside the mask of !phi where X=x'
+    # does, as phi is X=x; index 0 is for the rows with no disjunct
     alts = _pair_alternatives(sig, cause_pairs)
-    disjuncts = everywhere[None]
-    if alts:
-        xcols = np.array([columns[v] for v, _ in cause_pairs])
-        vectors = np.array([tuple(x for _, x in cause_pairs)] + alts)
-        disjuncts = (xcols == vectors[:, :, None]).all(axis=1)  # X=x, then each X=x'
-        disjuncts[1:] |= disjuncts[0]
-        disjuncts[0] = True
-        position = {x: i for i, x in enumerate(names)}
-        fixing = [position.get(v) if actual[v] == x else None for v, x in cause_pairs]
-    row_member, row_disjunct = [], []
-    for k, member in enumerate(members):
-        row_member.append(k)
-        row_disjunct.append(0)
-        if alts and (None in fixing or any(member[i] != 1 for i in fixing)):
-            row_member += [k] * len(alts)
-            row_disjunct += range(1, len(alts) + 1)
+    xcols = np.array([m2._columns[v] for v, _ in cause_pairs])
+    disjuncts = np.array([everywhere] + [(xcols == np.array(alt)[:, None]).all(axis=0) for alt in alts])
+    which = {alt: k for k, alt in enumerate([None] + alts)}
+    chosen = np.array([member for member, _ in rows], dtype=np.intp).reshape(len(rows), len(per_var))
+    chosen += offsets
+    row_disjunct = np.array([which[alt] for _, alt in rows], dtype=np.intp)
 
-    for start in range(1, len(row_member), _BLOCK_ROWS):
+    for start in range(1, len(rows), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        rows = option_masks[chosen[row_member[block]]].all(axis=1)
-        rows &= base
-        rows &= disjuncts[row_disjunct[block]]
-        hit = first_pass(rows)
+        masks = option_masks[chosen[block]].all(axis=1)
+        masks &= base
+        masks &= disjuncts[row_disjunct[block]]
+        hit = setting.first_box_arrow(masks, inside, allow_vacuous)
         if hit is not None:
-            k = start + hit
-            parts = _member_formulas(names, per_var, members[row_member[k]])
-            if row_disjunct[k]:
-                parts.append(_pair_disjunct(cause_pairs, alts[row_disjunct[k] - 1]))
-            return _pinned(lang, conjoin(parts))
+            member, alt = rows[start + hit]
+            return _tau(lang, per_var, member, cause_pairs, alt)
     return None
 
 

@@ -15,7 +15,7 @@ candidate (EX4), i.e. the candidate was not already known.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .formula import (
     TRUE,
@@ -32,7 +32,13 @@ from .formula import (
 )
 from .hp import is_actual_cause_hp
 from .model import CausalModel
-from .abstract import WitnessLanguage, enumerate_witnesses, is_actual_cause_abstract
+from .abstract import (
+    WitnessLanguage,
+    check_pins,
+    conj_language,
+    enumerate_witnesses,
+    is_actual_cause_abstract,
+)
 
 
 @dataclass
@@ -174,6 +180,7 @@ def is_explanation_abstract(
         raise ValueError("the epistemic state must contain at least one setting")
     if not is_propositional(cand) or not is_propositional(effect):
         raise FormulaError("candidate and explanandum must be Boolean combinations of events")
+    check_pins(lang)
     sig = settings[0].sig
     try:
         pairs = as_event_conjunction(cand)
@@ -182,7 +189,7 @@ def is_explanation_abstract(
 
     # the core's members depend on the setting only, so each is listed once,
     # with its `event_literals` (None for a member with a pin that is no event)
-    core = replace(lang, allow_negated=False, pair_on_cause=False, clause_budget=None)
+    core = conj_language(lang.pins)
     members = [[(t, event_literals(t, sig)) for t in enumerate_witnesses(core, st, ())]
                for st in settings]
     cause_cache: dict = {}

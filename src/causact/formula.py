@@ -359,7 +359,6 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str, sig: Signature):
-        self.text = text
         self.sig = sig
         self.tokens = tokenize(text)
         self.i = 0

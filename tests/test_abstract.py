@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -120,6 +119,30 @@ class TestLanguages:
         assert all(format_formula(m).startswith("U=u11") for m in members)
         wrong_pin = conj_language(pins=[ExoEvent("U", "u00")])
         assert list(enumerate_witnesses(wrong_pin, rt_setting, [("ST", "1")])) == []
+
+    @pytest.mark.parametrize("on_states", [False, True], ids=["causal", "counterpart"])
+    def test_member_order_matches_the_reference(self, on_states):
+        # every member in the same order as the reference listing, pinned
+        # or not, for causes whose values are actual or not
+        fixed = set()
+        for i in range(60):
+            rng = random.Random(f"member-order:{on_states}:{i}")
+            m = gen_random_model(DEFAULT_CAPS, rng)
+            u = random_context(m, rng)
+            if on_states:
+                m2, ctx_state = build_counterpart(m)
+                setting = CfSetting(m2, ctx_state(u))
+            else:
+                setting = CausalSetting(m, u)
+            actual = setting.assignment
+            pairs = as_event_conjunction(random_event_conjunction(m, rng, prefer_actual=actual))
+            fixed.add(all(actual[v] == x for v, x in pairs))
+            pins = _random_pins(m, actual, rng, i % 6)
+            for lang in (conj_language(pins), conj_neg_language(pins), pair_language(pins)):
+                for cause_pairs in ((), pairs):
+                    listed = list(enumerate_witnesses(lang, setting, cause_pairs))
+                    assert listed == list(_ref_members(lang, setting, cause_pairs)), (i, lang.describe())
+        assert fixed == {True, False}
 
     def test_gen_members_are_true_clauses(self, rt, rt_setting):
         members = list(enumerate_witnesses(gen_language(1), rt_setting, [("ST", "1")]))
@@ -324,7 +347,7 @@ def _ref_members(lang, setting, cause_pairs=()):
     per_var = []
     for x in sig.endo_names:
         options = [(0, None), (1, PrimEvent(x, actual[x]))]
-        if lang.allow_negated:
+        if lang.spec == "conj-neg":
             excluded = [v for v in sig.range_of(x) if v != actual[x]]
             for size in range(1, len(excluded)):
                 for subset in itertools.combinations(excluded, size):
@@ -340,7 +363,7 @@ def _ref_members(lang, setting, cause_pairs=()):
     pos = conjoin([PrimEvent(v, x) for v, x in cause_pairs])
     for _, parts in combos:
         yield pinned(parts)
-        if not lang.pair_on_cause:
+        if lang.spec != "pair":
             continue
         covered = {f.var: f.val for f in parts if isinstance(f, PrimEvent)}
         if all(covered.get(v) == x for v, x in cause_pairs):
@@ -450,11 +473,14 @@ class TestValueListAC2:
             v = is_actual_cause_abstract(CausalSetting(m, {"U": "0"}), cause, effect, lang)
             assert v.is_cause and format_formula(v.tau) == "A=0"
 
-    @pytest.mark.parametrize("pin", ["[ST<-0] BS=1", "(ST=0) ~> (BS=1)", "U=u11 & [ST<-0] BS=1"])
+    # the last pin is false at U=u11, and is rejected all the same
+    @pytest.mark.parametrize(
+        "pin", ["[ST<-0] BS=1", "(ST=0) ~> (BS=1)", "U=u11 & [ST<-0] BS=1", "U=u00 & [ST<-0] BS=1"]
+    )
     def test_non_propositional_pin_is_rejected(self, rt, rt_setting, pin):
         lang = conj_language([parse_formula(pin, rt.sig)])
         cause, effect = parse_formula("ST=1", rt.sig), parse_formula("BS=1", rt.sig)
-        with pytest.raises(FormulaError, match="^box-arrow antecedents must be propositional$"):
+        with pytest.raises(FormulaError, match="^pins must be Boolean combinations of primitive events$"):
             is_actual_cause_abstract(rt_setting, cause, effect, lang)
 
 
@@ -470,7 +496,7 @@ def _ref_weaker_core_members(setting, cause, lang):
     generated them from the cause's literals: every member of the
     positive-conjunction core, kept when the cause entails it and it does
     not entail the cause, both decided by truth table."""
-    core = replace(lang, allow_negated=False, pair_on_cause=False, clause_budget=None)
+    core = conj_language(lang.pins)
     entails = lambda phi, psi: _entails_by_truth_table(phi, psi, setting.sig)
     for phi2 in _ref_members(core, setting):
         if entails(cause, phi2) and not entails(phi2, cause):
@@ -602,16 +628,18 @@ class TestMaskAC2AtStates:
         self._compare(_counterpart_setting, 12, monkeypatch, "state-blocks")
         assert len(queries) > whole and max(queries) == 2
 
-    @pytest.mark.parametrize("pin", ["U=u11 & [ST<-0] BS=1", "U=u11 | [ST<-0] BS=1"])
+    @pytest.mark.parametrize(
+        "pin", ["U=u11 & [ST<-0] BS=1", "U=u11 | [ST<-0] BS=1", "U=u00 & [ST<-0] BS=1"]
+    )
     @pytest.mark.parametrize("make", [conj_language, conj_neg_language, pair_language])
     def test_pin_holding_an_intervention_is_rejected(self, rt, pin, make):
         # the second pin holds at the state without its intervention being
-        # reached, but its mask labels the intervention at every state
+        # reached, and the third is false there
         m2, ctx_state = build_counterpart(rt)
         setting = CfSetting(m2, ctx_state({"U": "u11"}))
         lang = make([parse_formula(pin, rt.sig)])
         cause, effect = parse_formula("ST=1", rt.sig), parse_formula("BS=1", rt.sig)
-        with pytest.raises(FormulaError, match="^interventions are not evaluable"):
+        with pytest.raises(FormulaError, match="^pins must be Boolean combinations of primitive events$"):
             is_actual_cause_abstract(setting, cause, effect, lang)
 
 

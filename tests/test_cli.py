@@ -138,7 +138,27 @@ class TestCause:
             "--effect", "BS=1", "--mode", "abstract", "--lang", "conj", "--pin", pin,
         )
         assert (code, out) == (2, "")
-        assert err == "parse error: box-arrow antecedents must be propositional\n"
+        assert err == "parse error: pins must be Boolean combinations of primitive events\n"
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            ["cause", "-u", "U=u11", "--cause", "ST=1"],
+            ["cause", "--semantics", "structure", "--state", "s125", "--cause", "ST=1"],
+            ["explain", "--K", "U=u11; U=u10", "--candidate", "ST=1"],
+        ],
+        ids=["cause-model", "cause-structure", "explain"],
+    )
+    def test_false_non_propositional_pin_is_a_parse_error(self, capsys, rt_file, tmp_path, setting):
+        structure = str(tmp_path / "rt.cfs")
+        run(capsys, "build-cf", "-m", rt_file, "-o", structure)
+        where = ["-s", structure] if "structure" in setting else ["-m", rt_file]
+        code, out, err = run(
+            capsys, *setting, *where, "--effect", "BS=1", "--mode", "abstract",
+            "--pin", "U=u00 & [ST<-0] BS=1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "parse error: pins must be Boolean combinations of primitive events\n"
 
 
 class TestStructureWorkflow:
@@ -223,14 +243,16 @@ class TestStructureWorkflow:
 
     def test_pinned_cause_on_structure(self, capsys, rt_file, tmp_path):
         out_file = str(tmp_path / "rt.cfs")
-        run(capsys, "build-cf", "-m", rt_file, "-o", out_file)
+        _, out, _ = run(capsys, "build-cf", "-m", rt_file, "-o", out_file, "--json")
+        state = json.loads(out)["contextStates"]["U=u11"]
         code, out, _ = run(
-            capsys, "cause", "--semantics", "structure", "-s", out_file, "--state", "s107",
+            capsys, "cause", "--semantics", "structure", "-s", out_file, "--state", state,
             "--cause", "ST=1", "--effect", "BS=1", "--mode", "abstract", "--lang", "pair",
             "--pin", "U=u11", "--json",
         )
         assert code == 0
-        assert isinstance(json.loads(out)["isCause"], bool)
+        verdict = json.loads(out)
+        assert (verdict["isCause"], verdict["tau"]) == (True, "U=u11 & BH=0")
 
 
 class TestExplain:

@@ -299,6 +299,21 @@ class TestValidation:
         with pytest.raises(FormulaError):
             check(mt, contexts(mt, "u111"), "ST=1", effect="(ST=0) ~> (BS=0)")
 
+    @pytest.mark.parametrize("on_states", [False, True])
+    @pytest.mark.parametrize("pin", ["U=u111 & [ST<-0] BS=1", "U=u001 & [ST<-0] BS=1"])
+    def test_non_propositional_pin_rejected(self, mt, on_states, pin):
+        # the second pin is false in every considered setting
+        K = contexts(mt, "u111", "u112")
+        if on_states:
+            m2, ctx_state = build_counterpart(mt)
+            settings = [CfSetting(m2, ctx_state(u)) for u in K]
+        else:
+            settings = [CausalSetting(mt, u) for u in K]
+        lang = conj_language([parse_formula(pin, mt.sig)])
+        cand, effect = parse_formula("ST=1", mt.sig), parse_formula("BS=1", mt.sig)
+        with pytest.raises(FormulaError, match="^pins must be Boolean combinations of primitive events$"):
+            is_explanation_abstract(settings, cand, effect, lang)
+
     def test_to_dict_shape(self, mt):
         d = check(mt, contexts(mt, "u111", "u112", "u101"), "ST=1 & BT=1").to_dict()
         assert d["isExplanation"] and d["nontrivial"]
