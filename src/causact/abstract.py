@@ -381,9 +381,12 @@ def is_actual_cause_abstract(
 def _weaker_core_members(setting, cause, lang):
     """The members of the language's positive-conjunction core (the pins
     and actual-value events) strictly weaker than the cause, in the order
-    of `enumerate_witnesses`.  The cause entails a member exactly when it
-    entails the pins and each event, so only the variables whose actual
-    event it entails get options beyond no conjunct."""
+    of `enumerate_witnesses`, each with at least one event beyond the pins:
+    the pins alone can never pass AC2', as its antecedent would deny them,
+    just as HP's AC3 tries only nonempty subsets of the cause.  The cause
+    entails a member exactly when it entails the pins and each event, so
+    only the variables whose actual event it entails get options beyond
+    no conjunct."""
     sig, actual = setting.sig, setting.assignment
     lits = event_literals(cause, sig)
     entails = lambda psi: prop_entails_given(cause, lits, psi, event_literals(psi, sig), sig)
@@ -391,7 +394,7 @@ def _weaker_core_members(setting, cause, lang):
         return
     per_var = [options if entails(options[1][1]) else options[:1]
                for options in _conj_options(sig, actual, False)]
-    for member in _by_weight(per_var):
+    for member in _by_weight(per_var)[1:]:  # [0] is the pins alone
         phi2 = _tau(lang, per_var, member)
         if not prop_entails_given(phi2, event_literals(phi2, sig), cause, lits, sig):
             yield phi2

@@ -13,13 +13,13 @@ ones, which makes intervened solutions beat backtracked alternatives.
 
 The checker reads the structure's n x n rank matrix `near` (built once per
 structure, by broadcasting for the derived order, by one pass of `rank()`
-for other ranked orders) and decides both conditions from minima over it:
-condition (a) takes, per endogenous Y, the least rank over each group of
+for other ranked orders) and decides both conditions from least ranks
+over it: condition (a) takes, per endogenous Y, the least rank over each group of
 states that agree on every other variable; condition (c) keeps, per
 conjunction of endogenous events, the least rank over its states with the
-base's exogenous values and over those with other values, and decides a
-pairwise disjunction from the elementwise minimum of its two conjunctions'
-vectors.
+base's exogenous values and over those with other values, and finds the
+first failing pairwise disjunction from the largest and smallest of
+those vectors over the later conjunctions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import Formula, Signature, format_formula
+from .formula import Signature
 from .model import CausalModel
 from .structure import CfStructure, ClosenessOrder
 
@@ -177,7 +177,6 @@ def check_correspondence(
     m: CausalModel,
     strong: bool = False,
     strict: bool = False,
-    extra_psis: list[Formula] | None = None,
 ) -> CorrespondenceReport:
     """Check that m2 agrees with m's equations (condition a); if strong,
     also that every assignment has a state (b) and that closest states
@@ -196,9 +195,7 @@ def check_correspondence(
     report = CorrespondenceReport(condition_a=_check_condition_a(m2, m, strict, near, vals))
     if strong:
         report.condition_b = _check_condition_b(m2, m)
-        report.condition_c, report.checked_psi_count = _check_condition_c(
-            m2, m, near, vals, extra_psis
-        )
+        report.condition_c, report.checked_psi_count = _check_condition_c(m2, m, near, vals)
     return report
 
 
@@ -290,27 +287,26 @@ def _psi_family(sig: Signature):
         yield combo
 
 
-_PAIR_BLOCK = 1 << 16  # pair-by-base cells decided per numpy step
-
-
-def _check_condition_c(m2, m, near, vals, extra_psis):
+def _check_condition_c(m2, m, near, vals):
     """Exogenous values must be preserved in the closest psi-states, for all
-    conjunctions of endogenous events, all pairwise disjunctions of such
-    conjunctions, and any explicitly supplied query formulas.
+    conjunctions of endogenous events and all pairwise disjunctions of such
+    conjunctions.
 
     psi fails at base s when some psi-state has s's exogenous values
     (otherwise psi is not consistent with U = u there and the condition
     does not apply) and none of them is strictly closer than every
-    psi-state with other exogenous values.  So each mask needs only two
+    psi-state with other exogenous values.  So each conjunction needs two
     vectors over the bases: `min_same[s]`, the least rank from s over
     psi-states with s's exogenous values, and `min_diff[s]`, the least
-    rank over the others.  They are computed once per conjunction; the
-    vectors of psi1 | psi2 are the elementwise minima of its disjuncts'
-    vectors, so each disjunction is decided in O(n), many at a time.
-
-    Disjunctions whose mask equals that of an earlier pair (in
-    `itertools.combinations` order) are not counted again.  Such a
-    duplicate never decides the verdict: its first occurrence fails
+    rank over the others.  Those of psi1 | psi2 are the elementwise minimum
+    of its disjuncts'.  So once every conjunction has passed, a
+    disjunction fails at s only where exactly one disjunct is "lonely",
+    with no state of s's exogenous values, and the other's `min_same` is
+    at least the lonely one's `min_diff`: elsewhere min(same1, same2) <=
+    same_i < diff_i for both i.  The largest `min_same` and smallest
+    `min_diff` over the later conjunctions find the first failing pair in
+    `itertools.combinations` order.  A pair whose mask equals an earlier pair's is not counted
+    again; it never decides the verdict, as the earlier one fails
     whenever it does."""
     sig = m.sig
     states = m2.states
@@ -321,24 +317,6 @@ def _check_condition_c(m2, m, near, vals, extra_psis):
     same = exo_class[:, None] == exo_class[None, :]
     near_same = np.where(same, near, inf)
     near_diff = np.where(same, inf, near)
-
-    def minima(masks):
-        out_same = np.full((len(masks), n), inf, dtype=np.int64)
-        out_diff = out_same.copy()
-        for row, mask in enumerate(masks):
-            cols = np.flatnonzero(mask)
-            if cols.size:
-                out_same[row] = near_same[:, cols].min(axis=1)
-                out_diff[row] = near_diff[:, cols].min(axis=1)
-        return out_same, out_diff
-
-    def first_bad(min_same, min_diff):
-        """(row, base) of the first failing row, or None."""
-        bad = (min_same >= min_diff) & (min_same != inf)
-        rows = np.flatnonzero(bad.any(axis=1))
-        if not rows.size:
-            return None
-        return int(rows[0]), int(np.flatnonzero(bad[rows[0]])[0])
 
     def describe(combo):
         return " & ".join(f"{v}={w}" for v, w in zip(sig.endo_names, combo) if w is not None)
@@ -352,35 +330,36 @@ def _check_condition_c(m2, m, near, vals, extra_psis):
         for col, want in enumerate(combo):
             if want is not None:
                 masks[row] &= vals[:, k + col] == sig.range_of(sig.endo_names[col]).index(want)
-    conj_same, conj_diff = minima(masks)
+    conj_same = np.full((len(combos), n), inf, dtype=np.int64)
+    conj_diff = conj_same.copy()
+    for row, mask in enumerate(masks):
+        cols = np.flatnonzero(mask)
+        if cols.size:
+            conj_same[row] = near_same[:, cols].min(axis=1)
+            conj_diff[row] = near_diff[:, cols].min(axis=1)
 
-    hit = first_bad(conj_same, conj_diff)
-    if hit is not None:
-        return failed(describe(combos[hit[0]]), hit[1], hit[0] + 1)
+    bad = (conj_same >= conj_diff) & (conj_same != inf)
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        i = int(rows[0])
+        return failed(describe(combos[i]), np.flatnonzero(bad[i])[0], i + 1)
     checked = len(combos)
 
-    # Pairwise disjunctions in combinations order.  All conjunctions
-    # passed, so a disjunction can fail at s only where one of its
-    # disjuncts has no state with s's exogenous values: elsewhere
-    # min(same1, same2) <= same_i < diff_i for both i.  Only pairs with
-    # such a "lonely" disjunct are decided, a block of partners of one
-    # first disjunct at a time.
-    lonely = (conj_same == inf).any(axis=1)
-    step = max(1, _PAIR_BLOCK // max(n, 1))
+    # At each base, row i of `tail_same` is the largest min_same over the
+    # conjunctions i, i+1, ... not lonely there (-1 if none), and row i of
+    # `tail_diff` the smallest min_diff over those lonely there.
+    lonely = conj_same == inf
+    tail_same = np.maximum.accumulate(np.where(lonely, -1, conj_same)[::-1])[::-1]
+    tail_diff = np.minimum.accumulate(np.where(lonely, conj_diff, inf)[::-1])[::-1]
+    partnered = np.where(lonely[:-1], tail_same[1:] >= conj_diff[:-1], conj_same[:-1] >= tail_diff[1:])
+    rows = np.flatnonzero(partnered.any(axis=1))
     hit = None
-    for i in range(len(combos) - 1):
-        partners = i + 1 + np.flatnonzero(lonely[i + 1 :] | lonely[i])
-        for lo in range(0, partners.size, step):
-            js = partners[lo : lo + step]
-            block = first_bad(
-                np.minimum(conj_same[i], conj_same[js]),
-                np.minimum(conj_diff[i], conj_diff[js]),
-            )
-            if block is not None:
-                hit = i, js[block[0]], block[1]
-                break
-        if hit is not None:
-            break
+    if rows.size:
+        i = int(rows[0])
+        same = np.minimum(conj_same[i], conj_same[i + 1 :])
+        bad = (same >= np.minimum(conj_diff[i], conj_diff[i + 1 :])) & (same != inf)
+        j = int(np.flatnonzero(bad.any(axis=1))[0])
+        hit = i, i + 1 + j, np.flatnonzero(bad[j])[0]
 
     # Count the distinct union masks up to the failing pair, or all: each
     # mask is a row of 64-bit words; the rows are sorted in place and
@@ -402,13 +381,6 @@ def _check_condition_c(m2, m, near, vals, extra_psis):
     if hit is not None:
         i, j, base = hit
         return failed(f"({describe(combos[i])}) | ({describe(combos[j])})", base, checked)
-
-    for psi in extra_psis or []:
-        checked += 1
-        hit = first_bad(*minima([m2.extension(psi)]))
-        if hit is not None:
-            return failed(format_formula(psi), hit[1], checked)
-
     return ConditionReport(ok=True), checked
 
 

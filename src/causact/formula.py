@@ -81,7 +81,8 @@ class Signature:
     def assignments(self, names) -> Iterator[dict[str, str]]:
         """All assignments to the given variables, in lexicographic order of
         the declared variable and value order."""
-        names = [n for n in self.all_names() if n in set(names)]
+        wanted = set(names)
+        names = [n for n in self.all_names() if n in wanted]
         ranges = [self.range_of(n) for n in names]
         for values in itertools.product(*ranges):
             yield dict(zip(names, values))

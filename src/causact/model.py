@@ -320,7 +320,6 @@ def parse_model(text: str, name_hint: str = "model") -> CausalModel:
     endo: list[tuple[str, tuple[str, ...]]] = []
     eq_texts: list[tuple[str, str]] = []
 
-    i = 0
     statements = _split_statements(body)
     for stmt in statements:
         if stmt.startswith("model "):

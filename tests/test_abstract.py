@@ -561,6 +561,36 @@ class TestAC3CandidatesFromEntailedLiterals:
         self._compare(make, 60, monkeypatch, "ac3-candidates-cf")
 
 
+class TestPinsOnlyCandidate:
+    """The pins alone never pass AC2' by default: the antecedent !P & tau
+    denies pins that every tau carries.  So AC3' does not try them."""
+
+    @pytest.mark.parametrize("where", ["causal", "counterpart", "relation"])
+    def test_pins_only_never_passes_ac2(self, where):
+        for i in range(60):
+            rng = random.Random(f"pins-only:{where}:{i}")
+            if where == "causal":
+                m = gen_random_model(DEFAULT_CAPS, rng)
+                setting = CausalSetting(m, random_context(m, rng))
+            else:
+                m, m2, state = (_counterpart_setting if where == "counterpart" else _relation_structure)(rng)
+                setting = CfSetting(m2, state)
+            sig, actual = m.sig, setting.assignment
+            v, w = rng.choice(sig.endo_names), rng.choice(sig.endo_names)
+            other = [x for x in sig.range_of(w) if x != actual[w]] or [actual[w]]
+            pins = [
+                (),
+                (ExoEvent(sig.exo_names[0], actual[sig.exo_names[0]]), PrimEvent(v, actual[v])),
+                (Or(PrimEvent(v, actual[v]), PrimEvent(w, rng.choice(other))),
+                 Not(PrimEvent(w, rng.choice(other)))),
+            ][i % 3]
+            effect = random_prop_formula(m, rng, 2)
+            for spec in ("conj", "conj-neg", "pair", "gen:1"):
+                lang = parse_language(spec, list(pins))
+                assert all(setting.holds(pin) for pin in lang.pins)
+                assert abstract._ac2_prime(setting, conjoin(list(pins)), effect, lang, False) is None, (i, spec)
+
+
 def _relation_structure(rng):
     """Six random states over a random model's signature, closeness from
     random triples: a relation order that need not be transitive, so a

@@ -20,6 +20,13 @@ def bomb_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def rt_cfs(tmp_path_factory, rt_file):
+    path = str(tmp_path_factory.mktemp("structures") / "rock-throwing.cfs")
+    assert main(["build-cf", "-m", rt_file, "-o", path]) == 0
+    return path
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -253,6 +260,49 @@ class TestStructureWorkflow:
         assert code == 0
         verdict = json.loads(out)
         assert (verdict["isCause"], verdict["tau"]) == (True, "U=u11 & BH=0")
+
+
+class TestAllowVacuous:
+    # s125 is the state of U=u11.  The pins-only AC3' candidate `true` has
+    # the antecedent !true & tau, which no state satisfies, so it is not
+    # tried; with it, every cause failed minimality under --allow-vacuous.
+    @pytest.mark.parametrize("vacuous", [[], ["--allow-vacuous"]])
+    def test_cause_at_a_state(self, capsys, rt_cfs, vacuous):
+        code, out, _ = run(
+            capsys, "cause", "--semantics", "structure", "-s", rt_cfs, "--state", "s125",
+            "--cause", "ST=1", "--effect", "BS=1", "--mode", "abstract", *vacuous,
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == ["isCause: True (language conj)", "tau: BH=0"]
+
+    @pytest.mark.parametrize("vacuous", [[], ["--allow-vacuous"]])
+    def test_explanation_at_a_state(self, capsys, rt_cfs, vacuous):
+        code, out, _ = run(
+            capsys, "explain", "--semantics", "structure", "-s", rt_cfs, "--K-states", "s125",
+            "--candidate", "ST=1", "--effect", "BS=1", "--mode", "abstract", *vacuous,
+        )
+        assert code == 0
+        assert out.startswith("isExplanation: True")
+
+
+class TestDeepFormula:
+    DEEP = " & ".join(["ST=1"] * 2000)
+
+    @pytest.mark.parametrize("call", [
+        ["eval", "-m", "{cm}", "-u", "U=u11", DEEP],
+        ["cause", "-m", "{cm}", "-u", "U=u11", "--cause", DEEP, "--effect", "BS=1",
+         "--mode", "abstract"],
+        ["cause", "--semantics", "structure", "-s", "{cfs}", "--state", "s125",
+         "--cause", DEEP, "--effect", "BS=1", "--mode", "abstract"],
+        ["explain", "-m", "{cm}", "--K", "U=u11", "--candidate", DEEP, "--effect", "BS=1",
+         "--mode", "abstract"],
+    ], ids=["eval", "cause-model", "cause-structure", "explain"])
+    def test_too_deep_is_semantic_error(self, capsys, rt_file, rt_cfs, call):
+        files = {"{cm}": rt_file, "{cfs}": rt_cfs}
+        code, out, err = run(capsys, *[files.get(a, a) for a in call])
+        assert (code, out) == (3, "")
+        assert err == "error: formula too deeply nested to evaluate\n"
+        assert "Traceback" not in err
 
 
 class TestExplain:

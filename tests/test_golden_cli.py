@@ -3,8 +3,9 @@ models and their derived counterpart structures, compared with a recorded
 transcript (`golden_cli.json`).
 
 `{name.cm}` in a call stands for the corpus model `name` written to a file,
-and `{name.cfs}` for its counterpart as `build-cf -o` writes it.  `fuzz`
-is left out: its output reports timings.
+and `{name.cfs}` for its counterpart as `build-cf -o` writes it; a
+placeholder named in `FIXTURES` stands for that text written to a file.
+`fuzz` is left out: its output reports timings.
 
 To record the transcript again, run
 
@@ -30,9 +31,35 @@ CC, CCS = "{chain-copy.cm}", "{chain-copy.cfs}"
 ORD, ORDS = "{rock-throwing-ordered.cm}", "{rock-throwing-ordered.cfs}"
 BOMB, BOMBS = "{bomb.cm}", "{bomb.cfs}"
 C3, C3S = "{chain3.cm}", "{chain3.cfs}"
+PAIR_FAIL, PAIR_FAILS = "{pair-fail.cm}", "{pair-fail.cfs}"
 LANGS = ["conj", "conj-neg", "pair", "gen:1"]
 K3 = "U=u111; U=u112; U=u101"
 K3_STATES = "s317, s347, s213"  # the same contexts in the counterpart
+
+
+# A hand-written structure whose only condition-(c) failure is a pairwise
+# disjunction: (X=1) | (X=2) at base a.
+FIXTURES = {
+    PAIR_FAIL: """\
+model pair-fail
+exo U : { 0, 1 }
+var X : { 0, 1, 2 }
+eq X = case { U=1 : 2 ; default: 0 }
+""",
+    PAIR_FAILS: """\
+structure pair-fail
+exo U : { 0, 1 }
+var X : { 0, 1, 2 }
+state a { U=0, X=0 }
+state b { U=0, X=1 }
+state c { U=1, X=2 }
+state d { U=1, X=1 }
+order a : { c } ; { b } ; { d }
+order b : { a } ; { d } ; { c }
+order c : { d } ; { b } ; { a }
+order d : { c } ; { b } ; { a }
+""",
+}
 
 
 def _abstract(where, cause, effect, lang, *extra):
@@ -110,18 +137,29 @@ CALLS = [
     # corpus
     ["corpus"],
     ["corpus", "--json"],
+    # condition (c) failing on a pairwise disjunction
+    ["check-correspondence", "-m", PAIR_FAIL, "-s", PAIR_FAILS, "--strong"],
+    ["check-correspondence", "-m", PAIR_FAIL, "-s", PAIR_FAILS, "--strong", "--json"],
+    # --allow-vacuous at a structure state
+    _abstract(RT_STATE, "ST=1", "BS=1", "conj", "--allow-vacuous"),
+    ["explain", "--semantics", "structure", "-s", RTS, "--K-states", "s125",
+     "--candidate", "ST=1", "--effect", "BS=1", "--mode", "abstract", "--allow-vacuous"],
 ]
 
 
 def _materialize(directory):
-    """Write every corpus model and its counterpart into `directory` and
-    return the placeholder -> path table."""
+    """Write every corpus model and its counterpart, and every fixture text,
+    into `directory` and return the placeholder -> path table."""
     files = {}
     for name, text in MODELS.items():
         cm, cfs = Path(directory) / f"{name}.cm", Path(directory) / f"{name}.cfs"
         cm.write_text(text)
         _run(["build-cf", "-m", str(cm), "-o", str(cfs)])
         files[f"{{{name}.cm}}"], files[f"{{{name}.cfs}}"] = str(cm), str(cfs)
+    for placeholder, text in FIXTURES.items():
+        path = Path(directory) / placeholder.strip("{}")
+        path.write_text(text)
+        files[placeholder] = str(path)
     return files
 
 
