@@ -381,12 +381,11 @@ def is_actual_cause_abstract(
 def _weaker_core_members(setting, cause, lang):
     """The members of the language's positive-conjunction core (the pins
     and actual-value events) strictly weaker than the cause, in the order
-    of `enumerate_witnesses`, each with at least one event beyond the pins:
-    the pins alone can never pass AC2', as its antecedent would deny them,
-    just as HP's AC3 tries only nonempty subsets of the cause.  The cause
-    entails a member exactly when it entails the pins and each event, so
-    only the variables whose actual event it entails get options beyond
-    no conjunct."""
+    of `enumerate_witnesses`.  The cause entails a member exactly when it
+    entails the pins and each event, so only the variables whose actual
+    event it entails get options beyond no conjunct.  The pins alone are
+    left out: the antecedent !P & tau of their AC2' denies them, and HP's
+    AC3 likewise tries only nonempty subsets of the cause."""
     sig, actual = setting.sig, setting.assignment
     lits = event_literals(cause, sig)
     entails = lambda psi: prop_entails_given(cause, lits, psi, event_literals(psi, sig), sig)

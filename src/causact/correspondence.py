@@ -14,11 +14,11 @@ ones, which makes intervened solutions beat backtracked alternatives.
 The checker reads the structure's n x n rank matrix `near` (built once per
 structure, by broadcasting for the derived order, by one pass of `rank()`
 for other ranked orders) and decides both conditions from least ranks
-over it: condition (a) takes, per endogenous Y, the least rank over each group of
-states that agree on every other variable; condition (c) keeps, per
-conjunction of endogenous events, the least rank over its states with the
-base's exogenous values and over those with other values, and finds the
-first failing pairwise disjunction from the largest and smallest of
+over it: condition (a) takes, per endogenous Y, the least rank over each
+group of states that agree on every other variable; condition (c) keeps,
+per conjunction of endogenous events, the least rank over its states with
+the base's exogenous values and over those with other values, and finds
+the first failing pairwise disjunction from the largest and smallest of
 those vectors over the later conjunctions.
 """
 
@@ -305,9 +305,9 @@ def _check_condition_c(m2, m, near, vals):
     at least the lonely one's `min_diff`: elsewhere min(same1, same2) <=
     same_i < diff_i for both i.  The largest `min_same` and smallest
     `min_diff` over the later conjunctions find the first failing pair in
-    `itertools.combinations` order.  A pair whose mask equals an earlier pair's is not counted
-    again; it never decides the verdict, as the earlier one fails
-    whenever it does."""
+    `itertools.combinations` order.  A pair whose mask equals an earlier
+    pair's is not counted again; it never decides the verdict, as the
+    earlier one fails whenever it does."""
     sig = m.sig
     states = m2.states
     n = len(states)
@@ -356,8 +356,8 @@ def _check_condition_c(m2, m, near, vals):
     hit = None
     if rows.size:
         i = int(rows[0])
-        same = np.minimum(conj_same[i], conj_same[i + 1 :])
-        bad = (same >= np.minimum(conj_diff[i], conj_diff[i + 1 :])) & (same != inf)
+        pair_same = np.minimum(conj_same[i], conj_same[i + 1 :])
+        bad = (pair_same >= np.minimum(conj_diff[i], conj_diff[i + 1 :])) & (pair_same != inf)
         j = int(np.flatnonzero(bad.any(axis=1))[0])
         hit = i, i + 1 + j, np.flatnonzero(bad[j])[0]
 

@@ -263,23 +263,21 @@ class TestStructureWorkflow:
 
 
 class TestAllowVacuous:
-    # s125 is the state of U=u11.  The pins-only AC3' candidate `true` has
-    # the antecedent !true & tau, which no state satisfies, so it is not
-    # tried; with it, every cause failed minimality under --allow-vacuous.
-    @pytest.mark.parametrize("vacuous", [[], ["--allow-vacuous"]])
-    def test_cause_at_a_state(self, capsys, rt_cfs, vacuous):
+    # s125 is the state of U=u11; the verdicts are those without the flag.
+    # The pins-only AC3' candidate `true` has the antecedent !true & tau,
+    # which no state satisfies, so it would pass vacuously: it is not tried.
+    def test_cause_at_a_state(self, capsys, rt_cfs):
         code, out, _ = run(
             capsys, "cause", "--semantics", "structure", "-s", rt_cfs, "--state", "s125",
-            "--cause", "ST=1", "--effect", "BS=1", "--mode", "abstract", *vacuous,
+            "--cause", "ST=1", "--effect", "BS=1", "--mode", "abstract", "--allow-vacuous",
         )
         assert code == 0
         assert out.splitlines()[:2] == ["isCause: True (language conj)", "tau: BH=0"]
 
-    @pytest.mark.parametrize("vacuous", [[], ["--allow-vacuous"]])
-    def test_explanation_at_a_state(self, capsys, rt_cfs, vacuous):
+    def test_explanation_at_a_state(self, capsys, rt_cfs):
         code, out, _ = run(
             capsys, "explain", "--semantics", "structure", "-s", rt_cfs, "--K-states", "s125",
-            "--candidate", "ST=1", "--effect", "BS=1", "--mode", "abstract", *vacuous,
+            "--candidate", "ST=1", "--effect", "BS=1", "--mode", "abstract", "--allow-vacuous",
         )
         assert code == 0
         assert out.startswith("isExplanation: True")
