@@ -446,7 +446,16 @@ def _ac2_at_context(setting, phi, effect, lang):
         the vectors P tries.
 
     P comes earlier in each case, so none of these members can decide AC2',
-    and each pinned tau is tried once."""
+    and each pinned tau is tried once.
+
+    Only the variables relevant to the residual and the effect (see
+    `CausalModel.relevant`) get the option X=a.  For any other variable Y,
+    P & Y=a tries the same vectors as P outside the residual's variables
+    (Y keeps its actual value anyway, or cannot change the effect) and a
+    subset of them on one of the residual's variables.  P comes earlier,
+    and the stable sort of `_by_weight` keeps the remaining members in
+    their relative order, so the first passing member, tau and the AC3'
+    violator are those of the full enumeration."""
     model, sig, actual = setting.model, setting.sig, setting.assignment
     cause_vars = free_endogenous(phi)
     pins = _pin_negated_conjuncts(conjoin(lang.pins), actual, cause_vars)
@@ -454,8 +463,10 @@ def _ac2_at_context(setting, phi, effect, lang):
     not_effect = Not(effect)
     model.check_causal_fragment(BoxArrow(residual, not_effect))
     free = free_endogenous(residual)
+    relevant = model.relevant(free, free_endogenous(effect))
     names = sig.endo_names
-    per_var = _conj_options(sig, actual, False)
+    per_var = [options if x in relevant else options[:1]
+               for x, options in zip(names, _conj_options(sig, actual, False))]
     # each option's candidate values: no conjunct leaves the variable out of
     # the intervention unless the residual mentions it; X=a tries only a
     candidates = [

@@ -1,11 +1,22 @@
 """The modified Halpern-Pearl actual-cause checker (AC1-3).
 
-The AC2 search is exhaustive: candidate witness sets W range over all
-subsets of the endogenous variables outside the cause, with W fixed at its
-actual values, and the alternative x' ranges over the full product range of
-the cause variables.  Search order is W by increasing cardinality then
-lexicographic in the signature's variable order, x' lexicographic, so the
-smallest witnesses are reported first.
+Candidate witness sets W range over the subsets of the endogenous
+variables outside the cause, with W fixed at its actual values, and the
+alternative x' ranges over the full product range of the cause variables.
+Search order is W by increasing cardinality then lexicographic in the
+signature's variable order, x' lexicographic, so the smallest witnesses
+are reported first.
+
+Only the relevant part of W is searched: W & R, for R the variables that
+descend from the cause and are, or are ancestors of, an effect variable
+(`CausalModel.relevant`).  Whether (W, x') passes depends on (W & R, x')
+alone, by induction in topological order: a variable that does not descend
+from the cause keeps its actual value whether W holds it or not, and
+fixing a non-ancestor of the effect changes no effect variable.  W & R
+comes no later than W in the search order, so each relevant W is evaluated
+once per x' and every other W is a lookup: the full listing is the
+relevant witnesses closed under adding irrelevant variables, in the same
+order as an exhaustive search, and the first witness is always relevant.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from .formula import (
     Intervene,
     Not,
     as_event_conjunction,
+    free_endogenous,
     is_propositional,
 )
 from .model import CausalModel
@@ -96,23 +108,33 @@ def _ac2_search(m, u, pairs, effect, first_only=False) -> list[HpWitness]:
     sig = m.sig
     xvars = [v for v, _ in pairs]
     xvals = tuple(v for _, v in pairs)
-    rest = [v for v in sig.endo_names if v not in xvars]
+    relevant = m.relevant(xvars, free_endogenous(effect))
+    # the first witness has a relevant W, so `first_only` walks only those
+    rest = [v for v in sig.endo_names if v not in xvars and (v in relevant or not first_only)]
+    xprimes = [x for x in itertools.product(*(sig.range_of(v) for v in xvars)) if x != xvals]
     ctx = m.validate_context(u)
     actual = m._solve(ctx, {})
     not_effect = Not(effect)
     found: list[HpWitness] = []
+    passing: dict[tuple, list] = {}  # relevant W -> the x' that pass with it
     for size in range(len(rest) + 1):
         for w in itertools.combinations(rest, size):
+            key = tuple(v for v in w if v in relevant)
+            if key != w:  # decided with W & R, which came earlier
+                if passing[key]:
+                    wstar = tuple(actual[v] for v in w)
+                    found += [HpWitness(w, wstar, xprime) for xprime in passing[key]]
+                continue
             wstar = tuple(actual[v] for v in w)
-            for xprime in itertools.product(*(sig.range_of(v) for v in xvars)):
-                if xprime == xvals:
-                    continue
+            passing[w] = []
+            for xprime in xprimes:
                 inter = dict(zip(xvars, xprime))
                 inter.update(zip(w, wstar))
                 if m._eval(ctx, not_effect, inter):
                     found.append(HpWitness(w, wstar, xprime))
                     if first_only:
                         return found
+                    passing[w].append(xprime)
     return found
 
 

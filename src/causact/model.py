@@ -181,6 +181,23 @@ class CausalModel:
         self._solve_cache[key] = dict(asgn)
         return asgn
 
+    def relevant(self, moved, targets) -> set[str]:
+        """The endogenous variables outside `moved` that descend from some
+        variable of `moved` and are, or are ancestors of, some variable of
+        `targets`.  Under an intervention that sets `moved` and holds other
+        variables at their actual values, every other variable either keeps
+        its actual value anyway (it does not descend from `moved`) or cannot
+        change a target (it is no ancestor of one)."""
+        below = set(moved)
+        for x in self.topo_order:
+            if x not in below and any(p in below for p in self.parents[x]):
+                below.add(x)
+        above = set(targets)
+        for x in reversed(self.topo_order):
+            if x in above:
+                above.update(self.parents[x])
+        return (below & above) - set(moved)
+
     # -- satisfaction
 
     def check_causal_fragment(self, phi: Formula, *, in_boxarrow=False):

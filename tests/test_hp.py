@@ -1,6 +1,20 @@
+import itertools
+import json
+import random
+
 import pytest
 
-from causact.formula import FormulaError, parse_formula
+from causact import hp
+from causact.explanation import is_explanation_hp
+from causact.formula import FormulaError, Not, parse_formula
+from causact.harness import (
+    DEFAULT_CAPS,
+    FuzzCaps,
+    gen_random_model,
+    random_context,
+    random_event_conjunction,
+    random_prop_formula,
+)
 from causact.hp import HpWitness, check_witness, is_actual_cause_hp
 from causact.model import parse_model
 from causact.corpus import BOMB, ROCK_THROWING
@@ -116,3 +130,62 @@ class TestValidation:
 
     def test_negated_effect_allowed(self, rt):
         assert rt_check(rt, "ST=1", effect="!BS=0").is_cause
+
+
+def _ref_ac2_search(m, u, pairs, effect, first_only=False):
+    """Reference AC2 search, as the checker ran it before it searched only
+    the relevant variables: every W over every endogenous variable outside
+    the cause, each with every x'."""
+    sig = m.sig
+    xvars = [v for v, _ in pairs]
+    xvals = tuple(v for _, v in pairs)
+    rest = [v for v in sig.endo_names if v not in xvars]
+    ctx = m.validate_context(u)
+    actual = m._solve(ctx, {})
+    not_effect = Not(effect)
+    found = []
+    for size in range(len(rest) + 1):
+        for w in itertools.combinations(rest, size):
+            wstar = tuple(actual[v] for v in w)
+            for xprime in itertools.product(*(sig.range_of(v) for v in xvars)):
+                if xprime == xvals:
+                    continue
+                inter = dict(zip(xvars, xprime))
+                inter.update(zip(w, wstar))
+                if m._eval(ctx, not_effect, inter):
+                    found.append(HpWitness(w, wstar, xprime))
+                    if first_only:
+                        return found
+    return found
+
+
+class TestPrunedAgainstExhaustive:
+    """The AC2 search tries only witness sets over the relevant variables;
+    verdicts, full witness listings, AC3 violators and explanation
+    certificates must match the exhaustive search."""
+
+    @pytest.mark.parametrize(
+        "caps, trials", [(DEFAULT_CAPS, 400), (FuzzCaps(6, 2, 4), 30)], ids=["default", "wide"]
+    )
+    def test_output_matches_the_exhaustive_search(self, caps, trials, monkeypatch):
+        for i in range(trials):
+            rng = random.Random(f"pruned-ac2:{caps}:{i}")
+            m = gen_random_model(caps, rng)
+            u = random_context(m, rng)
+            cause = random_event_conjunction(m, rng, max_size=3, prefer_actual=m.solve(u))
+            effect = random_prop_formula(m, rng, 2)
+            contexts = list(m.sig.assignments(m.sig.exo_names))
+            K = rng.sample(contexts, rng.randint(1, min(3, len(contexts))))
+
+            def run():
+                return [
+                    is_actual_cause_hp(m, u, cause, effect).to_dict(),
+                    is_actual_cause_hp(m, u, cause, effect, first_only=True).to_dict(),
+                    is_explanation_hp(m, K, cause, effect).to_dict(),
+                ]
+
+            new = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(hp, "_ac2_search", _ref_ac2_search)
+                ref = run()
+            assert json.dumps(new) == json.dumps(ref), i

@@ -25,7 +25,11 @@ from causact.harness import (
     random_prop_formula,
     trial_rng,
 )
+from causact import abstract, hp
+from causact.abstract import CausalSetting, conj_language, conj_neg_language
+from causact.hp import is_actual_cause_hp
 from causact.model import (
+    CausalModel,
     ModelError,
     model_to_text,
     parse_context,
@@ -466,3 +470,82 @@ class TestEquationsAgainstReference:
                 "eq Z = case { Y=1 | U=1 : 1 ; default: 0 }\n"
             )
         assert str(exc.value) == "cyclic dependency: X -> Z -> Y -> X"
+
+
+class TestRelevantVariables:
+    """`relevant(moved, targets)`: the variables outside `moved` that
+    descend from it and are, or are ancestors of, a target."""
+
+    def test_rock_throwing(self, rt):
+        assert rt.relevant(["ST"], ["BS"]) == {"SH", "BH", "BS"}
+        assert rt.relevant(["BH"], ["BS"]) == {"BS"}
+        assert rt.relevant(["BS"], ["ST"]) == set()
+
+    def test_fork(self):
+        m = parse_model(
+            "model fork\nexo U : { 0, 1 }\nvar X : { 0, 1 }\nvar A : { 0, 1 }\nvar B : { 0, 1 }\n"
+            "eq X = case { U=1 : 1 ; default: 0 }\n"
+            "eq A = case { X=1 : 1 ; default: 0 }\neq B = case { X=1 : 1 ; default: 0 }\n"
+        )
+        assert m.relevant(["X"], ["A"]) == {"A"}
+        assert m.relevant(["X"], ["A", "B"]) == {"A", "B"}
+        assert m.relevant(["A"], ["B"]) == set()
+
+    def test_chain(self):
+        m = parse_model(
+            "model chain\nexo U : { 0, 1 }\nvar X : { 0, 1 }\nvar Y : { 0, 1 }\nvar Z : { 0, 1 }\n"
+            "eq X = case { U=1 : 1 ; default: 0 }\n"
+            "eq Y = case { X=1 : 1 ; default: 0 }\neq Z = case { Y=1 : 1 ; default: 0 }\n"
+        )
+        assert m.relevant(["X"], ["Z"]) == {"Y", "Z"}
+        assert m.relevant(["Y"], ["Z"]) == {"Z"}
+        assert m.relevant(["X"], ["Y"]) == {"Y"}
+        assert m.relevant(["Z"], ["X"]) == set()
+
+
+# X -> M -> E with eight side variables: S1..S4 do not descend from X (S1
+# is a parent of E), D1..D4 descend from M but reach nothing.  At U=1, S1=1
+# holds E at 1 whatever X does, so both searches fail and try all they try.
+SIDE_VARIABLES = (
+    "model side\nexo U : { 0, 1 }\nvar X : { 0, 1 }\nvar M : { 0, 1 }\n"
+    + "".join(f"var S{i} : {{ 0, 1 }}\nvar D{i} : {{ 0, 1 }}\n" for i in range(1, 5))
+    + "var E : { 0, 1 }\n"
+    "eq X = case { U=1 : 1 ; default: 0 }\neq M = case { X=1 : 1 ; default: 0 }\n"
+    + "".join(f"eq S{i} = case {{ U=1 : 1 ; default: 0 }}\neq D{i} = case {{ M=1 : 1 ; default: 0 }}\n"
+              for i in range(1, 5))
+    + "eq E = case { M=1 : 1 ; S1=1 : 1 ; default: 0 }\n"
+)
+
+
+class TestSearchesStayRelevant:
+    """Both AC2 searches do work exponential in the relevant variables R
+    only, not in all endogenous variables: a return to the exhaustive walk
+    (2^10 witness sets, 2^11 members here) fails these bounds."""
+
+    @pytest.fixture
+    def side(self):
+        m = parse_model(SIDE_VARIABLES)
+        assert m.relevant(["X"], ["E"]) == {"M", "E"}
+        return m
+
+    def test_hp_search_evaluates_only_relevant_witness_sets(self, side, monkeypatch):
+        calls = []
+        evaluate = CausalModel._eval
+        monkeypatch.setattr(CausalModel, "_eval", lambda m, *a: calls.append(a) or evaluate(m, *a))
+        cause, effect = parse_formula("X=1", side.sig), parse_formula("E=1", side.sig)
+        for first_only in (False, True):
+            calls.clear()
+            assert hp._ac2_search(side, {"U": "1"}, [("X", "1")], effect, first_only) == []
+            assert 0 < len(calls) <= 2**2 * 1  # 2^|R| sets W, one x'
+        assert not is_actual_cause_hp(side, {"U": "1"}, cause, effect).ac2
+
+    def test_abstract_search_tries_only_relevant_members(self, side, monkeypatch):
+        calls = []
+        search = CausalModel.boxarrow_search
+        monkeypatch.setattr(CausalModel, "boxarrow_search", lambda m, *a: calls.append(a) or search(m, *a))
+        setting = CausalSetting(side, {"U": "1"})
+        cause, effect = parse_formula("X=1", side.sig), parse_formula("E=1", side.sig)
+        for lang in (conj_language(), conj_neg_language()):
+            calls.clear()
+            assert abstract._ac2_at_context(setting, cause, effect, lang) is None
+            assert 0 < len(calls) <= 2**2  # one search per member over R
