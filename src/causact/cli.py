@@ -5,8 +5,8 @@ check-correspondence, fuzz, corpus.  `--json` switches every command to
 machine-readable output.  Exit codes: 0 the command ran (the verdict may
 still be negative), 2 parse or usage error, 3 semantic error (cyclic
 model, signature mismatch, state-space cap exceeded, a formula nested too
-deeply to evaluate, ...), a failing `corpus` claim, or a `fuzz` report
-with disagreements.
+deeply to parse or evaluate, ...), a failing `corpus` claim, or a `fuzz`
+report with disagreements.
 """
 
 from __future__ import annotations
@@ -370,8 +370,8 @@ def main(argv=None):
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RecursionError:  # until the formula walkers stop recursing
-        print("error: formula too deeply nested to evaluate", file=sys.stderr)
+    except RecursionError:  # until the parser and formula walkers stop recursing
+        print("error: formula too deeply nested", file=sys.stderr)
         return 3
 
 

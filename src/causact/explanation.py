@@ -10,6 +10,20 @@ no strictly weaker candidate would do (EX2); and the joint possibility is
 actually considered (EX3).  The explanation is nontrivial when the agent
 also considers a setting where the explanandum holds without the
 candidate (EX4), i.e. the candidate was not already known.
+
+One call decides each AC2 question once, for the candidate and every EX2
+weakening alike: per setting and language member (abstract), per context
+and set of cause events (witness sets).  A member or conjunction is a
+cause where it passes AC2 and no strictly weaker one does; AC1 holds by
+construction, as each is true at a setting where the explanandum holds.
+The certificates are those of the full cause check run per candidate: it
+decides the same questions, and the order in which causes are tried is
+unchanged.  In causal models the actual-value events Y=y that extend a
+conjunct range only over ancestors of the explanandum's variables (the
+variables themselves included).  For any other Y, AC2 of X=x & Y=y & Z
+implies AC2 of X=x & Z, as no intervention on Y changes the explanandum;
+so X=x & Y=y & Z fails AC3, and dropping those Y leaves the first cause
+found, in the same (size, lexicographic) order, as it was.
 """
 
 from __future__ import annotations
@@ -26,18 +40,18 @@ from .formula import (
     conjoin,
     event_literals,
     format_formula,
+    free_endogenous,
     is_propositional,
     prop_entails_given,
     prop_equivalent,
 )
-from .hp import is_actual_cause_hp
+from .hp import _ac2_search  # AC2 alone, shared with the cause check
 from .model import CausalModel
 from .abstract import (
     WitnessLanguage,
+    _ac2_prime,  # AC2' alone, shared with the cause check
     check_pins,
-    conj_language,
-    enumerate_witnesses,
-    is_actual_cause_abstract,
+    core_members,
 )
 
 
@@ -89,7 +103,8 @@ def is_explanation_hp(
     if not contexts:
         raise ValueError("the epistemic state must contain at least one context")
 
-    ex1a, certs = _ex1a_hp(m, contexts, pairs, effect)
+    causal_conjunct = _causal_conjuncts(m, contexts, effect)
+    ex1a, certs = _ex1a_hp(m, contexts, pairs, effect, causal_conjunct)
     ex1b = _ex1b_hp(m, contexts, pairs, effect)
     ex3 = any(
         m.evaluate(u, cand) and m.evaluate(u, effect) for u in contexts
@@ -99,8 +114,8 @@ def is_explanation_hp(
     )
 
     subsets = (list(s) for size in range(len(pairs)) for s in itertools.combinations(pairs, size))
-    weaker = next((sub for sub in subsets
-                   if _ex1a_hp(m, contexts, sub, effect)[0] and _ex1b_hp(m, contexts, sub, effect)), None)
+    weaker = next((sub for sub in subsets if _ex1a_hp(m, contexts, sub, effect, causal_conjunct)[0]
+                   and _ex1b_hp(m, contexts, sub, effect)), None)
     ex2 = weaker is None
     violator = None if ex2 else conjoin([PrimEvent(v, x) for v, x in weaker])
 
@@ -123,7 +138,7 @@ def _ex1b_hp(m, contexts, pairs, effect) -> bool:
     return all(m._eval(u, effect, inter) for u in contexts)
 
 
-def _ex1a_hp(m, contexts, pairs, effect):
+def _ex1a_hp(m, contexts, pairs, effect, causal_conjunct):
     """Wherever the candidate and the explanandum both hold, some conjunct
     of the candidate extends (by actual-value conjuncts) to a cause."""
     cand = conjoin([PrimEvent(v, x) for v, x in pairs])
@@ -133,28 +148,58 @@ def _ex1a_hp(m, contexts, pairs, effect):
         if not (m.evaluate(u, cand) and m.evaluate(u, effect)):
             certs[i] = None
             continue
-        cert = _causal_conjunct(m, u, pairs, effect)
+        cert = causal_conjunct(i, pairs)
         certs[i] = cert
         if cert is None:
             ok = False
     return ok, certs
 
 
-def _causal_conjunct(m, u, pairs, effect):
-    """Find a conjunct X=x of the candidate and actual-value events Y=y with
-    X=x & Y=y an actual cause at (M,u); smaller Y first."""
-    actual = m.solve(u)
-    for var, val in pairs:
-        rest = [y for y in m.sig.endo_names if y != var]
-        for size in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, size):
-                parts = [PrimEvent(var, val)] + [PrimEvent(y, actual[y]) for y in extra]
-                if is_actual_cause_hp(m, u, conjoin(parts), effect, first_only=True).is_cause:
-                    return {
-                        "conjunct": f"{var}={val}",
-                        "augmented_with": {y: actual[y] for y in extra},
-                    }
-    return None
+def _causal_conjuncts(m, contexts, effect):
+    """EX1(a)'s search for one explanation call, as `find(i, pairs)`: the
+    certificate of the first conjunct X=x of `pairs` that, with actual-value
+    events Y=y (smaller sets of Y first), is an actual cause at contexts[i],
+    or None.  `pairs` must hold at contexts[i], and so must the effect.
+
+    Each (context, conjunct) is decided once, for the candidate and all its
+    sub-conjunctions, and each AC2 question once, keyed by the set of cause
+    events: a cause passes AC2 and has no nonempty proper subset that does.
+    The subsets are asked first, smallest first: they are shared by many
+    causes tried, and one that passes settles the question.  Y ranges over
+    the ancestors of the effect's variables only (see the module
+    docstring)."""
+    actuals = [m.solve(u) for u in contexts]
+    ancestors = m.ancestors(free_endogenous(effect))
+    ac2: dict = {}  # (context index, frozenset of cause events) -> AC2 holds
+    certs: dict = {}  # (context index, conjunct) -> certificate or None
+
+    def passes(i, cause):
+        key = (i, frozenset(cause))
+        if key not in ac2:
+            ac2[key] = bool(_ac2_search(m, contexts[i], cause, effect, first_only=True))
+        return ac2[key]
+
+    def is_cause(i, cause):
+        subsets = (s for size in range(1, len(cause)) for s in itertools.combinations(cause, size))
+        return not any(passes(i, s) for s in subsets) and passes(i, cause)
+
+    def certificate(i, conjunct):
+        if (i, conjunct) not in certs:
+            var, val = conjunct
+            actual = actuals[i]
+            rest = [y for y in m.sig.endo_names if y != var and y in ancestors]
+            extras = (e for size in range(len(rest) + 1) for e in itertools.combinations(rest, size))
+            extra = next((e for e in extras if is_cause(i, [conjunct] + [(y, actual[y]) for y in e])), None)
+            certs[i, conjunct] = None if extra is None else {
+                "conjunct": f"{var}={val}",
+                "augmented_with": {y: actual[y] for y in extra},
+            }
+        return certs[i, conjunct]
+
+    def find(i, pairs):
+        return next((c for c in (certificate(i, conjunct) for conjunct in pairs) if c is not None), None)
+
+    return find
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +233,9 @@ def is_explanation_abstract(
         pairs = []
 
     # the core's members depend on the setting only, so each is listed once,
-    # with its `event_literals` (None for a member with a pin that is no event)
-    core = conj_language(lang.pins)
-    members = [[(t, event_literals(t, sig)) for t in enumerate_witnesses(core, st, ())]
-               for st in settings]
-    cause_cache: dict = {}
-
-    def is_cause_at(setting, phi):
-        # the pair component of the language, where present, ranges over the
-        # variables of phi itself, not over those of the outer candidate
-        key = (id(setting), phi)
-        if key not in cause_cache:
-            cause_cache[key] = is_actual_cause_abstract(setting, phi, effect, lang, allow_vacuous).is_cause
-        return cause_cache[key]
+    # with its literals (None for a member with a pin that is no event)
+    members = [core_members(st, lang.pins) for st in settings]
+    is_cause = _member_causes(settings, members, effect, lang, allow_vacuous)
 
     def ex1a_for(phi):
         certs = {}
@@ -215,9 +250,9 @@ def is_explanation_abstract(
             tau1s = [(t, a) for t, a in members[i] if prop_entails_given(phi, lits, t, a, sig)
                      and not prop_entails_given(TRUE, frozenset(), t, a, sig)]
             if tau1s:
-                for tau2, b in members[i]:
+                for j, (tau2, b) in enumerate(members[i]):
                     matching = [t1 for t1, a in tau1s if prop_entails_given(tau2, b, t1, a, sig)]
-                    if matching and is_cause_at(st, tau2):
+                    if matching and is_cause(i, j):
                         cert = {"tau1": format_formula(matching[0]), "tau2": format_formula(tau2)}
                         break
             certs[i] = cert
@@ -249,6 +284,35 @@ def is_explanation_abstract(
         certificates=certs,
         ex2_violator=violator,
     )
+
+
+def _member_causes(settings, members, effect, lang, allow_vacuous):
+    """`is_cause(i, j)`: whether members[i][j], a core member true at
+    settings[i] where the effect holds, is a cause of the effect there under
+    `lang`.  AC1 holds, so it is one if it passes AC2' and no strictly weaker
+    member other than the pins alone does: those members are the AC3'
+    candidates of the cause check.  Each AC2' is decided once per call, the
+    weaker members' first, as for the conjunctions of `_causal_conjuncts`."""
+    sig = settings[0].sig
+    ac2: dict = {}  # (setting index, member index) -> AC2' holds
+    causes: dict = {}
+
+    def passes(i, k):
+        # the member is the cause here, so a pair component of the language
+        # ranges over its variables, not over those of the outer candidate
+        if (i, k) not in ac2:
+            ac2[i, k] = _ac2_prime(settings[i], members[i][k][0], effect, lang, allow_vacuous) is not None
+        return ac2[i, k]
+
+    def is_cause(i, j):
+        if (i, j) not in causes:
+            tau, b = members[i][j]
+            weaker = (k for k, (t, a) in enumerate(members[i]) if k  # [0] is the pins alone
+                      and prop_entails_given(tau, b, t, a, sig) and not prop_entails_given(t, a, tau, b, sig))
+            causes[i, j] = not any(passes(i, k) for k in weaker) and passes(i, j)
+        return causes[i, j]
+
+    return is_cause
 
 
 def _weakenings(cand, pairs, members, sig):

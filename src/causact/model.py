@@ -192,11 +192,16 @@ class CausalModel:
         for x in self.topo_order:
             if x not in below and any(p in below for p in self.parents[x]):
                 below.add(x)
+        return (below & self.ancestors(targets)) - set(moved)
+
+    def ancestors(self, targets) -> set[str]:
+        """The variables of `targets` and all their ancestors.  No
+        intervention can make any other variable change a target's value."""
         above = set(targets)
         for x in reversed(self.topo_order):
             if x in above:
                 above.update(self.parents[x])
-        return (below & above) - set(moved)
+        return above
 
     # -- satisfaction
 

@@ -285,6 +285,7 @@ class TestAllowVacuous:
 
 class TestDeepFormula:
     DEEP = " & ".join(["ST=1"] * 2000)
+    NESTED = "(" * 3000 + "ST=1" + ")" * 3000  # too deep for the parser itself
 
     @pytest.mark.parametrize("call", [
         ["eval", "-m", "{cm}", "-u", "U=u11", DEEP],
@@ -294,12 +295,13 @@ class TestDeepFormula:
          "--cause", DEEP, "--effect", "BS=1", "--mode", "abstract"],
         ["explain", "-m", "{cm}", "--K", "U=u11", "--candidate", DEEP, "--effect", "BS=1",
          "--mode", "abstract"],
-    ], ids=["eval", "cause-model", "cause-structure", "explain"])
+        ["eval", "-m", "{cm}", "-u", "U=u11", NESTED],
+    ], ids=["eval", "cause-model", "cause-structure", "explain", "parse"])
     def test_too_deep_is_semantic_error(self, capsys, rt_file, rt_cfs, call):
         files = {"{cm}": rt_file, "{cfs}": rt_cfs}
         code, out, err = run(capsys, *[files.get(a, a) for a in call])
         assert (code, out) == (3, "")
-        assert err == "error: formula too deeply nested to evaluate\n"
+        assert err == "error: formula too deeply nested\n"
         assert "Traceback" not in err
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -21,14 +22,24 @@ from causact.formula import (
 )
 from causact.harness import (
     DEFAULT_CAPS,
+    FuzzCaps,
     gen_random_model,
     random_context,
     random_event_conjunction,
     random_prop_formula,
 )
 from causact.model import model_to_text, parse_context, parse_model
-from causact.abstract import CausalSetting, CfSetting, conj_language, pair_language
-from causact.correspondence import build_counterpart
+from causact import abstract, hp
+from causact.abstract import (
+    CausalSetting,
+    CfSetting,
+    conj_language,
+    enumerate_witnesses,
+    is_actual_cause_abstract,
+    pair_language,
+)
+from causact.hp import is_actual_cause_hp
+from causact.correspondence import CorrespondenceError, build_counterpart
 from causact.explanation import is_explanation_abstract, is_explanation_hp
 from causact.corpus import THREE_CONTEXT
 
@@ -284,6 +295,154 @@ class TestWeakeningsFromLiterals:
             return [CfSetting(m2, ctx_state(u)) for u in K]
 
         self._compare(make, 8, monkeypatch, "ex2-weakenings-cf")
+
+
+def _ref_causal_conjunct(m, u, var, val, effect):
+    """Reference EX1(a) search for the conjunct X=x in (M, u), as the check
+    ran before it decided each AC2 question once per call: a full cause
+    check for each set of actual-value events over every other variable."""
+    actual = m.solve(u)
+    rest = [y for y in m.sig.endo_names if y != var]
+    for size in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, size):
+            parts = [PrimEvent(var, val)] + [PrimEvent(y, actual[y]) for y in extra]
+            if is_actual_cause_hp(m, u, conjoin(parts), effect, first_only=True).is_cause:
+                return {"conjunct": f"{var}={val}", "augmented_with": {y: actual[y] for y in extra}}
+    return None
+
+
+def _ref_causal_conjuncts(m, contexts, effect):
+    """The certificate of the first conjunct with one, each conjunct's
+    search run once per context and call."""
+    search = functools.cache(lambda i, var, val: _ref_causal_conjunct(m, contexts[i], var, val, effect))
+    return lambda i, pairs: next((c for c in (search(i, *p) for p in pairs) if c is not None), None)
+
+
+def _ref_member_causes(settings, members, effect, lang, allow_vacuous):
+    """Reference cause test for a core member: the full cause check, once
+    per (setting, member) and call."""
+    return functools.cache(lambda i, j: is_actual_cause_abstract(settings[i], members[i][j][0], effect,
+                                                                 lang, allow_vacuous).is_cause)
+
+
+def _ref_core_members(setting, pins):
+    return [(t, event_literals(t, setting.sig)) for t in enumerate_witnesses(conj_language(pins), setting, ())]
+
+
+def _explanation_query(caps, rng):
+    m = gen_random_model(caps, rng)
+    contexts = list(m.sig.assignments(m.sig.exo_names))
+    K = rng.sample(contexts, rng.randint(1, min(3, len(contexts))))
+    actual = m.solve(K[0])
+    cand = random_event_conjunction(m, rng, max_size=3, prefer_actual=actual)
+    return m, K, cand, random_prop_formula(m, rng, 2), actual
+
+
+class TestMemoisedAgainstReference:
+    """Each explanation call decides every AC2 question once, and extends a
+    conjunct only by ancestors of the explanandum; verdicts, certificates
+    and EX2 violators must match one full cause check per candidate cause,
+    over every variable (the differentials compare only the verdicts)."""
+
+    @pytest.mark.parametrize(
+        "caps, trials", [(DEFAULT_CAPS, 400), (FuzzCaps(6, 2, 4), 30)], ids=["default", "wide"]
+    )
+    def test_output_matches_one_cause_check_per_candidate(self, caps, trials, monkeypatch):
+        for i in range(trials):
+            rng = random.Random(f"memoised-explanation:{caps}:{i}")
+            m, K, cand, effect, actual = _explanation_query(caps, rng)
+            v = rng.choice(m.sig.endo_names)
+            pins = [(), (PrimEvent(v, actual[v]),)][i % 2]
+            causal = [CausalSetting(m, u) for u in K]
+            try:  # the state cap of the theorem-5 differential
+                m2, ctx_state = build_counterpart(m, state_cap=10**4)
+                states = [CfSetting(m2, ctx_state(u)) for u in K]
+            except CorrespondenceError:
+                states = None
+
+            def run():
+                return [
+                    is_explanation_hp(m, K, cand, effect).to_dict(),
+                    is_explanation_abstract(causal, cand, effect, conj_language(pins)).to_dict(),
+                    states and is_explanation_abstract(states, cand, effect, pair_language(pins),
+                                                       i % 3 == 0).to_dict(),
+                ]
+
+            new = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(explanation, "_causal_conjuncts", _ref_causal_conjuncts)
+                patch.setattr(explanation, "_member_causes", _ref_member_causes)
+                patch.setattr(explanation, "core_members", _ref_core_members)
+                ref = run()
+            assert json.dumps(new) == json.dumps(ref), (i, format_formula(cand), format_formula(effect))
+
+    def test_the_first_of_several_extensions_is_reported(self, monkeypatch):
+        # X=1 & A=1 and X=1 & B=1 & C=1 are both causes of E=1 (either
+        # flip falsifies it, no smaller one does); the smaller comes first
+        m = parse_model(
+            "model twoways\nexo U : { 0, 1 }\n"
+            + "".join(f"var {x} : {{ 0, 1 }}\n" for x in "XABCE")
+            + "".join(f"eq {x} = case {{ U=1 : 1 ; default: 0 }}\n" for x in "XABC")
+            + "eq E = case { X=1 : 1 ; A=1 & B=1 : 1 ; A=1 & C=1 : 1 ; default: 0 }\n"
+        )
+        K, cand, effect = [{"U": "1"}], parse_formula("X=1", m.sig), parse_formula("E=1", m.sig)
+        m2, ctx_state = build_counterpart(m)
+
+        def run():
+            return [
+                is_explanation_hp(m, K, cand, effect).to_dict(),
+                is_explanation_abstract([CausalSetting(m, u) for u in K], cand, effect, conj_language()).to_dict(),
+                is_explanation_abstract([CfSetting(m2, ctx_state(u)) for u in K], cand, effect,
+                                        pair_language()).to_dict(),
+            ]
+
+        new = run()
+        assert new[0]["certificates"] == {"0": {"conjunct": "X=1", "augmented_with": {"A": "1"}}}
+        with monkeypatch.context() as patch:
+            patch.setattr(explanation, "_causal_conjuncts", _ref_causal_conjuncts)
+            patch.setattr(explanation, "_member_causes", _ref_member_causes)
+            patch.setattr(explanation, "core_members", _ref_core_members)
+            assert json.dumps(new) == json.dumps(run())
+
+
+class TestAC2DecidedOnce:
+    """One explanation call asks each AC2 question at most once: no repeat
+    of a (setting, member) pair for AC2', none of a (context, set of cause
+    events) for the witness-set AC2.  Both bindings of each search are
+    watched, so a return to one cause check per candidate cause (whose AC3
+    loops repeat the same questions) fails these bounds."""
+
+    def _record(self, monkeypatch, module, name, key):
+        calls = []
+        search = getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls.append(key(*args))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+        monkeypatch.setattr(explanation, name, record)
+        return calls
+
+    def test_each_ac2_question_is_asked_once(self, monkeypatch):
+        ac2_prime = self._record(monkeypatch, abstract, "_ac2_prime", lambda st, phi, *_: (id(st), phi))
+        ac2 = self._record(monkeypatch, hp, "_ac2_search",
+                           lambda m, u, pairs, *_: (tuple(sorted(u.items())), frozenset(pairs)))
+        asked = 0
+        for i in range(60):
+            rng = random.Random(f"ac2-once:{i}")
+            m, K, cand, effect, _ = _explanation_query(DEFAULT_CAPS, rng)
+            m2, ctx_state = build_counterpart(m)
+            for settings in ([CausalSetting(m, u) for u in K], [CfSetting(m2, ctx_state(u)) for u in K]):
+                ac2_prime.clear()
+                is_explanation_abstract(settings, cand, effect, conj_language())
+                assert len(ac2_prime) == len(set(ac2_prime)), i
+                asked += len(ac2_prime)
+            ac2.clear()
+            is_explanation_hp(m, K, cand, effect)
+            assert len(ac2) == len(set(ac2)), i
+            asked += len(ac2)
+        assert asked
 
 
 class TestValidation:

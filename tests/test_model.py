@@ -25,8 +25,9 @@ from causact.harness import (
     random_prop_formula,
     trial_rng,
 )
-from causact import abstract, hp
+from causact import abstract, explanation, hp
 from causact.abstract import CausalSetting, conj_language, conj_neg_language
+from causact.explanation import is_explanation_hp
 from causact.hp import is_actual_cause_hp
 from causact.model import (
     CausalModel,
@@ -549,3 +550,25 @@ class TestSearchesStayRelevant:
             calls.clear()
             assert abstract._ac2_at_context(setting, cause, effect, lang) is None
             assert 0 < len(calls) <= 2**2  # one search per member over R
+
+    def test_explanation_extends_conjuncts_by_ancestors_only(self, side, monkeypatch):
+        # E depends on M and S1 only, so a conjunct is extended by X, M, S1
+        # and E: at most 2^5 cause sets, where every other variable would
+        # give 2^11
+        ancestors = {"X", "M", "S1", "E"}
+        assert side.ancestors(["E"]) - {"U"} == ancestors
+        calls = []
+        search = hp._ac2_search
+
+        def record(m, u, pairs, *args, **kwargs):
+            calls.append({v for v, _ in pairs})
+            return search(m, u, pairs, *args, **kwargs)
+
+        monkeypatch.setattr(explanation, "_ac2_search", record)
+        effect = parse_formula("E=1", side.sig)
+        for cand, cert in [("X=1", {"conjunct": "X=1", "augmented_with": {"S1": "1"}}), ("D1=1", None)]:
+            calls.clear()
+            v = is_explanation_hp(side, [{"U": "1"}], parse_formula(cand, side.sig), effect)
+            assert v.certificates == {0: cert}
+            conjunct = {cand.split("=")[0]}
+            assert 0 < len(calls) < 2**5 and all(vs - conjunct <= ancestors for vs in calls), calls
