@@ -218,26 +218,6 @@ def enumerate_witnesses(lang: WitnessLanguage, setting, cause_pairs):
         yield _tau(lang, per_var, member, pairs, alt)
 
 
-def core_members(setting, pins):
-    """The members of `conj_language(pins)` true at the setting, in the order
-    of `enumerate_witnesses`, each with its `event_literals`: those of the
-    pins and the actual-value events it conjoins.  Every member's literals
-    are None when a pin is not an event conjunction."""
-    lang = conj_language(pins)
-    if not _pins_hold(lang, setting):
-        return []
-    sig, actual = setting.sig, setting.assignment
-    pin_literals = event_literals(conjoin(list(pins)), sig)
-    # a valid event (its variable's range has one value) has no literal
-    events = [(x, actual[x]) if len(sig.range_of(x)) > 1 else None for x in sig.endo_names]
-    per_var = _conj_options(sig, actual, False)
-    return [
-        (_tau(lang, per_var, member),
-         None if pin_literals is None else pin_literals.union([e for e, j in zip(events, member) if j and e]))
-        for member in _by_weight(per_var)
-    ]
-
-
 def _conj_options(sig, actual, negated):
     """Each endogenous variable's options for one conjunct of a member true
     at `actual`, as (weight, conjunct): None for no conjunct (weight 0),

@@ -45,13 +45,15 @@ from .formula import (
     prop_entails_given,
     prop_equivalent,
 )
-from .hp import _ac2_search  # AC2 alone, shared with the cause check
+from .hp import _ac2_search, _ac3_violator, is_actual_cause_hp
 from .model import CausalModel
 from .abstract import (
     WitnessLanguage,
-    _ac2_prime,  # AC2' alone, shared with the cause check
+    _ac2_prime,
+    _weaker_core_members,
     check_pins,
-    core_members,
+    conj_language,
+    enumerate_witnesses,
 )
 
 
@@ -163,11 +165,13 @@ def _causal_conjuncts(m, contexts, effect):
 
     Each (context, conjunct) is decided once, for the candidate and all its
     sub-conjunctions, and each AC2 question once, keyed by the set of cause
-    events: a cause passes AC2 and has no nonempty proper subset that does.
-    The subsets are asked first, smallest first: they are shared by many
-    causes tried, and one that passes settles the question.  Y ranges over
-    the ancestors of the effect's variables only (see the module
-    docstring)."""
+    events: a cause passes AC2 and has no nonempty proper subset that does
+    (`hp._ac3_violator`, the cause check's own AC3 search).  The subsets are
+    asked first, smallest first: they are shared by many causes tried, and
+    one that passes settles the question.  A single event is asked of the
+    cause check itself, which for one event true at the context is AC2.  Y
+    ranges over the ancestors of the effect's variables only (see the
+    module docstring)."""
     actuals = [m.solve(u) for u in contexts]
     ancestors = m.ancestors(free_endogenous(effect))
     ac2: dict = {}  # (context index, frozenset of cause events) -> AC2 holds
@@ -176,12 +180,15 @@ def _causal_conjuncts(m, contexts, effect):
     def passes(i, cause):
         key = (i, frozenset(cause))
         if key not in ac2:
-            ac2[key] = bool(_ac2_search(m, contexts[i], cause, effect, first_only=True))
+            if len(cause) == 1:  # no AC3 to check, and AC1 holds: the cause check is AC2
+                verdict = is_actual_cause_hp(m, contexts[i], PrimEvent(*cause[0]), effect, first_only=True)
+                ac2[key] = verdict.is_cause
+            else:
+                ac2[key] = bool(_ac2_search(m, contexts[i], cause, effect, first_only=True))
         return ac2[key]
 
     def is_cause(i, cause):
-        subsets = (s for size in range(1, len(cause)) for s in itertools.combinations(cause, size))
-        return not any(passes(i, s) for s in subsets) and passes(i, cause)
+        return _ac3_violator(cause, lambda s: passes(i, s)) is None and passes(i, cause)
 
     def certificate(i, conjunct):
         if (i, conjunct) not in certs:
@@ -233,9 +240,11 @@ def is_explanation_abstract(
         pairs = []
 
     # the core's members depend on the setting only, so each is listed once,
-    # with its literals (None for a member with a pin that is no event)
-    members = [core_members(st, lang.pins) for st in settings]
-    is_cause = _member_causes(settings, members, effect, lang, allow_vacuous)
+    # with its `event_literals` (None for a member with a pin that is no event)
+    core = conj_language(lang.pins)
+    members = [[(t, event_literals(t, sig)) for t in enumerate_witnesses(core, st, ())]
+               for st in settings]
+    is_cause = _member_causes(settings, effect, lang, allow_vacuous)
 
     def ex1a_for(phi):
         certs = {}
@@ -250,9 +259,9 @@ def is_explanation_abstract(
             tau1s = [(t, a) for t, a in members[i] if prop_entails_given(phi, lits, t, a, sig)
                      and not prop_entails_given(TRUE, frozenset(), t, a, sig)]
             if tau1s:
-                for j, (tau2, b) in enumerate(members[i]):
+                for tau2, b in members[i]:
                     matching = [t1 for t1, a in tau1s if prop_entails_given(tau2, b, t1, a, sig)]
-                    if matching and is_cause(i, j):
+                    if matching and is_cause(i, tau2):
                         cert = {"tau1": format_formula(matching[0]), "tau2": format_formula(tau2)}
                         break
             certs[i] = cert
@@ -286,31 +295,28 @@ def is_explanation_abstract(
     )
 
 
-def _member_causes(settings, members, effect, lang, allow_vacuous):
-    """`is_cause(i, j)`: whether members[i][j], a core member true at
-    settings[i] where the effect holds, is a cause of the effect there under
-    `lang`.  AC1 holds, so it is one if it passes AC2' and no strictly weaker
-    member other than the pins alone does: those members are the AC3'
-    candidates of the cause check.  Each AC2' is decided once per call, the
-    weaker members' first, as for the conjunctions of `_causal_conjuncts`."""
-    sig = settings[0].sig
-    ac2: dict = {}  # (setting index, member index) -> AC2' holds
+def _member_causes(settings, effect, lang, allow_vacuous):
+    """`is_cause(i, tau)`: whether tau, a core member true at settings[i]
+    where the effect holds, is a cause of the effect there under `lang`.
+    AC1 holds, so it is one if tau passes AC2' and none of the cause
+    check's AC3' candidates (`_weaker_core_members`) does.  Each AC2' is
+    decided once per call, the weaker members' first, as for the
+    conjunctions of `_causal_conjuncts`."""
+    ac2: dict = {}  # (setting index, member) -> AC2' holds
     causes: dict = {}
 
-    def passes(i, k):
-        # the member is the cause here, so a pair component of the language
-        # ranges over its variables, not over those of the outer candidate
-        if (i, k) not in ac2:
-            ac2[i, k] = _ac2_prime(settings[i], members[i][k][0], effect, lang, allow_vacuous) is not None
-        return ac2[i, k]
+    def passes(i, phi):
+        # phi is the cause here, so a pair component of the language ranges
+        # over its variables, not over those of the outer candidate
+        if (i, phi) not in ac2:
+            ac2[i, phi] = _ac2_prime(settings[i], phi, effect, lang, allow_vacuous) is not None
+        return ac2[i, phi]
 
-    def is_cause(i, j):
-        if (i, j) not in causes:
-            tau, b = members[i][j]
-            weaker = (k for k, (t, a) in enumerate(members[i]) if k  # [0] is the pins alone
-                      and prop_entails_given(tau, b, t, a, sig) and not prop_entails_given(t, a, tau, b, sig))
-            causes[i, j] = not any(passes(i, k) for k in weaker) and passes(i, j)
-        return causes[i, j]
+    def is_cause(i, tau):
+        if (i, tau) not in causes:
+            weaker = _weaker_core_members(settings[i], tau, lang)
+            causes[i, tau] = not any(passes(i, phi) for phi in weaker) and passes(i, tau)
+        return causes[i, tau]
 
     return is_cause
 

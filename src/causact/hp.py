@@ -90,8 +90,7 @@ def is_actual_cause_hp(
     witnesses = _ac2_search(m, u, pairs, effect, first_only=first_only)
     ac2 = bool(witnesses)
 
-    subsets = (s for size in range(1, len(pairs)) for s in itertools.combinations(pairs, size))
-    violator = next((s for s in subsets if _ac2_search(m, u, list(s), effect, first_only=True)), None)
+    violator = _ac3_violator(pairs, lambda s: _ac2_search(m, u, s, effect, first_only=True))
     ac3 = violator is None
 
     return CauseVerdict(
@@ -102,6 +101,13 @@ def is_actual_cause_hp(
         witnesses=witnesses,
         ac3_violator=violator,
     )
+
+
+def _ac3_violator(pairs, passes_ac2):
+    """AC3's search: the first nonempty proper subset of the cause's pairs,
+    smallest first, that passes AC2 (`passes_ac2(subset)`), or None."""
+    subsets = (s for size in range(1, len(pairs)) for s in itertools.combinations(pairs, size))
+    return next((s for s in subsets if passes_ac2(list(s))), None)
 
 
 def _ac2_search(m, u, pairs, effect, first_only=False) -> list[HpWitness]:

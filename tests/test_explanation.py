@@ -34,7 +34,6 @@ from causact.abstract import (
     CausalSetting,
     CfSetting,
     conj_language,
-    enumerate_witnesses,
     is_actual_cause_abstract,
     pair_language,
 )
@@ -318,15 +317,11 @@ def _ref_causal_conjuncts(m, contexts, effect):
     return lambda i, pairs: next((c for c in (search(i, *p) for p in pairs) if c is not None), None)
 
 
-def _ref_member_causes(settings, members, effect, lang, allow_vacuous):
+def _ref_member_causes(settings, effect, lang, allow_vacuous):
     """Reference cause test for a core member: the full cause check, once
     per (setting, member) and call."""
-    return functools.cache(lambda i, j: is_actual_cause_abstract(settings[i], members[i][j][0], effect,
-                                                                 lang, allow_vacuous).is_cause)
-
-
-def _ref_core_members(setting, pins):
-    return [(t, event_literals(t, setting.sig)) for t in enumerate_witnesses(conj_language(pins), setting, ())]
+    return functools.cache(lambda i, tau: is_actual_cause_abstract(settings[i], tau, effect,
+                                                                   lang, allow_vacuous).is_cause)
 
 
 def _explanation_query(caps, rng):
@@ -344,18 +339,22 @@ class TestMemoisedAgainstReference:
     and EX2 violators must match one full cause check per candidate cause,
     over every variable (the differentials compare only the verdicts)."""
 
+    # The wide models keep `pair` to counterparts of at most 10^3 states: its
+    # reference check takes seconds per call on the larger ones.
     @pytest.mark.parametrize(
-        "caps, trials", [(DEFAULT_CAPS, 400), (FuzzCaps(6, 2, 4), 30)], ids=["default", "wide"]
+        "caps, trials, state_cap",
+        [(DEFAULT_CAPS, 400, 10**4), (FuzzCaps(6, 2, 4), 30, 10**3)],
+        ids=["default", "wide"],
     )
-    def test_output_matches_one_cause_check_per_candidate(self, caps, trials, monkeypatch):
+    def test_output_matches_one_cause_check_per_candidate(self, caps, trials, state_cap, monkeypatch):
         for i in range(trials):
             rng = random.Random(f"memoised-explanation:{caps}:{i}")
             m, K, cand, effect, actual = _explanation_query(caps, rng)
             v = rng.choice(m.sig.endo_names)
             pins = [(), (PrimEvent(v, actual[v]),)][i % 2]
             causal = [CausalSetting(m, u) for u in K]
-            try:  # the state cap of the theorem-5 differential
-                m2, ctx_state = build_counterpart(m, state_cap=10**4)
+            try:
+                m2, ctx_state = build_counterpart(m, state_cap=state_cap)
                 states = [CfSetting(m2, ctx_state(u)) for u in K]
             except CorrespondenceError:
                 states = None
@@ -372,7 +371,6 @@ class TestMemoisedAgainstReference:
             with monkeypatch.context() as patch:
                 patch.setattr(explanation, "_causal_conjuncts", _ref_causal_conjuncts)
                 patch.setattr(explanation, "_member_causes", _ref_member_causes)
-                patch.setattr(explanation, "core_members", _ref_core_members)
                 ref = run()
             assert json.dumps(new) == json.dumps(ref), (i, format_formula(cand), format_formula(effect))
 
@@ -401,7 +399,6 @@ class TestMemoisedAgainstReference:
         with monkeypatch.context() as patch:
             patch.setattr(explanation, "_causal_conjuncts", _ref_causal_conjuncts)
             patch.setattr(explanation, "_member_causes", _ref_member_causes)
-            patch.setattr(explanation, "core_members", _ref_core_members)
             assert json.dumps(new) == json.dumps(run())
 
 

@@ -564,6 +564,7 @@ class TestSearchesStayRelevant:
             calls.append({v for v, _ in pairs})
             return search(m, u, pairs, *args, **kwargs)
 
+        monkeypatch.setattr(hp, "_ac2_search", record)  # a single event's, through its cause check
         monkeypatch.setattr(explanation, "_ac2_search", record)
         effect = parse_formula("E=1", side.sig)
         for cand, cert in [("X=1", {"conjunct": "X=1", "augmented_with": {"S1": "1"}}), ("D1=1", None)]:
