@@ -11,25 +11,37 @@ with depth the longest path from a source of the endogenous DAG.  Upstream
 violations therefore cost strictly more than any combination of downstream
 ones, which makes intervened solutions beat backtracked alternatives.
 
-The checker reads the structure's n x n rank matrix `near` (built once per
-structure, by broadcasting for the derived order, by one pass of `rank()`
-for other ranked orders) and decides both conditions from least ranks
-over it: condition (a) takes, per endogenous Y, the least rank over each
-group of states that agree on every other variable; condition (c) keeps,
-per conjunction of endogenous events, the least rank over its states with
-the base's exogenous values and over those with other values, and finds
-the first failing pairwise disjunction from the largest and smallest of
-those vectors over the later conjunctions.
+Builder and checker work on integer value codes: the structure's `codes`,
+one row per state holding each variable's index in its range, and
+`CausalModel.equation_codes`, which maps those rows through every
+equation's table.  A state violates Y's equation where the two codes of Y
+differ; the builder weighs those violations, and condition (a) calls such
+states "wrong".
+
+The checker reads the structure's n x n rank matrix `near`, transposed so
+that states gather into blocks of rows.  Condition (a) groups the states
+that agree on every variable but Y by one integer key per state and takes
+each group's least rank from every base in one reduction.  Condition (c)
+keeps, per conjunction of endogenous events, the least rank over its
+states with the base's exogenous values and over those with other values.
+It reduces the states once per conjunction of all endogenous variables,
+and derives every coarser conjunction's minima from its children on the
+lattice of conjunctions, where a free variable's index comes first, as in
+the order conjunctions are checked.  It finds the first failing pairwise
+disjunction from the largest and smallest of those vectors over the later
+conjunctions.  The masks counted for `checkedPsiCount` come from the same
+lattice over bitsets of the states.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import Signature
 from .model import CausalModel
 from .structure import CfStructure, ClosenessOrder
 
@@ -102,35 +114,27 @@ def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
     sig = m.sig
     names = sig.all_names()
     ranges = [sig.range_of(n) for n in names]
-    interp: dict[str, dict] = {}
-    index_of: dict[tuple, int] = {}
-    for i, values in enumerate(itertools.product(*ranges)):
-        interp[f"s{i}"] = dict(zip(names, values))
-        index_of[values] = i
+    interp = {f"s{i}": dict(zip(names, values)) for i, values in enumerate(itertools.product(*ranges))}
+    # State i's value indices are the mixed-radix digits of i; the
+    # exogenous variables come first.
+    codes = np.array(np.unravel_index(np.arange(size), [len(r) for r in ranges]), dtype=np.intp).T
+    k = len(sig.exo_names)
 
     n_endo = len(sig.endo_names)
     depth = endo_depths(m)
-    weights = {y: (n_endo + 1) ** (n_endo - depth[y]) for y in sig.endo_names}
+    weights = np.array([(n_endo + 1) ** (n_endo - depth[y]) for y in sig.endo_names], dtype=object)
+    # Python ints, exact however far the sums pass 2^63
+    viol = ((codes[:, k:] != m.equation_codes(codes)).astype(object) @ weights).tolist()
 
-    viol = []
-    for asgn in interp.values():
-        total = 0
-        for y in sig.endo_names:
-            if asgn[y] != m.equation_value(y, asgn):
-                total += weights[y]
-        viol.append(total)
-    # State i's value indices are the mixed-radix digits of i; the
-    # exogenous variables come first.
-    digits = np.unravel_index(np.arange(size), [len(r) for r in ranges])
-    k = len(sig.exo_names)
-    exo_index = np.array(digits[:k], dtype=np.intp).T.reshape(size, k)
-
-    order = CounterpartOrder(list(interp), exo_index, viol)
+    order = CounterpartOrder(list(interp), codes[:, :k], viol)
     structure = CfStructure(sig, interp, order, name=f"{m.name}-counterpart")
 
     def context_state(u: dict) -> str:
         sol = m.solve(u)
-        return f"s{index_of[tuple(sol[n] for n in names)]}"
+        i = 0
+        for n, rng in zip(names, ranges):
+            i = i * len(rng) + rng.index(sol[n])
+        return f"s{i}"
 
     return structure, context_state
 
@@ -190,104 +194,138 @@ def check_correspondence(
     if m2.sig != m.sig:
         raise CorrespondenceError("signature mismatch between structure and model")
 
-    near = m2.near
-    vals = _value_indices(m2)
-    report = CorrespondenceReport(condition_a=_check_condition_a(m2, m, strict, near, vals))
+    # row t, column s: the rank of state t from base s, so that states
+    # grouped by their values gather into blocks of rows
+    near_t = m2.near.T
+    report = CorrespondenceReport(condition_a=_check_condition_a(m2, m, strict, near_t))
     if strong:
-        report.condition_b = _check_condition_b(m2, m)
-        report.condition_c, report.checked_psi_count = _check_condition_c(m2, m, near, vals)
+        report.condition_b = _check_condition_b(m2)
+        report.condition_c, report.checked_psi_count = _check_condition_c(m2, near_t)
     return report
 
 
-def _value_indices(m2: CfStructure) -> np.ndarray:
-    """Each state's value indices, one row per state, one column per
-    variable in `all_names()` order (exogenous first)."""
-    names = m2.sig.all_names()
-    index = [{v: i for i, v in enumerate(m2.sig.range_of(x))} for x in names]
-    rows = [[ix[m2.interp[s][x]] for x, ix in zip(names, index)] for s in m2.states]
-    return np.array(rows, dtype=np.intp).reshape(len(m2.states), len(names))
+# The most bytes one array of condition (c) may take: the conjunction
+# lattices, and the union masks of the conjunction pairs counted for
+# `checkedPsiCount`.  It admits the 1.3 GiB of pair keys of a 512-state
+# counterpart over eight binary endogenous variables; past it the check
+# raises CorrespondenceError instead of asking NumPy for the memory.
+_ARRAY_BUDGET = 2 << 30
+
+# `_row_keys` keeps its keys below this bound, far inside int64
+_KEY_LIMIT = 1 << 62
 
 
-def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of equal rows, numbered in order of first appearance, and the
-    first row of each group."""
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    renumber = np.empty_like(order)
-    renumber[order] = np.arange(order.size)
-    return renumber[inverse.reshape(-1)], first[order]
+def _row_keys(codes: np.ndarray, dims) -> np.ndarray:
+    """One int64 key per row of `codes`, whose column j holds indices below
+    dims[j]: equal rows get equal keys, and keys ascend with the rows in
+    lexicographic order.  The key is the rows' mixed-radix number,
+    renumbered densely whenever the next digit could overflow it."""
+    key = np.zeros(len(codes), dtype=np.int64)
+    bound = 1
+    for col, d in zip(codes.T, dims):
+        if bound * d > _KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            bound = len(codes)
+        key = key * d + col
+        bound *= d
+    return key
 
 
-def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, near, vals) -> ConditionReport:
+def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, near_t) -> ConditionReport:
     """For every endogenous Y, every group of states that agree on all other
     variables (a setting W_Y = s_Y) and every base state, the base's closest
-    states in the group must give Y its equation's value.  All bases of a
-    group are decided at once from the group's least rank in each row of
-    `near`; the report names the first failure in group, base and
+    states in the group must give Y its equation's value.  A state is
+    "wrong" where its Y differs from its own equation value, which depends
+    only on the setting.  A base fails a group when the group's least rank
+    in the base's column of `near_t` is that of a wrong state, that is, when
+    the least of 2 * rank + [the state is right] over the group is even.
+    The report names the first failure in group (by first state), base and
     candidate order."""
     sig = m.sig
     names = sig.all_names()
-    states = m2.states
-    for c, y in enumerate(names):
-        if not sig.is_endogenous(y):
+    dims = [len(sig.range_of(x)) for x in names]
+    codes = m2.codes
+    k = len(sig.exo_names)
+    equation = m.equation_codes(codes)
+    for j, y in enumerate(sig.endo_names):
+        c = k + j
+        wrong = codes[:, c] != equation[:, j]
+        if not wrong.any():
             continue
-        rest = names[:c] + names[c + 1 :]
-        gid, first = _groups(np.delete(vals, c, axis=1))
-        settings = [{x: m2.interp[states[i]][x] for x in rest} for i in first]
-        expected = [m.equation_value(y, s_y) for s_y in settings]
-        rng = sig.range_of(y)
-        wrong = vals[:, c] != np.array([rng.index(v) for v in expected], dtype=np.intp)[gid]
-        # Columns sorted by group, each group's members in state order.
-        cols = np.argsort(gid, kind="stable")
-        starts = np.searchsorted(gid[cols], np.arange(len(first)))
-        sub = near[:, cols]
-        closest = sub == np.minimum.reduceat(sub, starts, axis=1)[:, gid[cols]]
-        bad = closest & wrong[cols]
-        group_bad = np.logical_or.reduceat(bad, starts, axis=1)
+        key = _row_keys(np.delete(codes, c, axis=1), dims[:c] + dims[c + 1 :])
+        _, first, gid = np.unique(key, return_index=True, return_inverse=True)
+        # Rows sorted by group, each group's members in state order.
+        rows = np.argsort(gid, kind="stable")
+        starts = np.searchsorted(gid[rows], np.arange(len(first)))
+        doubled = near_t[rows]
+        doubled *= 2
+        doubled += ~wrong[rows, None]
+        least = np.minimum.reduceat(doubled, starts, axis=0)
+        group_bad = least % 2 == 0
         if not strict:
             # centering makes s its own closest state when s has the
             # setting but breaks Y's equation
-            group_bad[wrong, gid[wrong]] = False
-        failing = np.flatnonzero(group_bad.any(axis=0))
+            group_bad[gid[wrong], wrong] = False
+        failing = np.flatnonzero(group_bad.any(axis=1))
         if failing.size:
-            g = failing[0]
-            i = np.flatnonzero(group_bad[:, g])[0]
-            t = cols[starts[g] + np.flatnonzero(bad[i, starts[g]:])[0]]
+            g = failing[np.argmin(first[failing])]
+            i = np.flatnonzero(group_bad[g])[0]
+            t = np.flatnonzero((gid == g) & wrong & (near_t[:, i] == least[g, i] // 2))[0]
+            s_y = m2.interp[m2.states[first[g]]]
             return ConditionReport(
                 ok=False,
                 counterexample={
                     "Y": y,
-                    "setting": settings[g],
-                    "base_state": states[i],
-                    "closest_state": states[t],
-                    "expected": expected[g],
-                    "got": m2.interp[states[t]][y],
+                    "setting": {x: s_y[x] for x in names if x != y},
+                    "base_state": m2.states[i],
+                    "closest_state": m2.states[t],
+                    "expected": sig.range_of(y)[equation[first[g], j]],
+                    "got": m2.interp[m2.states[t]][y],
                 },
             )
     return ConditionReport(ok=True)
 
 
-def _check_condition_b(m2: CfStructure, m: CausalModel) -> ConditionReport:
-    sig = m.sig
-    names = sig.all_names()
-    present = {tuple(m2.interp[s][n] for n in names) for s in m2.states}
-    for values in itertools.product(*(sig.range_of(n) for n in names)):
-        if values not in present:
-            return ConditionReport(ok=False, counterexample={"missing": dict(zip(names, values))})
-    return ConditionReport(ok=True)
+def _check_condition_b(m2: CfStructure) -> ConditionReport:
+    """Every assignment is some state's.  The i-th distinct state row in
+    lexicographic order is the i-th assignment up to the first missing one,
+    which a binary search finds."""
+    names = m2.sig.all_names()
+    ranges = [m2.sig.range_of(x) for x in names]
+    _, first = np.unique(_row_keys(m2.codes, [len(r) for r in ranges]), return_index=True)
+    rows = m2.codes[first].tolist()
+
+    def position(row):
+        i = 0
+        for v, rng in zip(row, ranges):
+            i = i * len(rng) + v
+        return i
+
+    missing = bisect.bisect_left(range(len(rows)), True, key=lambda i: position(rows[i]) != i)
+    if missing == math.prod(len(r) for r in ranges):
+        return ConditionReport(ok=True)
+    values = []
+    for rng in reversed(ranges):
+        missing, v = divmod(missing, len(rng))
+        values.append(rng[v])
+    return ConditionReport(ok=False, counterexample={"missing": dict(zip(names, reversed(values)))})
 
 
-def _psi_family(sig: Signature):
-    """All nonempty conjunctions of endogenous primitive events, as
-    (mask-producing) value tuples: each element maps var -> required value."""
-    options = [[None] + list(sig.range_of(n)) for n in sig.endo_names]
-    for combo in itertools.product(*options):
-        if all(v is None for v in combo):
-            continue
-        yield combo
+def _lattice(full: np.ndarray, reduce) -> np.ndarray:
+    """Fill, in place, a lattice of conjunctions: `full` has one axis per
+    endogenous variable, whose index 0 leaves the variable free and index
+    v + 1 requires its v-th value, then one axis of data per conjunction.
+    The entries free at no axis are given; every other one is `reduce`
+    over its children at the first axis where it is free."""
+    arity = full.ndim - 1
+    for axis in range(arity):
+        head = (slice(None),) * axis
+        tail = (slice(1, None),) * (arity - axis - 1)
+        reduce(full[head + (slice(1, None),) + tail], axis=axis, out=full[head + (0,) + tail])
+    return full
 
 
-def _check_condition_c(m2, m, near, vals):
+def _check_condition_c(m2: CfStructure, near_t):
     """Exogenous values must be preserved in the closest psi-states, for all
     conjunctions of endogenous events and all pairwise disjunctions of such
     conjunctions.
@@ -298,60 +336,80 @@ def _check_condition_c(m2, m, near, vals):
     psi-state with other exogenous values.  So each conjunction needs two
     vectors over the bases: `min_same[s]`, the least rank from s over
     psi-states with s's exogenous values, and `min_diff[s]`, the least
-    rank over the others.  Those of psi1 | psi2 are the elementwise minimum
-    of its disjuncts'.  So once every conjunction has passed, a
-    disjunction fails at s only where exactly one disjunct is "lonely",
-    with no state of s's exogenous values, and the other's `min_same` is
-    at least the lonely one's `min_diff`: elsewhere min(same1, same2) <=
-    same_i < diff_i for both i.  The largest `min_same` and smallest
-    `min_diff` over the later conjunctions find the first failing pair in
-    `itertools.combinations` order.  A pair whose mask equals an earlier
-    pair's is not counted again; it never decides the verdict, as the
-    earlier one fails whenever it does."""
-    sig = m.sig
+    rank over the others.  The conjunctions of all endogenous variables
+    take them from one reduction over the states grouped by their
+    endogenous values; any other conjunction is the disjunction of its
+    children at a variable it leaves free, so its vectors are the minima
+    of theirs (`_lattice`).  The lattice's order, each variable's free
+    index first, is the `itertools.product` order in which conjunctions
+    are checked and reported.
+
+    Those of psi1 | psi2 are the elementwise minimum of its disjuncts'.
+    So once every conjunction has passed, a disjunction fails at s only
+    where exactly one disjunct is "lonely", with no state of s's exogenous
+    values, and the other's `min_same` is at least the lonely one's
+    `min_diff`: elsewhere min(same1, same2) <= same_i < diff_i for both i.
+    The largest `min_same` and smallest `min_diff` over the later
+    conjunctions find the first failing pair in `itertools.combinations`
+    order.  A pair whose mask equals an earlier pair's is not counted
+    again; it never decides the verdict, as the earlier one fails whenever
+    it does."""
+    sig = m2.sig
     states = m2.states
     n = len(states)
     inf = np.iinfo(np.int64).max
     k = len(sig.exo_names)
-    exo_class, _ = _groups(vals[:, :k])
-    same = exo_class[:, None] == exo_class[None, :]
-    near_same = np.where(same, near, inf)
-    near_diff = np.where(same, inf, near)
+    shape = tuple(len(sig.range_of(y)) + 1 for y in sig.endo_names)
+    size = math.prod(shape)  # the conjunctions and, first, the empty one
+    if size * n * 8 > _ARRAY_BUDGET:
+        raise CorrespondenceError(
+            f"condition (c) over {size - 1} conjunctions and {n} states exceeds the budget of {_ARRAY_BUDGET} bytes"
+        )
+    exo = _row_keys(m2.codes[:, :k], [len(sig.range_of(x)) for x in sig.exo_names])
 
-    def describe(combo):
-        return " & ".join(f"{v}={w}" for v, w in zip(sig.endo_names, combo) if w is not None)
+    # each state's conjunction of all endogenous variables, and the states
+    # sorted by it
+    full = np.ravel_multi_index(tuple(m2.codes[:, k:].T + 1), shape)
+    grouped = np.argsort(full, kind="stable")
+    starts = np.flatnonzero(np.diff(full[grouped], prepend=-1))
+    present = full[grouped[starts]]
+
+    def minima(ranks):
+        lattice = np.full((size, n), inf, dtype=np.int64)
+        lattice[present] = np.minimum.reduceat(ranks, starts, axis=0)
+        return _lattice(lattice.reshape(shape + (n,)), np.minimum.reduce).reshape(size, n)[1:]
+
+    sub, same = near_t[grouped], exo[grouped, None] == exo
+    conj_same = minima(np.where(same, sub, inf))
+    np.copyto(sub, inf, where=same)
+    conj_diff = minima(sub)
+    del sub, same
+
+    def describe(row):
+        wanted = np.unravel_index(row + 1, shape)
+        return " & ".join(f"{y}={sig.range_of(y)[v - 1]}" for y, v in zip(sig.endo_names, wanted) if v)
 
     def failed(psi, base, checked):
         return ConditionReport(ok=False, counterexample={"psi": psi, "base_state": states[base]}), checked
-
-    combos = list(_psi_family(sig))
-    masks = np.ones((len(combos), n), dtype=bool)
-    for row, combo in enumerate(combos):
-        for col, want in enumerate(combo):
-            if want is not None:
-                masks[row] &= vals[:, k + col] == sig.range_of(sig.endo_names[col]).index(want)
-    conj_same = np.full((len(combos), n), inf, dtype=np.int64)
-    conj_diff = conj_same.copy()
-    for row, mask in enumerate(masks):
-        cols = np.flatnonzero(mask)
-        if cols.size:
-            conj_same[row] = near_same[:, cols].min(axis=1)
-            conj_diff[row] = near_diff[:, cols].min(axis=1)
 
     bad = (conj_same >= conj_diff) & (conj_same != inf)
     rows = np.flatnonzero(bad.any(axis=1))
     if rows.size:
         i = int(rows[0])
-        return failed(describe(combos[i]), np.flatnonzero(bad[i])[0], i + 1)
-    checked = len(combos)
+        return failed(describe(i), np.flatnonzero(bad[i])[0], i + 1)
+    del bad
+    checked = count = size - 1
 
     # At each base, row i of `tail_same` is the largest min_same over the
     # conjunctions i, i+1, ... not lonely there (-1 if none), and row i of
     # `tail_diff` the smallest min_diff over those lonely there.
     lonely = conj_same == inf
-    tail_same = np.maximum.accumulate(np.where(lonely, -1, conj_same)[::-1])[::-1]
-    tail_diff = np.minimum.accumulate(np.where(lonely, conj_diff, inf)[::-1])[::-1]
+    tail_same = np.where(lonely, -1, conj_same)
+    np.maximum.accumulate(tail_same[::-1], axis=0, out=tail_same[::-1])
+    tail_diff = np.where(lonely, conj_diff, inf)
+    np.minimum.accumulate(tail_diff[::-1], axis=0, out=tail_diff[::-1])
     partnered = np.where(lonely[:-1], tail_same[1:] >= conj_diff[:-1], conj_same[:-1] >= tail_diff[1:])
+    del tail_same, tail_diff, lonely
     rows = np.flatnonzero(partnered.any(axis=1))
     hit = None
     if rows.size:
@@ -360,17 +418,26 @@ def _check_condition_c(m2, m, near, vals):
         bad = (pair_same >= np.minimum(conj_diff[i], conj_diff[i + 1 :])) & (pair_same != inf)
         j = int(np.flatnonzero(bad.any(axis=1))[0])
         hit = i, i + 1 + j, np.flatnonzero(bad[j])[0]
+    del conj_same, conj_diff, partnered
 
-    # Count the distinct union masks up to the failing pair, or all: each
-    # mask is a row of 64-bit words; the rows are sorted in place and
-    # adjacent rows compared.
+    # Count the distinct union masks up to the failing pair, or all.  Each
+    # conjunction's mask is a row of 64-bit words, built on the same
+    # lattice from the states' bits; the pair unions are sorted in place
+    # and adjacent rows compared.
     width = max(1, -(-n // 64))
-    packed = np.zeros((len(combos), 8 * width), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(masks, axis=1)
-    packed = packed.view(np.uint64)
-    last_i, last_j = hit[:2] if hit is not None else (len(combos) - 2, len(combos) - 1)
-    ends = [len(combos) if i < last_i else last_j + 1 for i in range(last_i + 1)]
-    keys = np.empty((sum(end - i - 1 for i, end in enumerate(ends)), width), dtype=np.uint64)
+    bits = np.zeros((size, width), dtype=np.uint64)
+    t = np.arange(n)
+    np.bitwise_or.at(bits, (full, t // 64), np.left_shift(np.uint64(1), (t % 64).astype(np.uint64)))
+    packed = _lattice(bits.reshape(shape + (width,)), np.bitwise_or.reduce).reshape(size, width)[1:]
+    last_i, last_j = hit[:2] if hit is not None else (count - 2, count - 1)
+    ends = [count if i < last_i else last_j + 1 for i in range(last_i + 1)]
+    pairs = sum(end - i - 1 for i, end in enumerate(ends))
+    if pairs * width * 8 > _ARRAY_BUDGET:
+        raise CorrespondenceError(
+            f"counting the distinct unions of {pairs} conjunction pairs over {n} states"
+            f" exceeds the budget of {_ARRAY_BUDGET} bytes"
+        )
+    keys = np.empty((pairs, width), dtype=np.uint64)
     at = 0
     for i, end in enumerate(ends):
         keys[at : at + end - i - 1] = packed[i] | packed[i + 1 : end]
@@ -380,7 +447,7 @@ def _check_condition_c(m2, m, near, vals):
         checked += 1 + int(np.count_nonzero((keys[1:] != keys[:-1]).any(axis=1)))
     if hit is not None:
         i, j, base = hit
-        return failed(f"({describe(combos[i])}) | ({describe(combos[j])})", base, checked)
+        return failed(f"({describe(i)}) | ({describe(j)})", base, checked)
     return ConditionReport(ok=True), checked
 
 

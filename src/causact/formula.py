@@ -56,6 +56,12 @@ class Signature:
         return dict(self.endogenous)
 
     @cached_property
+    def value_index(self) -> dict[str, dict[str, int]]:
+        """Each variable's values mapped to their positions in its range,
+        for the variables in `all_names()` order."""
+        return {n: {v: i for i, v in enumerate(self.range_of(n))} for n in self.all_names()}
+
+    @cached_property
     def exo_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.exogenous)
 

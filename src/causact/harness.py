@@ -9,7 +9,8 @@ are supposed to agree against each other:
              conjunctive witnesses, in the same causal setting (optionally
              with negated conjuncts in the language);
   theorem2   interventionist cause in (M,u) vs. pair-extended witnesses in
-             the built counterpart structure at the matching state;
+             the built counterpart structure at the matching state, which
+             must also strongly correspond to M (the theorem's hypothesis);
   prop3      formula-by-formula agreement between (M,u) and the matching
              counterpart state, for formulas whose counterfactual
              antecedents are event conjunctions;
@@ -47,7 +48,7 @@ from .abstract import (
     is_actual_cause_abstract,
 )
 from .explanation import is_explanation_hp, is_explanation_abstract
-from .correspondence import build_counterpart
+from .correspondence import build_counterpart, check_correspondence
 
 
 @dataclass(frozen=True)
@@ -218,16 +219,18 @@ def run_differential(
 
 def _cause_trial(caps, rng, place):
     """Interventionist cause vs. abstract cause for a random query;
-    `place(m, u)` gives the abstract check's setting, its language and the
-    bundle fields that say where it ran."""
+    `place(m, u)` gives the abstract check's setting, its language, the
+    bundle fields that say where it ran, and whether the setting meets the
+    theorem's hypothesis.  A setting that does not is a disagreement
+    whatever the verdicts."""
     m = gen_random_model(caps, rng)
     u = random_context(m, rng)
     cause = random_event_conjunction(m, rng, prefer_actual=m.solve(u))
     effect = random_prop_formula(m, rng, caps.formula_depth)
     hp = is_actual_cause_hp(m, u, cause, effect, first_only=True)
-    setting, lang, where = place(m, u)
+    setting, lang, where, holds = place(m, u)
     ab = is_actual_cause_abstract(setting, cause, effect, lang)
-    if hp.is_cause == ab.is_cause:
+    if holds and hp.is_cause == ab.is_cause:
         return None
     return _bundle(m, u, cause=format_formula(cause), effect=format_formula(effect), **where,
                    interventionist=hp.to_dict(), abstract=ab.to_dict())
@@ -235,14 +238,17 @@ def _cause_trial(caps, rng, place):
 
 def _trial_theorem1(caps, rng, negated):
     lang = conj_neg_language() if negated else conj_language()
-    place = lambda m, u: (CausalSetting(m, u), lang, {"language": lang.describe()})
+    place = lambda m, u: (CausalSetting(m, u), lang, {"language": lang.describe()}, True)
     return _cause_trial(caps, rng, place)
 
 
 def _trial_theorem2(caps, rng, negated):
     def place(m, u):
         m2, ctx_state = build_counterpart(m, state_cap=10**4)
-        return CfSetting(m2, ctx_state(u)), pair_language(), {"state": ctx_state(u)}
+        # the hypothesis of Theorem 2: the structure strongly corresponds to m
+        report = check_correspondence(m2, m, strong=True)
+        where = {"state": ctx_state(u), "correspondence": report.to_dict()}
+        return CfSetting(m2, ctx_state(u)), pair_language(), where, report.ok
 
     return _cause_trial(caps, rng, place)
 

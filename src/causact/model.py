@@ -12,6 +12,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .formula import (
     And,
     BoxArrow,
@@ -119,6 +121,25 @@ class CausalModel:
     def equation_value(self, x: str, assignment: dict) -> str:
         """F_X applied to an assignment of (at least) X's parents."""
         return self._tables[x][tuple(assignment[n] for n in self.parents[x])]
+
+    def equation_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Every equation applied to every row of `codes`, a matrix of value
+        indices with one column per variable of `sig.all_names()`: row r,
+        column j is the index in Y's range of F_Y(row r), for the j-th
+        endogenous Y.  Each table is laid out densely over its parents'
+        value indices, which the compile-time size check bounds."""
+        sig = self.sig
+        column = {n: c for c, n in enumerate(sig.all_names())}
+        out = np.empty((len(codes), len(sig.endo_names)), dtype=np.intp)
+        for j, x in enumerate(sig.endo_names):
+            index = sig.value_index[x]
+            ranges = [sig.range_of(p) for p in self.parents[x]]
+            table = np.array([index[self._tables[x][key]] for key in itertools.product(*ranges)], dtype=np.intp)
+            row = np.zeros(len(codes), dtype=np.intp)
+            for p, rng in zip(self.parents[x], ranges):
+                row = row * len(rng) + codes[:, column[p]]
+            out[:, j] = table[row]
+        return out
 
     def _topological_order(self) -> tuple[str, ...]:
         """Repeatedly place the first endogenous variable, in signature

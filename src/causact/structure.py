@@ -7,7 +7,10 @@ counterpart builder's derived order), or as an arbitrary explicit relation
 through the comparator API.  States a base state does not rank are treated
 as strictly farther than all ranked ones.
 
-A structure answers every query from two things it builds on first use:
+A structure keeps `codes`, each state's value indices (one row per state,
+one column per variable), built as it validates the states; its value
+columns are read off them.  It answers every query from two things it
+builds on first use:
 `near`, the order's n x n matrix of dense ranks (row s ranks every state
 from base s), and `extension(phi)`, the boolean mask over `states` of
 where phi holds, cached per formula.  `phi ~> psi` holds at s when every
@@ -111,15 +114,16 @@ class CfStructure:
         self.interp = {s: dict(a) for s, a in interp.items()}
         self.order = order
         names = sig.all_names()
-        for s, asgn in self.interp.items():
-            for n in names:
-                if n not in asgn:
-                    raise StructureError(f"state {s} is missing a value for {n}")
-                if asgn[n] not in sig.range_of(n):
-                    raise StructureError(f"state {s}: value {asgn[n]!r} outside the range of {n}")
-            if len(asgn) > len(names):
-                extra = ", ".join(sorted(set(asgn) - set(names)))
-                raise StructureError(f"state {s} assigns undeclared variable {extra}")
+        # each state's value indices, one column per variable of `all_names()`
+        asgns = list(self.interp.values())
+        try:
+            columns = [[ix[asgn[n]] for asgn in asgns] for n, ix in sig.value_index.items()]
+        except (KeyError, TypeError):  # a missing variable, or a value outside its range
+            _reject_states(sig, self.interp)
+        if any(len(asgn) > len(names) for asgn in asgns):
+            _reject_states(sig, self.interp)
+        self.codes = np.array(columns, dtype=np.intp).reshape(len(names), len(asgns)).T
+        self.codes.flags.writeable = False
         self._position = {s: i for i, s in enumerate(self.states)}
         self._near: np.ndarray | None = None
         self._extensions: dict[Formula, np.ndarray] = {}
@@ -169,7 +173,8 @@ class CfStructure:
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
         """Each variable's values over `states`."""
-        return {x: np.array([self.interp[s][x] for s in self.states], dtype=str) for x in self.sig.all_names()}
+        sig = self.sig
+        return {x: np.array(sig.range_of(x))[col] for x, col in zip(sig.all_names(), self.codes.T)}
 
     def _holds(self, i: int, phi: Formula) -> bool:
         def modal(node):
@@ -213,6 +218,22 @@ class CfStructure:
              for t, ok in zip(self.states, mask)],
             dtype=bool,
         )
+
+
+def _reject_states(sig: Signature, interp: dict[str, dict]):
+    """Raise StructureError for the first state that misses a variable,
+    gives one a value outside its range, or assigns an undeclared one."""
+    names = sig.all_names()
+    for s, asgn in interp.items():
+        for n in names:
+            if n not in asgn:
+                raise StructureError(f"state {s} is missing a value for {n}")
+            if asgn[n] not in sig.range_of(n):
+                raise StructureError(f"state {s}: value {asgn[n]!r} outside the range of {n}")
+        if len(asgn) > len(names):
+            extra = ", ".join(sorted(set(asgn) - set(names)))
+            raise StructureError(f"state {s} assigns undeclared variable {extra}")
+    raise AssertionError("every state is valid")
 
 
 @dataclass

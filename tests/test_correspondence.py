@@ -1,11 +1,15 @@
 import gc
 import itertools
 import json
+import random
+import time
 
 import numpy as np
 import pytest
 
 from causact.formula import parse_formula
+from causact import correspondence
+from causact.cli import main
 from causact.model import parse_model
 from causact.structure import CfStructure, RelationOrder, StructureError, TierOrder, validate_structure
 from causact.correspondence import (
@@ -80,6 +84,29 @@ class TestBuilder:
                 assert rank == (int(s != t), diffs, viol(b))
                 assert all(type(part) is int for part in rank)
 
+    def test_violation_costs_stay_exact_past_int64(self):
+        # Fifteen binary variables that all read only U: every weight is
+        # 16^15, and a state breaking all fifteen equations costs more than
+        # 2^63.
+        names = [f"V{i}" for i in range(1, 16)]
+        m = parse_model("\n".join(
+            ["model flat", "exo U : { 0, 1 }"]
+            + [f"var {v} : {{ 0, 1 }}" for v in names]
+            + [f"eq {v} = case {{ U=1 : 1 ; default : 0 }}" for v in names]
+        ))
+        m2, _ = build_counterpart(m)
+        assert len(m2.states) == 65536
+
+        def viol(a):
+            return sum(16 ** 15 for y in names if a[y] != m.equation_value(y, a))
+
+        every_violation = 2**15 - 1  # U=0, every V=1
+        for j in [0, every_violation, 2**16 - 1] + random.Random(0).sample(range(2**16), 200):
+            cost = m2.order.viol[j]
+            assert type(cost) is int
+            assert cost == viol(m2.interp[m2.states[j]])
+        assert m2.order.viol[every_violation] == 15 * 16**15 > 2**63
+
     def test_cap_enforced(self, rt):
         with pytest.raises(CorrespondenceError):
             build_counterpart(rt, state_cap=100)
@@ -142,6 +169,79 @@ class TestChecker:
         m2, _ = build_counterpart(chain)
         with pytest.raises(CorrespondenceError):
             check_correspondence(m2, rt)
+
+
+class TestLargeSignatures:
+    def test_seventy_binary_variables(self):
+        # Keys over all variables but one have 70 binary digits.  t0 and t1
+        # differ only in U, whose digit would wrap to 0 in an int64 key,
+        # merging their settings; no table may be sized by 2^70 either.
+        names = [f"V{i}" for i in range(1, 71)]
+        m = parse_model("\n".join(
+            ["model wide", "exo U : { 0, 1 }"]
+            + [f"var {v} : {{ 0, 1 }}" for v in names]
+            + ["eq V1 = case { U=1 : 1 ; default : 0 }"]
+            + [f"eq {v} = case {{ {p}=1 : 1 ; default : 0 }}" for p, v in zip(names, names[1:])]
+        ))
+        zero = {"U": "0", **{v: "0" for v in names}}
+        interp = {"t0": zero, "t1": {**zero, "U": "1"}, "t2": {**zero, "U": "1", "V1": "1"}}
+        tiers = {
+            "t0": [frozenset({"t0"}), frozenset({"t1"}), frozenset({"t2"})],
+            "t1": [frozenset({"t1"}), frozenset({"t0", "t2"})],
+            "t2": [frozenset({"t2"}), frozenset({"t0", "t1"})],
+        }
+        m2 = CfStructure(m.sig, interp, TierOrder(tiers))
+        m2.near
+        start = time.perf_counter()
+        report = check_correspondence(m2, m)
+        assert time.perf_counter() - start < 0.5
+        assert report.condition_a.counterexample == {
+            "Y": "V1",
+            "setting": {**{x: "0" for x in names[1:]}, "U": "1"},
+            "base_state": "t0",
+            "closest_state": "t1",
+            "expected": "1",
+            "got": "0",
+        }
+        _agrees(m2, m)
+        _agrees(m2, m, strict=True)
+
+
+class TestArrayBudget:
+    # At 256 states the conjunction lattices of SIX_BINARY take 729 x 256 x
+    # 8 bytes (1.5 MB) each, and the union keys of its 264,628 conjunction
+    # pairs 32 bytes each (8.5 MB).
+
+    @pytest.fixture
+    def six(self):
+        m = parse_model(SIX_BINARY)
+        return m, build_counterpart(m)[0]
+
+    def test_pair_keys_over_the_budget(self, six, monkeypatch):
+        m, m2 = six
+        monkeypatch.setattr(correspondence, "_ARRAY_BUDGET", 4 << 20)
+        with pytest.raises(CorrespondenceError, match="264628 conjunction pairs .* exceeds the budget"):
+            check_correspondence(m2, m, strong=True)
+        assert check_correspondence(m2, m).ok
+
+    def test_lattice_over_the_budget(self, six, monkeypatch):
+        m, m2 = six
+        monkeypatch.setattr(correspondence, "_ARRAY_BUDGET", 1 << 20)
+        with pytest.raises(CorrespondenceError, match="728 conjunctions and 256 states exceeds the budget"):
+            check_correspondence(m2, m, strong=True)
+
+    def test_cli_exits_3(self, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "six.cm"
+        model.write_text(SIX_BINARY)
+        structure = str(tmp_path / "six.cfs")
+        assert main(["build-cf", "-m", str(model), "-o", structure]) == 0
+        argv = ["check-correspondence", "-m", str(model), "-s", structure, "--strong"]
+        monkeypatch.setattr(correspondence, "_ARRAY_BUDGET", 4 << 20)
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "exceeds the budget" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert main(argv) == 0
 
 
 class TestConsistencyAndCompatibility:

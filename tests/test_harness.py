@@ -1,5 +1,7 @@
 import pytest
 
+from causact import harness
+from causact.correspondence import ConditionReport
 from causact.formula import format_formula, free_endogenous, is_propositional
 from causact.model import model_to_text, parse_model
 from causact.harness import (
@@ -75,6 +77,24 @@ class TestDifferentials:
         report = run_differential(name, trials=20, seed=123)
         assert report.ok, report.to_json()
         assert report.agreements == 20
+
+    def test_theorem2_requires_strong_correspondence(self, monkeypatch):
+        real = harness.check_correspondence
+        asked = []
+
+        def failing(m2, m, strong=False, strict=False):
+            asked.append(strong)
+            report = real(m2, m, strong=strong, strict=strict)
+            report.condition_c = ConditionReport(ok=False, counterexample={"psi": "V1=0", "base_state": "s0"})
+            return report
+
+        monkeypatch.setattr(harness, "check_correspondence", failing)
+        report = run_differential("theorem2", trials=3, seed=123)
+        assert asked == [True] * 3
+        assert report.agreements == 0 and len(report.disagreements) == 3
+        bundle = report.disagreements[0]
+        assert bundle["correspondence"]["conditionC"]["counterexample"]["psi"] == "V1=0"
+        assert bundle["state"] and bundle["index"] == 0
 
     def test_reports_are_deterministic(self):
         a = run_differential("theorem1", trials=15, seed=77)
