@@ -250,6 +250,8 @@ def cmd_fuzz(args):
     name = _THEOREM_NAMES.get(str(args.theorem))
     if name is None:
         raise CliError(f"unknown theorem {args.theorem!r} (1-5)", 2)
+    if args.trials < 0:
+        raise CliError(f"--trials must be nonnegative, got {args.trials}", 2)
     report = run_differential(name, args.trials, seed=args.seed, negated=args.negated)
     human = (
         f"{report.differential}: {report.agreements}/{report.trials} agree, "

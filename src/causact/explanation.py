@@ -1,4 +1,5 @@
-"""Explanation relative to an epistemic state.
+"""Explanation relative to an epistemic state (Halpern & Pearl, "Causes and
+Explanations, Part II").
 
 The epistemic state is the set of settings the agent considers possible:
 contexts of a causal model, or states of a counterfactual structure.  A
@@ -11,11 +12,15 @@ actually considered (EX3).  The explanation is nontrivial when the agent
 also considers a setting where the explanandum holds without the
 candidate (EX4), i.e. the candidate was not already known.
 
+`_verdict` states EX1-EX4 once.  The witness-set check
+(`is_explanation_hp`) and the language check (`is_explanation_abstract`)
+validate their input and give it the truth of a formula, EX1(a)'s
+certificate and EX1(b) at one setting, and EX2's weaker candidates.
+
 One call decides each AC2 question once, for the candidate and every EX2
 weakening alike: per setting and language member (abstract), per context
 and set of cause events (witness sets).  A member or conjunction is a
-cause where it passes AC2 and no strictly weaker one does; AC1 holds by
-construction, as each is true at a setting where the explanandum holds.
+cause where it passes AC2 and no strictly weaker one does (`_cause_rule`).
 The certificates are those of the full cause check run per candidate: it
 decides the same questions, and the order in which causes are tried is
 unchanged.  In causal models the actual-value events Y=y that extend a
@@ -28,6 +33,7 @@ found, in the same (size, lexicographic) order, as it was.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -45,7 +51,7 @@ from .formula import (
     prop_entails_given,
     prop_equivalent,
 )
-from .hp import _ac2_search, _ac3_violator, is_actual_cause_hp
+from .hp import _ac2_search, is_actual_cause_hp
 from .model import CausalModel
 from .abstract import (
     WitnessLanguage,
@@ -88,6 +94,63 @@ class ExplanationVerdict:
 
 
 # ---------------------------------------------------------------------------
+# EX1-EX4 and the cause rule, stated once for both checks
+
+
+def _verdict(n, holds, certificate, ex1b, cand, effect, weakenings) -> ExplanationVerdict:
+    """EX1-EX4 of `cand` for `effect` over an epistemic state of n settings.
+
+    `holds(i, phi)` is the truth of phi at setting i; `certificate(i, phi)`
+    is EX1(a)'s certificate at a setting where phi and the explanandum
+    hold, or None; `ex1b(i, phi)` says that making phi true forces the
+    explanandum at setting i; `weakenings` yields EX2's candidates strictly
+    weaker than `cand`, in the order tried."""
+    effect_at = [holds(i, effect) for i in range(n)]
+
+    def premise(phi):  # the settings where phi and the explanandum hold
+        return [i for i in range(n) if effect_at[i] and holds(i, phi)]
+
+    def ex1(phi):
+        return (all(certificate(i, phi) is not None for i in premise(phi))
+                and all(ex1b(i, phi) for i in range(n)))
+
+    joint = premise(cand)
+    certs = {i: certificate(i, cand) if i in joint else None for i in range(n)}
+    ex1a = all(certs[i] is not None for i in joint)
+    ex1b_holds = all(ex1b(i, cand) for i in range(n))
+    violator = next((phi for phi in weakenings if ex1(phi)), None)
+    is_expl = ex1a and ex1b_holds and violator is None and bool(joint)
+    ex4 = any(effect_at[i] and i not in joint for i in range(n))
+    return ExplanationVerdict(
+        is_explanation=is_expl,
+        nontrivial=is_expl and ex4,
+        ex1a=ex1a,
+        ex1b=ex1b_holds,
+        ex2=violator is None,
+        ex3=bool(joint),
+        ex4=ex4,
+        certificates=certs,
+        ex2_violator=violator,
+    )
+
+
+def _cause_rule(ac2, weaker):
+    """`is_cause(i, c)` for one explanation call: c, true at setting i where
+    the explanandum holds (so AC1 holds), is a cause if it passes AC2
+    (`ac2(i, c)`, which the caller memoises) and none of the strictly
+    weaker candidates of AC3 (`weaker(i, c)`) does.  Those are asked first,
+    in order: they are shared by many candidates, and one that passes
+    settles the question.  Each verdict is decided once per call."""
+    return functools.cache(lambda i, c: not any(ac2(i, w) for w in weaker(i, c)) and ac2(i, c))
+
+
+def _sub_conjunctions(pairs):
+    """The conjunctions of the proper subsets of `pairs`, smallest first."""
+    return (conjoin([PrimEvent(v, x) for v, x in s])
+            for size in range(len(pairs)) for s in itertools.combinations(pairs, size))
+
+
+# ---------------------------------------------------------------------------
 # Explanation in causal models
 
 
@@ -106,107 +169,48 @@ def is_explanation_hp(
         raise ValueError("the epistemic state must contain at least one context")
 
     causal_conjunct = _causal_conjuncts(m, contexts, effect)
-    ex1a, certs = _ex1a_hp(m, contexts, pairs, effect, causal_conjunct)
-    ex1b = _ex1b_hp(m, contexts, pairs, effect)
-    ex3 = any(
-        m.evaluate(u, cand) and m.evaluate(u, effect) for u in contexts
+    return _verdict(
+        len(contexts),
+        lambda i, phi: m.evaluate(contexts[i], phi),
+        lambda i, phi: causal_conjunct(i, as_event_conjunction(phi)),
+        lambda i, phi: m._eval(contexts[i], effect, dict(as_event_conjunction(phi))),
+        cand, effect, _sub_conjunctions(pairs),
     )
-    ex4 = any(
-        not m.evaluate(u, cand) and m.evaluate(u, effect) for u in contexts
-    )
-
-    subsets = (list(s) for size in range(len(pairs)) for s in itertools.combinations(pairs, size))
-    weaker = next((sub for sub in subsets if _ex1a_hp(m, contexts, sub, effect, causal_conjunct)[0]
-                   and _ex1b_hp(m, contexts, sub, effect)), None)
-    ex2 = weaker is None
-    violator = None if ex2 else conjoin([PrimEvent(v, x) for v, x in weaker])
-
-    is_expl = ex1a and ex1b and ex2 and ex3
-    return ExplanationVerdict(
-        is_explanation=is_expl,
-        nontrivial=is_expl and ex4,
-        ex1a=ex1a,
-        ex1b=ex1b,
-        ex2=ex2,
-        ex3=ex3,
-        ex4=ex4,
-        certificates=certs,
-        ex2_violator=violator,
-    )
-
-
-def _ex1b_hp(m, contexts, pairs, effect) -> bool:
-    inter = dict(pairs)
-    return all(m._eval(u, effect, inter) for u in contexts)
-
-
-def _ex1a_hp(m, contexts, pairs, effect, causal_conjunct):
-    """Wherever the candidate and the explanandum both hold, some conjunct
-    of the candidate extends (by actual-value conjuncts) to a cause."""
-    cand = conjoin([PrimEvent(v, x) for v, x in pairs])
-    certs = {}
-    ok = True
-    for i, u in enumerate(contexts):
-        if not (m.evaluate(u, cand) and m.evaluate(u, effect)):
-            certs[i] = None
-            continue
-        cert = causal_conjunct(i, pairs)
-        certs[i] = cert
-        if cert is None:
-            ok = False
-    return ok, certs
 
 
 def _causal_conjuncts(m, contexts, effect):
     """EX1(a)'s search for one explanation call, as `find(i, pairs)`: the
     certificate of the first conjunct X=x of `pairs` that, with actual-value
-    events Y=y (smaller sets of Y first), is an actual cause at contexts[i],
-    or None.  `pairs` must hold at contexts[i], and so must the effect.
-
-    Each (context, conjunct) is decided once, for the candidate and all its
-    sub-conjunctions, and each AC2 question once, keyed by the set of cause
-    events: a cause passes AC2 and has no nonempty proper subset that does
-    (`hp._ac3_violator`, the cause check's own AC3 search).  The subsets are
-    asked first, smallest first: they are shared by many causes tried, and
-    one that passes settles the question.  A single event is asked of the
-    cause check itself, which for one event true at the context is AC2.  Y
-    ranges over the ancestors of the effect's variables only (see the
-    module docstring)."""
+    events Y=y (smaller sets of Y first, Y an ancestor of the effect's
+    variables), is an actual cause at contexts[i], or None.  `pairs` must
+    hold at contexts[i], and so must the effect.  Each (context, conjunct)
+    is decided once per call; AC3 asks the nonempty proper subsets of the
+    cause, smallest first, as `hp._ac3_violator` does."""
     actuals = [m.solve(u) for u in contexts]
     ancestors = m.ancestors(free_endogenous(effect))
-    ac2: dict = {}  # (context index, frozenset of cause events) -> AC2 holds
-    certs: dict = {}  # (context index, conjunct) -> certificate or None
 
-    def passes(i, cause):
-        key = (i, frozenset(cause))
-        if key not in ac2:
-            if len(cause) == 1:  # no AC3 to check, and AC1 holds: the cause check is AC2
-                verdict = is_actual_cause_hp(m, contexts[i], PrimEvent(*cause[0]), effect, first_only=True)
-                ac2[key] = verdict.is_cause
-            else:
-                ac2[key] = bool(_ac2_search(m, contexts[i], cause, effect, first_only=True))
-        return ac2[key]
+    @functools.cache
+    def ac2(i, events):  # a set: one question however the cause orders it
+        if len(events) == 1:  # no AC3 to check, and AC1 holds: the cause check is AC2
+            return is_actual_cause_hp(m, contexts[i], PrimEvent(*min(events)), effect, first_only=True).is_cause
+        return bool(_ac2_search(m, contexts[i], sorted(events), effect, first_only=True))
 
-    def is_cause(i, cause):
-        return _ac3_violator(cause, lambda s: passes(i, s)) is None and passes(i, cause)
+    is_cause = _cause_rule(
+        lambda i, cause: ac2(i, frozenset(cause)),
+        lambda i, cause: (s for size in range(1, len(cause)) for s in itertools.combinations(cause, size)),
+    )
 
+    @functools.cache
     def certificate(i, conjunct):
-        if (i, conjunct) not in certs:
-            var, val = conjunct
-            actual = actuals[i]
-            rest = [y for y in m.sig.endo_names if y != var and y in ancestors]
-            extras = (e for size in range(len(rest) + 1) for e in itertools.combinations(rest, size))
-            extra = next((e for e in extras if is_cause(i, [conjunct] + [(y, actual[y]) for y in e])), None)
-            certs[i, conjunct] = None if extra is None else {
-                "conjunct": f"{var}={val}",
-                "augmented_with": {y: actual[y] for y in extra},
-            }
-        return certs[i, conjunct]
+        var, val = conjunct
+        actual = actuals[i]
+        rest = [y for y in m.sig.endo_names if y != var and y in ancestors]
+        extras = (e for size in range(len(rest) + 1) for e in itertools.combinations(rest, size))
+        extra = next((e for e in extras if is_cause(i, (conjunct, *((y, actual[y]) for y in e)))), None)
+        return None if extra is None else {"conjunct": f"{var}={val}",
+                                           "augmented_with": {y: actual[y] for y in extra}}
 
-    def find(i, pairs):
-        return next((c for c in (certificate(i, conjunct) for conjunct in pairs) if c is not None), None)
-
-    return find
+    return lambda i, pairs: next((c for c in (certificate(i, p) for p in pairs) if c is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +225,11 @@ def is_explanation_abstract(
     allow_vacuous: bool = False,
 ) -> ExplanationVerdict:
     """Explanation relative to an epistemic state given as a list of
-    settings (CausalSetting or CfSetting over a shared signature).
-
-    EX1(a) here asks, at each considered setting where candidate and
-    explanandum hold, for language members tau1 (nonvalid, entailed by the
-    candidate) and tau2 (entailing tau1, and itself a cause of the
-    explanandum under the same language).
-    """
+    settings (CausalSetting or CfSetting over a shared signature).  EX1(a)
+    asks, at each considered setting where candidate and explanandum hold,
+    for language members tau1 (nonvalid, entailed by the candidate) and
+    tau2 (entailing tau1, and itself a cause of the explanandum under the
+    same language)."""
     if not settings:
         raise ValueError("the epistemic state must contain at least one setting")
     if not is_propositional(cand) or not is_propositional(effect):
@@ -245,80 +247,36 @@ def is_explanation_abstract(
     members = [[(t, event_literals(t, sig)) for t in enumerate_witnesses(core, st, ())]
                for st in settings]
     is_cause = _member_causes(settings, effect, lang, allow_vacuous)
+    literals = functools.cache(lambda phi: event_literals(phi, sig))
 
-    def ex1a_for(phi):
-        certs = {}
-        ok = True
-        lits = event_literals(phi, sig)
-        for i, st in enumerate(settings):
-            if not (st.holds(phi) and st.holds(effect)):
-                certs[i] = None
-                continue
-            cert = None
-            # tau1 is entailed by phi and not valid (entailed by true)
-            tau1s = [(t, a) for t, a in members[i] if prop_entails_given(phi, lits, t, a, sig)
-                     and not prop_entails_given(TRUE, frozenset(), t, a, sig)]
-            if tau1s:
-                for tau2, b in members[i]:
-                    matching = [t1 for t1, a in tau1s if prop_entails_given(tau2, b, t1, a, sig)]
-                    if matching and is_cause(i, tau2):
-                        cert = {"tau1": format_formula(matching[0]), "tau2": format_formula(tau2)}
-                        break
-            certs[i] = cert
-            if cert is None:
-                ok = False
-        return ok, certs
+    def certificate(i, phi):
+        lits = literals(phi)
+        # tau1 is entailed by phi and not valid (entailed by true)
+        tau1s = [(t, a) for t, a in members[i] if prop_entails_given(phi, lits, t, a, sig)
+                 and not prop_entails_given(TRUE, frozenset(), t, a, sig)]
+        for tau2, b in members[i]:
+            matching = [t1 for t1, a in tau1s if prop_entails_given(tau2, b, t1, a, sig)]
+            if matching and is_cause(i, tau2):
+                return {"tau1": format_formula(matching[0]), "tau2": format_formula(tau2)}
+        return None
 
-    def ex1b_for(phi):
-        return all(st.counterfactual(phi, effect, allow_vacuous) for st in settings)
-
-    ex1a, certs = ex1a_for(cand)
-    ex1b = ex1b_for(cand)
-    ex3 = any(st.holds(cand) and st.holds(effect) for st in settings)
-    ex4 = any(not st.holds(cand) and st.holds(effect) for st in settings)
-
-    weakenings = _weakenings(cand, pairs, members, sig)
-    violator = next((phi2 for phi2 in weakenings if ex1a_for(phi2)[0] and ex1b_for(phi2)), None)
-    ex2 = violator is None
-
-    is_expl = ex1a and ex1b and ex2 and ex3
-    return ExplanationVerdict(
-        is_explanation=is_expl,
-        nontrivial=is_expl and ex4,
-        ex1a=ex1a,
-        ex1b=ex1b,
-        ex2=ex2,
-        ex3=ex3,
-        ex4=ex4,
-        certificates=certs,
-        ex2_violator=violator,
+    return _verdict(
+        len(settings),
+        lambda i, phi: settings[i].holds(phi),
+        certificate,
+        lambda i, phi: settings[i].counterfactual(phi, effect, allow_vacuous),
+        cand, effect, _weakenings(cand, pairs, members, sig),
     )
 
 
 def _member_causes(settings, effect, lang, allow_vacuous):
     """`is_cause(i, tau)`: whether tau, a core member true at settings[i]
-    where the effect holds, is a cause of the effect there under `lang`.
-    AC1 holds, so it is one if tau passes AC2' and none of the cause
-    check's AC3' candidates (`_weaker_core_members`) does.  Each AC2' is
-    decided once per call, the weaker members' first, as for the
-    conjunctions of `_causal_conjuncts`."""
-    ac2: dict = {}  # (setting index, member) -> AC2' holds
-    causes: dict = {}
-
-    def passes(i, phi):
-        # phi is the cause here, so a pair component of the language ranges
-        # over its variables, not over those of the outer candidate
-        if (i, phi) not in ac2:
-            ac2[i, phi] = _ac2_prime(settings[i], phi, effect, lang, allow_vacuous) is not None
-        return ac2[i, phi]
-
-    def is_cause(i, tau):
-        if (i, tau) not in causes:
-            weaker = _weaker_core_members(settings[i], tau, lang)
-            causes[i, tau] = not any(passes(i, phi) for phi in weaker) and passes(i, tau)
-        return causes[i, tau]
-
-    return is_cause
+    where the effect holds, is a cause of the effect there under `lang`, by
+    AC2' and the cause check's AC3' candidates (`_weaker_core_members`).
+    Each member is the cause of its own AC2', so a pair component of the
+    language ranges over its variables, not over those of the candidate."""
+    ac2 = functools.cache(lambda i, phi: _ac2_prime(settings[i], phi, effect, lang, allow_vacuous) is not None)
+    return _cause_rule(ac2, lambda i, tau: _weaker_core_members(settings[i], tau, lang))
 
 
 def _weakenings(cand, pairs, members, sig):
@@ -332,12 +290,8 @@ def _weakenings(cand, pairs, members, sig):
     disjunctive or negated members are witness material, and admitting
     them as rival candidates would fail conjunctions that every
     sub-conjunction test accepts."""
-    raw = [
-        conjoin([PrimEvent(v, x) for v, x in subset])
-        for size in range(len(pairs))
-        for subset in itertools.combinations(pairs, size)
-    ]
-    raw = [(phi2, event_literals(phi2, sig)) for phi2 in raw] + [m for ms in members for m in ms]
+    raw = [(phi2, event_literals(phi2, sig)) for phi2 in _sub_conjunctions(pairs)]
+    raw += [m for ms in members for m in ms]
 
     # The members of one language share its pins, so every event conjunction
     # comes before any other formula: only the latter need a truth table.

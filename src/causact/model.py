@@ -412,7 +412,7 @@ _VALUE_RE = re.compile(_IDENT_RE.pattern + r"|[0-9]+")
 
 def _identifier(text: str, ctx: str) -> str:
     name = text.strip()
-    if not _IDENT_RE.fullmatch(name):
+    if not _IDENT_RE.fullmatch(name) or name in ("true", "false"):  # formulas read those as constants
         raise ModelError(f"expected a variable name, got {name!r}: {ctx!r}")
     return name
 
@@ -484,11 +484,11 @@ def model_to_text(m: CausalModel) -> str:
 
 def parse_context(text: str, sig: Signature) -> dict:
     """Parse a context literal like "U=u11" or "U1=0 & U2=1" (commas also
-    accepted) into a total exogenous assignment."""
-    text = text.replace(",", "&")
-    phi = parse_formula(text, sig)
+    accepted) into a total exogenous assignment.  Blank text is the empty
+    context, the context of a model with no exogenous variables."""
+    parts = conjuncts(parse_formula(text.replace(",", "&"), sig)) if text.strip() else []
     ctx = {}
-    for part in conjuncts(phi):
+    for part in parts:
         if not isinstance(part, ExoEvent):
             raise ModelError(f"context literals must be exogenous events, got {format_formula(part)}")
         if part.var in ctx:

@@ -315,7 +315,7 @@ def parse_structure(
     exo: list[tuple[str, tuple[str, ...]]] = []
     endo: list[tuple[str, tuple[str, ...]]] = []
     states: dict[str, dict] = {}
-    tiers: dict[str, list[frozenset[str]]] = {}
+    tiers: dict[str, list[list[str]]] = {}
     derived = False
 
     for stmt in _split_statements(body):
@@ -355,11 +355,16 @@ def parse_structure(
                 continue
             sid, _, tier_text = rest.partition(":")
             sid = sid.strip()
+            if sid in tiers:
+                raise StructureError(f"two orders for state {sid}")
             out = []
             for tier in tier_text.split(";"):
                 tier = tier.strip().strip("{}").strip()
                 if tier:
-                    out.append(frozenset(x.strip() for x in tier.split(",")))
+                    out.append([x.strip() for x in tier.split(",")])
+            named = [sid] + [x for tier in out for x in tier]  # the base is the implicit first tier
+            if len(set(named)) != len(named):
+                raise StructureError(f"order for {sid} names a state twice: {stmt!r}")
             tiers[sid] = out
         else:
             raise StructureError(f"unrecognized statement: {stmt!r}")

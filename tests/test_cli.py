@@ -70,6 +70,33 @@ class TestSolveEval:
         assert code == 3
         assert out == "" and "expected a variable name" in err
 
+    @pytest.mark.parametrize("argv", [["solve"], ["eval", "Y=1"], ["cause", "--cause", "X=1", "--effect", "Y=1"]])
+    def test_blank_context_is_the_empty_context(self, capsys, tmp_path, argv):
+        path = tmp_path / "m.cm"
+        path.write_text("model m\nvar X : { 0, 1 }\nvar Y : { 0, 1 }\n"
+                        "eq X = case { default: 1 }\neq Y = case { X=1 : 1 ; default: 0 }\n")
+        code, out, err = run(capsys, argv[0], "-m", str(path), "-u", "", *argv[1:])
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] in ("X = 1", "true", "isCause: True")
+
+    def test_blank_context_misses_the_exogenous_variables(self, capsys, rt_file):
+        code, out, err = run(capsys, "eval", "-m", rt_file, "-u", " ", "BS=1")
+        assert code == 3
+        assert out == "" and "context is missing U" in err
+
+    @pytest.mark.parametrize("name", ["true", "false"])
+    @pytest.mark.parametrize("dsl", ["model", "structure"])
+    def test_formula_constant_as_variable_name_is_semantic_error(self, capsys, tmp_path, name, dsl):
+        path = tmp_path / "file"
+        if dsl == "model":
+            path.write_text(f"model m\nexo U : {{ 0, 1 }}\nvar {name} : {{ 0, 1 }}\neq {name} = case {{ default: 0 }}\n")
+            code, out, err = run(capsys, "solve", "-m", str(path), "-u", "U=0")
+        else:
+            path.write_text(f"structure s\nvar {name} : {{ 0, 1 }}\nstate a {{ {name}=0 }}\n")
+            code, out, err = run(capsys, "closest", "-s", str(path), "--state", "a", "true")
+        assert code == 3
+        assert out == "" and f"expected a variable name, got '{name}'" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "-m", "/nonexistent.cm", "-u", "U=u11", "BS=1")
         assert code == 2 and "error" in err
@@ -395,6 +422,11 @@ class TestFuzzAndCorpus:
     def test_fuzz_unknown_theorem(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--theorem", "9", "--trials", "1")
         assert code == 2
+
+    def test_fuzz_negative_trials_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--theorem", "1", "--trials", "-3")
+        assert code == 2
+        assert out == "" and "--trials must be nonnegative" in err
 
     def test_corpus_runs_clean(self, capsys):
         code, out, _ = run(capsys, "corpus", "--json")

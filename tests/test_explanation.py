@@ -13,6 +13,7 @@ from causact.formula import (
     Not,
     Or,
     PrimEvent,
+    as_event_conjunction,
     conjoin,
     evaluate_prop,
     event_literals,
@@ -39,7 +40,7 @@ from causact.abstract import (
 )
 from causact.hp import is_actual_cause_hp
 from causact.correspondence import CorrespondenceError, build_counterpart
-from causact.explanation import is_explanation_abstract, is_explanation_hp
+from causact.explanation import ExplanationVerdict, is_explanation_abstract, is_explanation_hp
 from causact.corpus import THREE_CONTEXT
 
 
@@ -317,6 +318,33 @@ def _ref_causal_conjuncts(m, contexts, effect):
     return lambda i, pairs: next((c for c in (search(i, *p) for p in pairs) if c is not None), None)
 
 
+def _ref_explanation_hp(m, K, cand, effect):
+    """EX1-EX4 of a conjunction of events, stated directly: per context, the
+    candidate and the explanandum evaluated, EX1(a) by one full cause check
+    per candidate cause, EX1(b) read off the solution under the
+    intervention, and EX2 over the sub-conjunctions, smallest first."""
+    pairs = as_event_conjunction(cand)
+    search = functools.cache(lambda i, var, val: _ref_causal_conjunct(m, K[i], var, val, effect))
+
+    def ex1(sub):
+        certs, ex1a = {}, True
+        for i, u in enumerate(K):
+            certs[i] = None
+            if all(m.evaluate(u, PrimEvent(v, x)) for v, x in sub) and m.evaluate(u, effect):
+                certs[i] = next((c for c in (search(i, v, x) for v, x in sub) if c is not None), None)
+                ex1a = ex1a and certs[i] is not None
+        return ex1a, all(evaluate_prop(effect, m.solve(u, dict(sub))) for u in K), certs
+
+    ex1a, ex1b, certs = ex1(pairs)
+    subsets = (list(s) for size in range(len(pairs)) for s in itertools.combinations(pairs, size))
+    weaker = next((s for s in subsets if all(ex1(s)[:2])), None)
+    ex3 = any(m.evaluate(u, cand) and m.evaluate(u, effect) for u in K)
+    ex4 = any(not m.evaluate(u, cand) and m.evaluate(u, effect) for u in K)
+    is_expl = ex1a and ex1b and weaker is None and ex3
+    violator = None if weaker is None else conjoin([PrimEvent(v, x) for v, x in weaker])
+    return ExplanationVerdict(is_expl, is_expl and ex4, ex1a, ex1b, weaker is None, ex3, ex4, certs, violator)
+
+
 def _ref_member_causes(settings, effect, lang, allow_vacuous):
     """Reference cause test for a core member: the full cause check, once
     per (setting, member) and call."""
@@ -372,7 +400,8 @@ class TestMemoisedAgainstReference:
                 patch.setattr(explanation, "_causal_conjuncts", _ref_causal_conjuncts)
                 patch.setattr(explanation, "_member_causes", _ref_member_causes)
                 ref = run()
-            assert json.dumps(new) == json.dumps(ref), (i, format_formula(cand), format_formula(effect))
+            ref.append(_ref_explanation_hp(m, K, cand, effect).to_dict())
+            assert json.dumps([*new, new[0]]) == json.dumps(ref), (i, format_formula(cand), format_formula(effect))
 
     def test_the_first_of_several_extensions_is_reported(self, monkeypatch):
         # X=1 & A=1 and X=1 & B=1 & C=1 are both causes of E=1 (either

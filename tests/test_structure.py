@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from causact.abstract import CfSetting
 from causact.correspondence import CounterpartOrder, build_counterpart, check_correspondence
+from causact.corpus import backtracking_structure, bomb_structures
 from causact.formula import (
     FALSE,
     TRUE,
@@ -319,6 +320,23 @@ class TestFileFormat:
         bad = STRUCT_TEXT.replace("order c : { a, b }", "order c : { a, z }")
         with pytest.raises(StructureError):
             parse_structure(bad)
+
+    @pytest.mark.parametrize("line", [
+        "order a : { b } ; { c } ; { b }",  # a later tier would win
+        "order a : { b, c, b }",
+        "order a : { a } ; { b }",  # the base is the implicit first tier
+        "order a : { b } ; { c }\norder a : { c }",  # a second line would replace the first
+    ])
+    def test_state_named_twice_in_an_order_rejected(self, line):
+        bad = STRUCT_TEXT.replace("order a : { b } ; { c }", line)
+        with pytest.raises(StructureError, match="names a state twice|two orders for state a"):
+            parse_structure(bad)
+
+    def test_corpus_structures_round_trip(self):
+        for m in [backtracking_structure()[0], *bomb_structures()]:
+            again = parse_structure(structure_to_text(m))
+            assert again.interp == m.interp
+            assert all(m.order.rank(s, t) == again.order.rank(s, t) for s in m.states for t in m.states)
 
     def test_duplicate_state_rejected(self):
         bad = STRUCT_TEXT + "state a { U=0, X=0, Y=0 }\n"
