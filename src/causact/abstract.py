@@ -16,9 +16,12 @@ filtered to those true at the setting, which is complete: AC2' requires
 tau to hold there, and any AC3' candidate is entailed by the (true)
 cause.  The members of `conj`, `conj-neg` and `pair` are listed once, as
 rows (member, pair alternative) in try order, and a row becomes tau in
-one place.  AC3' candidates are generated from the literals the cause
-entails: only the variables whose actual-value event the cause entails
-get a conjunct.
+one place.  AC3' has one rule, `_strictly_weaker`: the members of the
+positive-conjunction core that the cause strictly entails.  The cause
+check applies it to the members over the variables whose actual-value
+event the cause entails (each of which the cause entails, so only the
+converse is tested), and the explanation checks to the core members
+they list once per setting, each with its literal set.
 
 AC2' builds no formula per member for `conj`, `conj-neg` and `pair`; only
 the tau reported becomes a formula.  At a causal setting a member is one
@@ -30,7 +33,8 @@ can decide AC2' (an earlier member tries the same vectors or more), and
 `conj-neg` and `pair` decide as `conj`.  At a structure state a member is
 the mask over the states of its antecedent: the AND of the masks of not
 cause, the pins and its conjuncts.  Blocks of such rows are decided by one
-closest-state query each.  Only `gen:K` tests one formula per member.
+box-arrow query each (`CfStructure.box_arrows`).  Only `gen:K` tests one
+formula per member.
 
 By default a box-arrow whose antecedent has no closest states counts as
 false here, even in structures where the Lewis semantics would call it
@@ -83,13 +87,14 @@ class CausalSetting:
         self.assignment = m.solve(self.context)
 
     def holds(self, phi: Formula) -> bool:
-        return self.model.evaluate(self.context, phi)
+        self.model.check_causal_fragment(phi)
+        return self.model._eval(self.context, phi, {})  # the context is validated
 
     def counterfactual(self, antecedent, consequent, allow_vacuous=False) -> bool:
         # The interventionist box-arrow is existential over settings of the
         # antecedent's endogenous variables, so an unsatisfiable antecedent
         # is false regardless of the vacuity policy.
-        return self.model.evaluate(self.context, BoxArrow(antecedent, consequent))
+        return self.holds(BoxArrow(antecedent, consequent))
 
 
 class CfSetting:
@@ -107,18 +112,14 @@ class CfSetting:
 
     def counterfactual(self, antecedent, consequent, allow_vacuous=False) -> bool:
         ext = self.structure.extension
-        return self.first_box_arrow(ext(antecedent)[None], ext(consequent), allow_vacuous) is not None
+        return bool(self.structure.box_arrows(self.state, ext(antecedent), ext(consequent), allow_vacuous))
 
     def first_box_arrow(self, antecedents, consequent, allow_vacuous):
         """The index of the first row of the boolean matrix `antecedents`
         whose closest states from this state all lie in the mask
         `consequent`, or None.  A row with no closest states passes only
         with `allow_vacuous`."""
-        closest = self.structure.closest_rows(self.state, antecedents)
-        passes = ~(closest & ~consequent).any(axis=1)
-        if not allow_vacuous:
-            passes &= closest.any(axis=1)
-        hits = np.flatnonzero(passes)
+        hits = np.flatnonzero(self.structure.box_arrows(self.state, antecedents, consequent, allow_vacuous))
         return hits[0] if hits.size else None
 
 
@@ -381,22 +382,36 @@ def is_actual_cause_abstract(
 def _weaker_core_members(setting, cause, lang):
     """The members of the language's positive-conjunction core (the pins
     and actual-value events) strictly weaker than the cause, in the order
-    of `enumerate_witnesses`.  The cause entails a member exactly when it
-    entails the pins and each event, so only the variables whose actual
-    event it entails get options beyond no conjunct.  The pins alone are
+    of `enumerate_witnesses`, by `_strictly_weaker`.  The cause entails a
+    member exactly when it entails the pins and each event, so only the
+    variables whose actual event it entails get options beyond no
+    conjunct, and every member listed is entailed.  The pins alone are
     left out: the antecedent !P & tau of their AC2' denies them, and HP's
     AC3 likewise tries only nonempty subsets of the cause."""
     sig, actual = setting.sig, setting.assignment
     lits = event_literals(cause, sig)
-    entails = lambda psi: prop_entails_given(cause, lits, psi, event_literals(psi, sig), sig)
-    if not _pins_hold(lang, setting) or not entails(conjoin(lang.pins)):
+    entailed = lambda psi: prop_entails_given(cause, lits, psi, event_literals(psi, sig), sig)
+    if not _pins_hold(lang, setting) or not entailed(conjoin(lang.pins)):
         return
-    per_var = [options if entails(options[1][1]) else options[:1]
+    per_var = [options if entailed(options[1][1]) else options[:1]
                for options in _conj_options(sig, actual, False)]
+    entails, cause_lits = lambda a, b: prop_entails_given(*a, *b, sig), (cause, lits)
     for member in _by_weight(per_var)[1:]:  # [0] is the pins alone
         phi2 = _tau(lang, per_var, member)
-        if not prop_entails_given(phi2, event_literals(phi2, sig), cause, lits, sig):
+        if _strictly_weaker(entails, cause_lits, (phi2, event_literals(phi2, sig)), entailed=True):
             yield phi2
+
+
+def _strictly_weaker(entails, cause, member, entailed=False):
+    """The AC3' rule: whether `member` is strictly weaker than `cause`,
+    given `entails(a, b)`, that a entails b: the cause entails it and it
+    does not entail the cause.  With `entailed`, the caller has established
+    that the cause entails the member, and only the converse is tested.
+    The cause check passes (formula, literals) pairs, which
+    `prop_entails_given` decides (by literal inclusion, or by truth table
+    for a formula that is no event conjunction); an explanation passes
+    indices into its own listing of the core."""
+    return (entailed or entails(cause, member)) and not entails(member, cause)
 
 
 def _ac2_prime(setting, phi, effect, lang, allow_vacuous):
@@ -484,7 +499,7 @@ def _ac2_at_context(setting, phi, effect, lang):
     return None
 
 
-_BLOCK_ROWS = 64  # antecedent rows decided per closest-state query
+_BLOCK_ROWS = 64  # antecedent rows decided per box-arrow query
 
 
 def _ac2_at_state(setting, phi, effect, lang, allow_vacuous):
@@ -499,7 +514,7 @@ def _ac2_at_state(setting, phi, effect, lang, allow_vacuous):
     candidate moves only its own variables, as plain minimality does.  The
     first row, the member true, is decided alone, before the option masks
     are built; the rest are decided in blocks of `_BLOCK_ROWS`, each by one
-    closest-state query.  Only the winning tau becomes a formula."""
+    box-arrow query.  Only the winning tau becomes a formula."""
     m2, sig, actual = setting.structure, setting.sig, setting.assignment
     base = m2.extension(Not(phi))
     for pin in lang.pins:

@@ -31,7 +31,7 @@ from .correspondence import (
     build_counterpart,
     check_correspondence,
 )
-from .harness import run_differential
+from .harness import DEFAULT_CAPS, FuzzCaps, run_differential
 from .corpus import MODELS, run_corpus
 
 
@@ -246,16 +246,33 @@ def cmd_check_correspondence(args):
 _THEOREM_NAMES = {"1": "theorem1", "2": "theorem2", "3": "prop3", "4": "theorem4", "5": "theorem5"}
 
 
+def _parse_caps(text):
+    """`--caps E,X,D`: the most endogenous and exogenous variables, and the
+    largest domain, of a generated model; the harness's defaults if None."""
+    if text is None:
+        return DEFAULT_CAPS
+    try:
+        endogenous, exogenous, domain = (int(part) for part in text.split(","))
+    except ValueError:
+        raise CliError(f"--caps must be three integers E,X,D, got {text!r}", 2) from None
+    if endogenous < 1 or exogenous < 1 or domain < 2:
+        raise CliError(f"--caps needs E >= 1, X >= 1 and D >= 2, got {text!r}", 2)
+    return FuzzCaps(endogenous, exogenous, domain)
+
+
 def cmd_fuzz(args):
     name = _THEOREM_NAMES.get(str(args.theorem))
     if name is None:
         raise CliError(f"unknown theorem {args.theorem!r} (1-5)", 2)
     if args.trials < 0:
         raise CliError(f"--trials must be nonnegative, got {args.trials}", 2)
-    report = run_differential(name, args.trials, seed=args.seed, negated=args.negated)
+    report = run_differential(name, args.trials, seed=args.seed, caps=_parse_caps(args.caps),
+                              negated=args.negated)
+    caps = report.caps
     human = (
         f"{report.differential}: {report.agreements}/{report.trials} agree, "
-        f"{len(report.disagreements)} disagreements, {report.elapsed:.1f}s"
+        f"{len(report.disagreements)} disagreements, {report.elapsed:.1f}s "
+        f"(seed {report.seed}, caps {caps.max_endogenous},{caps.max_exogenous},{caps.max_domain})"
     )
     _emit(args, report.to_dict(), human)
     return 3 if report.disagreements else 0
@@ -348,6 +365,8 @@ def build_parser():
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--negated", action="store_true", help="theorem 1 with negated conjuncts")
+    sp.add_argument("--caps", metavar="E,X,D",
+                    help="most endogenous and exogenous variables, largest domain (default 4,2,3)")
 
     sp = add("corpus", cmd_corpus, help="re-derive the built-in worked scenarios")
     sp.add_argument("--dump", help="print a builtin model file instead")

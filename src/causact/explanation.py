@@ -21,6 +21,11 @@ One call decides each AC2 question once, for the candidate and every EX2
 weakening alike: per setting and language member (abstract), per context
 and set of cause events (witness sets).  A member or conjunction is a
 cause where it passes AC2 and no strictly weaker one does (`_cause_rule`).
+The language check lists the core members of each setting once, with
+their literal sets, and then refers to a member by its index: the AC2
+verdicts, the entailments between members, and the AC3' candidates (the
+cause check's rule, `abstract._strictly_weaker`) are keyed by indices,
+and only the reported tau1 and tau2 are formatted.
 The certificates are those of the full cause check run per candidate: it
 decides the same questions, and the order in which causes are tried is
 unchanged.  In causal models the actual-value events Y=y that extend a
@@ -56,7 +61,7 @@ from .model import CausalModel
 from .abstract import (
     WitnessLanguage,
     _ac2_prime,
-    _weaker_core_members,
+    _strictly_weaker,
     check_pins,
     conj_language,
     enumerate_witnesses,
@@ -110,9 +115,9 @@ def _verdict(n, holds, certificate, ex1b, cand, effect, weakenings) -> Explanati
     def premise(phi):  # the settings where phi and the explanandum hold
         return [i for i in range(n) if effect_at[i] and holds(i, phi)]
 
-    def ex1(phi):
-        return (all(certificate(i, phi) is not None for i in premise(phi))
-                and all(ex1b(i, phi) for i in range(n)))
+    def ex1(phi):  # EX1(b) first: it is cheaper, and a weakening reports no certificates
+        return (all(ex1b(i, phi) for i in range(n))
+                and all(certificate(i, phi) is not None for i in premise(phi)))
 
     joint = premise(cand)
     certs = {i: certificate(i, cand) if i in joint else None for i in range(n)}
@@ -171,7 +176,7 @@ def is_explanation_hp(
     causal_conjunct = _causal_conjuncts(m, contexts, effect)
     return _verdict(
         len(contexts),
-        lambda i, phi: m.evaluate(contexts[i], phi),
+        lambda i, phi: m._eval(contexts[i], phi, {}),  # validated contexts, propositional phi
         lambda i, phi: causal_conjunct(i, as_event_conjunction(phi)),
         lambda i, phi: m._eval(contexts[i], effect, dict(as_event_conjunction(phi))),
         cand, effect, _sub_conjunctions(pairs),
@@ -241,23 +246,26 @@ def is_explanation_abstract(
     except FormulaError:
         pairs = []
 
-    # the core's members depend on the setting only, so each is listed once,
-    # with its `event_literals` (None for a member with a pin that is no event)
+    # The core's members depend on the setting only, so each is listed once
+    # per setting, with its `event_literals` (None for a member with a pin
+    # that is no event); below, a member is its index in that list.
     core = conj_language(lang.pins)
     members = [[(t, event_literals(t, sig)) for t in enumerate_witnesses(core, st, ())]
                for st in settings]
-    is_cause = _member_causes(settings, effect, lang, allow_vacuous)
+    entails = functools.cache(lambda i, k, j: prop_entails_given(*members[i][k], *members[i][j], sig))
+    is_cause = _member_causes(settings, members, entails, effect, lang, allow_vacuous)
     literals = functools.cache(lambda phi: event_literals(phi, sig))
+    # tau1 is not valid (not entailed by true)
+    nonvalid = [[j for j, (t, a) in enumerate(ms) if not prop_entails_given(TRUE, frozenset(), t, a, sig)]
+                for ms in members]
 
     def certificate(i, phi):
         lits = literals(phi)
-        # tau1 is entailed by phi and not valid (entailed by true)
-        tau1s = [(t, a) for t, a in members[i] if prop_entails_given(phi, lits, t, a, sig)
-                 and not prop_entails_given(TRUE, frozenset(), t, a, sig)]
-        for tau2, b in members[i]:
-            matching = [t1 for t1, a in tau1s if prop_entails_given(tau2, b, t1, a, sig)]
-            if matching and is_cause(i, tau2):
-                return {"tau1": format_formula(matching[0]), "tau2": format_formula(tau2)}
+        tau1s = [j for j in nonvalid[i] if prop_entails_given(phi, lits, *members[i][j], sig)]
+        for k in range(len(members[i])):
+            tau1 = next((j for j in tau1s if entails(i, k, j)), None)
+            if tau1 is not None and is_cause(i, k):
+                return {"tau1": format_formula(members[i][tau1][0]), "tau2": format_formula(members[i][k][0])}
         return None
 
     return _verdict(
@@ -269,14 +277,22 @@ def is_explanation_abstract(
     )
 
 
-def _member_causes(settings, effect, lang, allow_vacuous):
-    """`is_cause(i, tau)`: whether tau, a core member true at settings[i]
-    where the effect holds, is a cause of the effect there under `lang`, by
-    AC2' and the cause check's AC3' candidates (`_weaker_core_members`).
-    Each member is the cause of its own AC2', so a pair component of the
+def _member_causes(settings, members, entails, effect, lang, allow_vacuous):
+    """`is_cause(i, k)`: whether members[i][k], a core member true at
+    settings[i] where the effect holds, is a cause of the effect there
+    under `lang`, by AC2' and the cause check's AC3' rule
+    (`_strictly_weaker`) over the other members but the first, the pins
+    alone; `entails(i, k, j)` says that member k entails member j.  Each
+    member is the cause of its own AC2', so a pair component of the
     language ranges over its variables, not over those of the candidate."""
-    ac2 = functools.cache(lambda i, phi: _ac2_prime(settings[i], phi, effect, lang, allow_vacuous) is not None)
-    return _cause_rule(ac2, lambda i, tau: _weaker_core_members(settings[i], tau, lang))
+    ac2 = functools.cache(
+        lambda i, k: _ac2_prime(settings[i], members[i][k][0], effect, lang, allow_vacuous) is not None)
+
+    def weaker(i, k):
+        at_i = functools.partial(entails, i)
+        return (j for j in range(1, len(members[i])) if _strictly_weaker(at_i, k, j))
+
+    return _cause_rule(ac2, weaker)
 
 
 def _weakenings(cand, pairs, members, sig):

@@ -159,6 +159,7 @@ class DifferentialReport:
     agreements: int = 0
     disagreements: list = field(default_factory=list)
     elapsed: float = 0.0
+    caps: FuzzCaps = DEFAULT_CAPS  # a trial replays only under the caps it ran at
 
     @property
     def ok(self) -> bool:
@@ -169,6 +170,13 @@ class DifferentialReport:
             "differential": self.differential,
             "trials": self.trials,
             "seed": self.seed,
+            "caps": {
+                "maxEndogenous": self.caps.max_endogenous,
+                "maxExogenous": self.caps.max_exogenous,
+                "maxDomain": self.caps.max_domain,
+                "formulaDepth": self.caps.formula_depth,
+                "maxParents": self.caps.max_parents,
+            },
             "agreements": self.agreements,
             "disagreements": self.disagreements,
             "elapsedSeconds": round(self.elapsed, 3),
@@ -199,7 +207,7 @@ def run_differential(
     }
     if name not in runners:
         raise ValueError(f"unknown differential {name!r} (choose from {sorted(runners)})")
-    report = DifferentialReport(differential=name, trials=trials, seed=seed)
+    report = DifferentialReport(differential=name, trials=trials, seed=seed, caps=caps)
     start = time.time()
     for index in range(trials):
         rng = trial_rng(seed, index)

@@ -14,8 +14,11 @@ builds on first use:
 `near`, the order's n x n matrix of dense ranks (row s ranks every state
 from base s), and `extension(phi)`, the boolean mask over `states` of
 where phi holds, cached per formula.  `phi ~> psi` holds at s when every
-closest phi-state, the phi-states of least rank in row s, satisfies psi.
-Relation orders have no ranks and find closest states through `leq`.
+closest phi-state, the phi-states of least rank in row s, satisfies psi:
+exactly when the least rank of a phi-state is strictly below the least
+rank of a (phi & !psi)-state, so the test (`_ranked_box_arrows`) takes two
+masked minima per antecedent and builds no closest set.  Relation orders
+have no ranks and find closest states through `leq`.
 
 Masks are built bottom-up from the cached masks of their operands
 (`formula.truth_mask`): an event compares one value column, a connective
@@ -71,9 +74,15 @@ class ClosenessOrder:
 
 class TierOrder(ClosenessOrder):
     """Explicit ranked tiers per base state; tier 0 is normally the singleton
-    {base} (the file format inserts it implicitly)."""
+    {base} (the file format inserts it implicitly).  A state named twice in
+    one base's tiers raises StructureError: it would have no single rank."""
 
     def __init__(self, tiers: dict[str, list[frozenset[str]]]):
+        for s, ts in tiers.items():
+            named = [st for tier in ts for st in tier]
+            if len(set(named)) != len(named):
+                twice = next(st for st in named if named.count(st) > 1)
+                raise StructureError(f"order for {s} names a state twice: {twice}")
         self.tiers = {s: [frozenset(t) for t in ts] for s, ts in tiers.items()}
         self._rank = {
             s: {st: i for i, tier in enumerate(ts) for st in tier}
@@ -164,11 +173,13 @@ class CfStructure:
         closest = self._closest(self.index_of(s), self.extension(phi))
         return frozenset(self.states[j] for j in np.flatnonzero(closest))
 
-    def closest_rows(self, s: str, masks: np.ndarray) -> np.ndarray:
-        """The closest states from s within each row of the r x n boolean
-        matrix `masks`, as an r x n matrix: row k is what `closest_states`
-        gives for a formula whose mask is masks[k]."""
-        return self._closest(self.index_of(s), masks)
+    def box_arrows(self, s: str, antecedents: np.ndarray, consequent: np.ndarray,
+                   allow_vacuous: bool) -> np.ndarray:
+        """For each row of the r x n boolean matrix `antecedents`, whether
+        every closest state from s within it lies in the mask `consequent`;
+        a row with no states passes only with `allow_vacuous`.  A single
+        mask gives a single answer."""
+        return self._box_arrows(self.index_of(s), antecedents, consequent, allow_vacuous)
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
@@ -180,26 +191,32 @@ class CfStructure:
         def modal(node):
             if isinstance(node, Intervene):
                 raise FormulaError(_NO_INTERVENTIONS)
-            closest = self._closest(i, self.extension(node.antecedent))
-            return not (closest & ~self.extension(node.consequent)).any()
+            ext = self.extension
+            return bool(self._box_arrows(i, ext(node.antecedent), ext(node.consequent), True))
 
         return evaluate_prop(phi, self.interp[self.states[i]], modal)
+
+    def _box_arrows(self, i, antecedents, consequent, allow_vacuous):
+        """`box_arrows` from states[i]: by `_ranked_box_arrows` over row i of
+        `near`, or, for relation orders, from the closest states."""
+        if self.order.ranked:
+            ranks = np.where(antecedents, self.near[i], _MASKED)
+            return _ranked_box_arrows(ranks, ~consequent, allow_vacuous)
+        closest = self._closest(i, antecedents)
+        passes = ~(closest & ~consequent).any(axis=-1)
+        return passes if allow_vacuous else passes & closest.any(axis=-1)
 
     def _modal_mask(self, node: Formula, *masks: np.ndarray) -> np.ndarray:
         """The mask of a box-arrow from its antecedent's and consequent's
         masks: the states from which every closest antecedent state
-        satisfies the consequent."""
+        satisfies the consequent (vacuously where there is none)."""
         if isinstance(node, Intervene):
             raise FormulaError(_NO_INTERVENTIONS)
         ant, cons = masks
-        if self.order.ranked:
-            # row s of `near` over the antecedent states, and its minima
-            rows = self.near.compress(ant, axis=1)
-            closest = rows == rows.min(axis=1, initial=_MASKED)[:, None]
-            return ~(closest & ~cons[ant]).any(axis=1)
+        if self.order.ranked:  # every row of `near` over the antecedent states
+            return _ranked_box_arrows(self.near.compress(ant, axis=1), ~cons[ant], True)
         n = len(self.states)
-        closest = np.array([self._closest(i, ant) for i in range(n)], dtype=bool).reshape(n, n)
-        return ~(closest & ~cons).any(axis=1)
+        return np.array([self._box_arrows(i, ant, cons, True) for i in range(n)], dtype=bool).reshape(n)
 
     def _closest(self, i: int, mask: np.ndarray) -> np.ndarray:
         """The states in `mask` to which no state in `mask` is strictly
@@ -218,6 +235,20 @@ class CfStructure:
              for t, ok in zip(self.states, mask)],
             dtype=bool,
         )
+
+
+def _ranked_box_arrows(ranks: np.ndarray, outside: np.ndarray, allow_vacuous: bool) -> np.ndarray:
+    """The box-arrow test of a ranked order, per row of `ranks`: the ranks
+    of the antecedent's states from one base (`_MASKED`, or no column, for
+    the other states), with `outside` marking the columns that fail the
+    consequent.  Every closest antecedent state satisfies the consequent
+    exactly when the least rank over the antecedent is strictly below the
+    least rank over its columns outside the consequent.  A row with no
+    antecedent state has least rank `_MASKED`, and passes only with
+    `allow_vacuous`."""
+    least = np.minimum.reduce(ranks, axis=-1, initial=_MASKED)
+    passes = least < np.minimum.reduce(ranks.compress(outside, axis=-1), axis=-1, initial=_MASKED)
+    return passes | (least == _MASKED) if allow_vacuous else passes
 
 
 def _reject_states(sig: Signature, interp: dict[str, dict]):
@@ -362,9 +393,6 @@ def parse_structure(
                 tier = tier.strip().strip("{}").strip()
                 if tier:
                     out.append([x.strip() for x in tier.split(",")])
-            named = [sid] + [x for tier in out for x in tier]  # the base is the implicit first tier
-            if len(set(named)) != len(named):
-                raise StructureError(f"order for {sid} names a state twice: {stmt!r}")
             tiers[sid] = out
         else:
             raise StructureError(f"unrecognized statement: {stmt!r}")

@@ -643,14 +643,15 @@ class TestMaskAC2AtStates:
         assert {ac2 for _, ac2 in outcomes} == {True, False}
 
     def test_rows_spanning_several_blocks(self, monkeypatch):
+        # each block of rows is one box-arrow query to the structure
         queries = []
-        rows = CfStructure.closest_rows
+        box_arrows = CfStructure.box_arrows
 
-        def counting(self, s, masks):
-            queries.append(len(masks))
-            return rows(self, s, masks)
+        def counting(self, s, antecedents, consequent, allow_vacuous):
+            queries.append(len(antecedents) if antecedents.ndim == 2 else 1)
+            return box_arrows(self, s, antecedents, consequent, allow_vacuous)
 
-        monkeypatch.setattr(CfStructure, "closest_rows", counting)
+        monkeypatch.setattr(CfStructure, "box_arrows", counting)
         self._compare(_counterpart_setting, 12, monkeypatch, "state-blocks")
         whole = len(queries)
         queries.clear()

@@ -411,13 +411,42 @@ class TestFuzzAndCorpus:
     def test_fuzz_disagreement_exits_3(self, capsys, monkeypatch):
         from causact.harness import DifferentialReport
 
-        def one_disagreement(name, trials, seed=0, negated=False):
+        def one_disagreement(name, trials, seed=0, caps=None, negated=False):
             return DifferentialReport(name, trials, seed, trials - 1, [{"trial": 0}])
 
         monkeypatch.setattr("causact.cli.run_differential", one_disagreement)
         code, out, _ = run(capsys, "fuzz", "--theorem", "3", "--trials", "2", "--json")
         assert code == 3
         assert not json.loads(out)["ok"]
+
+    def test_fuzz_caps(self, capsys, monkeypatch):
+        from causact import cli
+        from causact.harness import DEFAULT_CAPS, FuzzCaps
+
+        asked = []
+        differential = cli.run_differential
+
+        def recording(*args, **kwargs):
+            asked.append(kwargs["caps"])
+            return differential(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_differential", recording)
+        code, out, _ = run(capsys, "fuzz", "--theorem", "2", "--trials", "3", "--caps", "5,2,3", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["agreements"] == 3
+        # the report names the caps, without which a trial does not replay
+        assert report["caps"] == {"maxEndogenous": 5, "maxExogenous": 2, "maxDomain": 3,
+                                  "formulaDepth": DEFAULT_CAPS.formula_depth,
+                                  "maxParents": DEFAULT_CAPS.max_parents}
+        code, out, _ = run(capsys, "fuzz", "--theorem", "1", "--trials", "1", "--seed", "4")
+        assert code == 0 and out.rstrip().endswith("(seed 4, caps 4,2,3)")
+        assert asked == [FuzzCaps(5, 2, 3), DEFAULT_CAPS]
+
+    @pytest.mark.parametrize("caps", ["5,2", "5,2,3,4", "5,2,x", "", "5;2;3", "0,2,3", "5,0,3", "5,2,1"])
+    def test_fuzz_malformed_caps_is_usage_error(self, capsys, caps):
+        code, out, err = run(capsys, "fuzz", "--theorem", "1", "--trials", "1", "--caps", caps)
+        assert code == 2
+        assert out == "" and err.startswith("error: --caps ")
 
     def test_fuzz_unknown_theorem(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--theorem", "9", "--trials", "1")

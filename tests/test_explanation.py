@@ -345,11 +345,12 @@ def _ref_explanation_hp(m, K, cand, effect):
     return ExplanationVerdict(is_expl, is_expl and ex4, ex1a, ex1b, weaker is None, ex3, ex4, certs, violator)
 
 
-def _ref_member_causes(settings, effect, lang, allow_vacuous):
-    """Reference cause test for a core member: the full cause check, once
-    per (setting, member) and call."""
-    return functools.cache(lambda i, tau: is_actual_cause_abstract(settings[i], tau, effect,
-                                                                   lang, allow_vacuous).is_cause)
+def _ref_member_causes(settings, members, entails, effect, lang, allow_vacuous):
+    """Reference cause test for the core member members[i][k]: the full
+    cause check, once per (setting, member) and call.  It takes the place
+    of `explanation._member_causes`, so it ignores `entails`."""
+    return functools.cache(lambda i, k: is_actual_cause_abstract(settings[i], members[i][k][0], effect,
+                                                                 lang, allow_vacuous).is_cause)
 
 
 def _explanation_query(caps, rng):
@@ -378,8 +379,11 @@ class TestMemoisedAgainstReference:
         for i in range(trials):
             rng = random.Random(f"memoised-explanation:{caps}:{i}")
             m, K, cand, effect, actual = _explanation_query(caps, rng)
-            v = rng.choice(m.sig.endo_names)
-            pins = [(), (PrimEvent(v, actual[v]),)][i % 2]
+            v, w = rng.choice(m.sig.endo_names), rng.choice(m.sig.endo_names)
+            other = rng.choice([x for x in m.sig.range_of(v) if x != actual[v]])
+            # none, V=a, V!=v and V=a' | W=b, each true at the first context
+            pins = [(), (PrimEvent(v, actual[v]),), (Not(PrimEvent(v, other)),),
+                    (Or(PrimEvent(v, other), PrimEvent(w, actual[w])),)][i % 4]
             causal = [CausalSetting(m, u) for u in K]
             try:
                 m2, ctx_state = build_counterpart(m, state_cap=state_cap)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,6 +193,15 @@ class TestValidation:
         assert validate_structure(m) == []
         assert m.closest_states("a", parse_formula("X!=0", SIG)) == frozenset({"b", "c"})
 
+    def test_state_in_two_tiers_of_one_base_rejected(self):
+        # ranked by its last tier, b would be written as a file that does not parse
+        tiers = dict(FLAT)
+        tiers["a"] = [frozenset({"a"}), frozenset({"b"}), frozenset({"b", "c"})]
+        with pytest.raises(StructureError, match="^order for a names a state twice: b$"):
+            TierOrder(tiers)
+        with pytest.raises(StructureError, match="^order for a names a state twice: a$"):
+            TierOrder({"a": [frozenset({"a"}), frozenset({"a", "b"})]})
+
     def test_incomplete_state_rejected(self):
         with pytest.raises(StructureError):
             CfStructure(SIG, {"a": {"U": "0", "X": "0"}}, TierOrder({}))
@@ -323,6 +333,7 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("line", [
         "order a : { b } ; { c } ; { b }",  # a later tier would win
+        "order a : { b } ; { b, c }",  # as a TierOrder naming b twice was once written
         "order a : { b, c, b }",
         "order a : { a } ; { b }",  # the base is the implicit first tier
         "order a : { b } ; { c }\norder a : { c }",  # a second line would replace the first
@@ -621,6 +632,42 @@ class TestAgainstPerStateReference:
         s = m2.states[0]
         m2.closest_states(s, PrimEvent(model.sig.endo_names[0], "0"))
         assert calls == [len(m2.states)]
+
+
+class TestBoxArrowByTwoMinima:
+    """`box_arrows` decides a ranked order by two masked minima per row; it
+    must agree with the closest-set definition: the closest states of each
+    row, as `closest_states` reads them, all lie in the consequent."""
+
+    @staticmethod
+    def _by_closest_sets(m, s, antecedents, consequent, allow_vacuous):
+        closest = np.array([m._closest(m.index_of(s), row) for row in antecedents], dtype=bool)
+        passes = ~(closest & ~consequent).any(axis=1)
+        return passes if allow_vacuous else passes & closest.any(axis=1)
+
+    @pytest.mark.parametrize("make", [
+        _random_tier_structure,
+        lambda rng: _random_tier_structure(rng, centered=False),  # bases unranked or crowded
+        _random_counterpart_part,
+        _random_relation_structure,
+    ], ids=["tiers", "uncentered-tiers", "counterpart", "relation"])
+    def test_rows_match_the_closest_sets(self, make):
+        outcomes = set()
+        for trial in range(60):
+            rng = random.Random(f"two-minima:{trial}")
+            m = make(rng)
+            n = len(m.states)
+            rows = np.array([[rng.random() < p for _ in range(n)] for p in (0.0, 1.0, 0.2, 0.5, 0.8)])
+            rows = np.concatenate([rows, rows[:, rng.sample(range(n), n)]])
+            for consequent in (np.zeros(n, bool), np.ones(n, bool), rows[rng.randrange(2, len(rows))]):
+                for s in m.states:
+                    for vacuous in (False, True):
+                        got = m.box_arrows(s, rows, consequent, vacuous)
+                        ref = self._by_closest_sets(m, s, rows, consequent, vacuous)
+                        assert got.tolist() == ref.tolist(), (trial, s, vacuous)
+                        assert all(m.box_arrows(s, row, consequent, vacuous) == r for row, r in zip(rows, ref))
+                        outcomes |= set(zip(map(bool, rows.any(axis=1)), ref.tolist()))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestDeepFormulas:
