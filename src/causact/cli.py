@@ -271,7 +271,7 @@ def cmd_fuzz(args):
     caps = report.caps
     human = (
         f"{report.differential}: {report.agreements}/{report.trials} agree, "
-        f"{len(report.disagreements)} disagreements, {report.elapsed:.1f}s "
+        f"{len(report.disagreements)} disagreements, {report.skipped} skipped, {report.elapsed:.1f}s "
         f"(seed {report.seed}, caps {caps.max_endogenous},{caps.max_exogenous},{caps.max_domain})"
     )
     _emit(args, report.to_dict(), human)

@@ -18,19 +18,22 @@ equation's table.  A state violates Y's equation where the two codes of Y
 differ; the builder weighs those violations, and condition (a) calls such
 states "wrong".
 
-The checker reads the structure's n x n rank matrix `near`, transposed so
-that states gather into blocks of rows.  Condition (a) groups the states
-that agree on every variable but Y by one integer key per state and takes
-each group's least rank from every base in one reduction.  Condition (c)
-keeps, per conjunction of endogenous events, the least rank over its
-states with the base's exogenous values and over those with other values.
-It reduces the states once per conjunction of all endogenous variables,
-and derives every coarser conjunction's minima from its children on the
-lattice of conjunctions, where a free variable's index comes first, as in
-the order conjunctions are checked.  It finds the first failing pairwise
-disjunction from the largest and smallest of those vectors over the later
-conjunctions.  The masks counted for `checkedPsiCount` come from the same
-lattice over bitsets of the states.
+The checker reads the structure's n x n int32 rank matrix `near`,
+transposed so that states gather into blocks of rows.  Condition (a)
+groups the states that agree on every variable but Y by one integer key
+per state, sorts the groups of every Y at once and takes each group's
+least rank from every base in one reduction.  Condition (c) keeps, per
+conjunction of endogenous events, the least rank over its states with the
+base's exogenous values and over those with other values.  It reduces the
+states once per conjunction of all endogenous variables, and derives every
+coarser conjunction's minima from its children on the lattice of
+conjunctions, where a free variable's index comes first, as in the order
+conjunctions are checked.  It finds the first failing pairwise disjunction
+from the largest and smallest of those vectors over the later
+conjunctions, and counts the formulas checked (`checkedPsiCount`) from
+the failure's position.  Condition (a) gathers its Ys in chunks that fit
+`structure._ARRAY_BUDGET`, and condition (c) raises CorrespondenceError
+where the arrays it holds at once would exceed it.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import structure
 from .model import CausalModel
-from .structure import CfStructure, ClosenessOrder
+from .structure import _MASKED, CfStructure, ClosenessOrder
 
 
 class CorrespondenceError(ValueError):
@@ -77,14 +81,15 @@ class CounterpartOrder(ClosenessOrder):
         viol = [self.viol[p] for p in pos]
         level = {c: i for i, c in enumerate(sorted(set(viol)))}
         n, k = exo.shape
-        # ([t != s], #exogenous differences, dense rank of viol(t)) in mixed radix
-        near = np.zeros((n, n), dtype=np.int64)
+        # ([t != s], #exogenous differences, dense rank of viol(t)) in mixed
+        # radix, below (2k + 2) n
+        near = np.zeros((n, n), dtype=np.int32)
         for col in exo.T:
             near += col[:, None] != col[None, :]
         near += k + 1
         near[np.diag_indices(n)] -= k + 1
         near *= len(level)
-        near += np.array([level[c] for c in viol], dtype=np.int64)
+        near += np.array([level[c] for c in viol], dtype=np.int32)
         return near
 
 
@@ -127,7 +132,7 @@ def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
     viol = ((codes[:, k:] != m.equation_codes(codes)).astype(object) @ weights).tolist()
 
     order = CounterpartOrder(list(interp), codes[:, :k], viol)
-    structure = CfStructure(sig, interp, order, name=f"{m.name}-counterpart")
+    m2 = CfStructure(sig, interp, order, name=f"{m.name}-counterpart")
 
     def context_state(u: dict) -> str:
         sol = m.solve(u)
@@ -136,7 +141,7 @@ def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
             i = i * len(rng) + rng.index(sol[n])
         return f"s{i}"
 
-    return structure, context_state
+    return m2, context_state
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +209,6 @@ def check_correspondence(
     return report
 
 
-# The most bytes one array of condition (c) may take: the conjunction
-# lattices, and the union masks of the conjunction pairs counted for
-# `checkedPsiCount`.  It admits the 1.3 GiB of pair keys of a 512-state
-# counterpart over eight binary endogenous variables; past it the check
-# raises CorrespondenceError instead of asking NumPy for the memory.
-_ARRAY_BUDGET = 2 << 30
-
 # `_row_keys` keeps its keys below this bound, far inside int64
 _KEY_LIMIT = 1 << 62
 
@@ -239,39 +237,54 @@ def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, near_t) ->
     only on the setting.  A base fails a group when the group's least rank
     in the base's column of `near_t` is that of a wrong state, that is, when
     the least of 2 * rank + [the state is right] over the group is even.
-    The report names the first failure in group (by first state), base and
+
+    The groups of every Y with a wrong state are decided together: one
+    stable sort of the (Y, key) pairs gathers each group's rows, in state
+    order, and one reduction takes every group's least value from every
+    base.  The Ys are gathered in chunks that fit `_ARRAY_BUDGET`.  The
+    report names the first failure in Y, group (by first state), base and
     candidate order."""
     sig = m.sig
     names = sig.all_names()
     dims = [len(sig.range_of(x)) for x in names]
     codes = m2.codes
-    k = len(sig.exo_names)
+    n, k = codes.shape[0], len(sig.exo_names)
     equation = m.equation_codes(codes)
-    for j, y in enumerate(sig.endo_names):
-        c = k + j
-        wrong = codes[:, c] != equation[:, j]
-        if not wrong.any():
-            continue
-        key = _row_keys(np.delete(codes, c, axis=1), dims[:c] + dims[c + 1 :])
-        _, first, gid = np.unique(key, return_index=True, return_inverse=True)
-        # Rows sorted by group, each group's members in state order.
-        rows = np.argsort(gid, kind="stable")
-        starts = np.searchsorted(gid[rows], np.arange(len(first)))
-        doubled = near_t[rows]
+    wrong = codes[:, k:] != equation
+    ys = np.flatnonzero(wrong.any(axis=0))
+    # per Y, n gathered rows of n ranks, and up to as many group minima and
+    # verdicts: 4 + 4 + 1 bytes an entry
+    chunk = max(1, structure._ARRAY_BUDGET // (9 * max(1, n * n)))
+    for at in range(0, len(ys), chunk):
+        part = ys[at : at + chunk]
+        # entry w * n + t: state t's setting for the Y part[w]
+        keys = np.concatenate([_row_keys(np.delete(codes, k + j, axis=1), dims[: k + j] + dims[k + j + 1 :])
+                               for j in part])
+        order = np.lexsort((keys, np.repeat(np.arange(len(part)), n)))
+        w, state = np.divmod(order, n)
+        keys = keys[order]
+        edge = np.ones(len(order), dtype=bool)
+        edge[1:] = (keys[1:] != keys[:-1]) | (w[1:] != w[:-1])
+        starts = np.flatnonzero(edge)
+        broken = wrong[state, part[w]]
+        doubled = near_t[state]
         doubled *= 2
-        doubled += ~wrong[rows, None]
+        doubled += ~broken[:, None]
         least = np.minimum.reduceat(doubled, starts, axis=0)
-        group_bad = least % 2 == 0
+        group_bad = (least & 1) == 0
         if not strict:
             # centering makes s its own closest state when s has the
             # setting but breaks Y's equation
-            group_bad[gid[wrong], wrong] = False
+            hit = np.flatnonzero(broken)
+            group_bad[(np.cumsum(edge) - 1)[hit], state[hit]] = False
         failing = np.flatnonzero(group_bad.any(axis=1))
         if failing.size:
-            g = failing[np.argmin(first[failing])]
+            g = failing[np.lexsort((state[starts[failing]], w[starts[failing]]))[0]]
             i = np.flatnonzero(group_bad[g])[0]
-            t = np.flatnonzero((gid == g) & wrong & (near_t[:, i] == least[g, i] // 2))[0]
-            s_y = m2.interp[m2.states[first[g]]]
+            r = starts[g] + np.argmax(doubled[starts[g] :, i] == least[g, i])
+            j, first, t = part[w[r]], state[starts[g]], state[r]
+            y = sig.endo_names[j]
+            s_y = m2.interp[m2.states[first]]
             return ConditionReport(
                 ok=False,
                 counterexample={
@@ -279,7 +292,7 @@ def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, near_t) ->
                     "setting": {x: s_y[x] for x in names if x != y},
                     "base_state": m2.states[i],
                     "closest_state": m2.states[t],
-                    "expected": sig.range_of(y)[equation[first[g], j]],
+                    "expected": sig.range_of(y)[equation[first, j]],
                     "got": m2.interp[m2.states[t]][y],
                 },
             )
@@ -351,19 +364,24 @@ def _check_condition_c(m2: CfStructure, near_t):
     `min_diff`: elsewhere min(same1, same2) <= same_i < diff_i for both i.
     The largest `min_same` and smallest `min_diff` over the later
     conjunctions find the first failing pair in `itertools.combinations`
-    order.  A pair whose mask equals an earlier pair's is not counted
-    again; it never decides the verdict, as the earlier one fails whenever
-    it does."""
+    order.
+
+    The count returned is that of the conjunctions and then the pairs
+    checked in those orders, up to and including the first failure, or
+    all of them: C + C(C - 1) / 2 for C conjunctions that all pass."""
     sig = m2.sig
     states = m2.states
     n = len(states)
-    inf = np.iinfo(np.int64).max
+    inf = _MASKED
     k = len(sig.exo_names)
     shape = tuple(len(sig.range_of(y)) + 1 for y in sig.endo_names)
     size = math.prod(shape)  # the conjunctions and, first, the empty one
-    if size * n * 8 > _ARRAY_BUDGET:
+    # live at once: the two int32 lattices and one int32 suffix array, and
+    # three boolean masks as large
+    if size * n * 15 > structure._ARRAY_BUDGET:
         raise CorrespondenceError(
-            f"condition (c) over {size - 1} conjunctions and {n} states exceeds the budget of {_ARRAY_BUDGET} bytes"
+            f"condition (c) over {size - 1} conjunctions and {n} states exceeds"
+            f" the budget of {structure._ARRAY_BUDGET} bytes"
         )
     exo = _row_keys(m2.codes[:, :k], [len(sig.range_of(x)) for x in sig.exo_names])
 
@@ -375,7 +393,7 @@ def _check_condition_c(m2: CfStructure, near_t):
     present = full[grouped[starts]]
 
     def minima(ranks):
-        lattice = np.full((size, n), inf, dtype=np.int64)
+        lattice = np.full((size, n), inf, dtype=np.int32)
         lattice[present] = np.minimum.reduceat(ranks, starts, axis=0)
         return _lattice(lattice.reshape(shape + (n,)), np.minimum.reduce).reshape(size, n)[1:]
 
@@ -398,57 +416,34 @@ def _check_condition_c(m2: CfStructure, near_t):
         i = int(rows[0])
         return failed(describe(i), np.flatnonzero(bad[i])[0], i + 1)
     del bad
-    checked = count = size - 1
+    count = size - 1
 
-    # At each base, row i of `tail_same` is the largest min_same over the
-    # conjunctions i, i+1, ... not lonely there (-1 if none), and row i of
-    # `tail_diff` the smallest min_diff over those lonely there.
+    # At each base, row i of `tail` is first the largest min_same over the
+    # conjunctions i, i+1, ... not lonely there (-1 if none), then the
+    # smallest min_diff over those lonely there.
     lonely = conj_same == inf
-    tail_same = np.where(lonely, -1, conj_same)
-    np.maximum.accumulate(tail_same[::-1], axis=0, out=tail_same[::-1])
-    tail_diff = np.where(lonely, conj_diff, inf)
-    np.minimum.accumulate(tail_diff[::-1], axis=0, out=tail_diff[::-1])
-    partnered = np.where(lonely[:-1], tail_same[1:] >= conj_diff[:-1], conj_same[:-1] >= tail_diff[1:])
-    del tail_same, tail_diff, lonely
+    tail = np.where(lonely, -1, conj_same)
+    np.maximum.accumulate(tail[::-1], axis=0, out=tail[::-1])
+    partnered = tail[1:] >= conj_diff[:-1]
+    partnered &= lonely[:-1]
+    tail.fill(inf)
+    np.copyto(tail, conj_diff, where=lonely)
+    np.minimum.accumulate(tail[::-1], axis=0, out=tail[::-1])
+    mate = conj_same[:-1] >= tail[1:]
+    np.copyto(mate, False, where=lonely[:-1])
+    partnered |= mate
+    del tail, lonely, mate
     rows = np.flatnonzero(partnered.any(axis=1))
-    hit = None
-    if rows.size:
-        i = int(rows[0])
-        pair_same = np.minimum(conj_same[i], conj_same[i + 1 :])
-        bad = (pair_same >= np.minimum(conj_diff[i], conj_diff[i + 1 :])) & (pair_same != inf)
-        j = int(np.flatnonzero(bad.any(axis=1))[0])
-        hit = i, i + 1 + j, np.flatnonzero(bad[j])[0]
-    del conj_same, conj_diff, partnered
-
-    # Count the distinct union masks up to the failing pair, or all.  Each
-    # conjunction's mask is a row of 64-bit words, built on the same
-    # lattice from the states' bits; the pair unions are sorted in place
-    # and adjacent rows compared.
-    width = max(1, -(-n // 64))
-    bits = np.zeros((size, width), dtype=np.uint64)
-    t = np.arange(n)
-    np.bitwise_or.at(bits, (full, t // 64), np.left_shift(np.uint64(1), (t % 64).astype(np.uint64)))
-    packed = _lattice(bits.reshape(shape + (width,)), np.bitwise_or.reduce).reshape(size, width)[1:]
-    last_i, last_j = hit[:2] if hit is not None else (count - 2, count - 1)
-    ends = [count if i < last_i else last_j + 1 for i in range(last_i + 1)]
-    pairs = sum(end - i - 1 for i, end in enumerate(ends))
-    if pairs * width * 8 > _ARRAY_BUDGET:
-        raise CorrespondenceError(
-            f"counting the distinct unions of {pairs} conjunction pairs over {n} states"
-            f" exceeds the budget of {_ARRAY_BUDGET} bytes"
-        )
-    keys = np.empty((pairs, width), dtype=np.uint64)
-    at = 0
-    for i, end in enumerate(ends):
-        keys[at : at + end - i - 1] = packed[i] | packed[i + 1 : end]
-        at += end - i - 1
-    if len(keys):
-        keys.view(np.dtype((np.void, 8 * width))).sort(axis=0)
-        checked += 1 + int(np.count_nonzero((keys[1:] != keys[:-1]).any(axis=1)))
-    if hit is not None:
-        i, j, base = hit
-        return failed(f"({describe(i)}) | ({describe(j)})", base, checked)
-    return ConditionReport(ok=True), checked
+    del partnered
+    if not rows.size:
+        return ConditionReport(ok=True), count + count * (count - 1) // 2
+    i = int(rows[0])
+    pair_same = np.minimum(conj_same[i], conj_same[i + 1 :])
+    bad = (pair_same >= np.minimum(conj_diff[i], conj_diff[i + 1 :])) & (pair_same != inf)
+    j = int(np.flatnonzero(bad.any(axis=1))[0])
+    # the pairs before row i in `itertools.combinations` order, then (i, i + 1 + j)
+    checked = count + i * (2 * count - i - 1) // 2 + j + 1
+    return failed(f"({describe(i)}) | ({describe(i + 1 + j)})", np.flatnonzero(bad[j])[0], checked)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ are supposed to agree against each other:
              conjunctive witnesses, relative to the same contexts;
   theorem5   interventionist explanation vs. abstract explanation with
              pair-extended witnesses on the counterpart structure.
+
+A trial whose counterpart has more states than the harness's cap, or whose
+correspondence check would take more memory than the array budget, is
+counted as skipped; the run goes on.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .abstract import (
     is_actual_cause_abstract,
 )
 from .explanation import is_explanation_hp, is_explanation_abstract
-from .correspondence import build_counterpart, check_correspondence
+from .correspondence import CorrespondenceError, build_counterpart, check_correspondence
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,7 @@ class DifferentialReport:
     disagreements: list = field(default_factory=list)
     elapsed: float = 0.0
     caps: FuzzCaps = DEFAULT_CAPS  # a trial replays only under the caps it ran at
+    skipped: int = 0  # trials whose counterpart exceeds the state cap or the array budget
 
     @property
     def ok(self) -> bool:
@@ -179,6 +184,7 @@ class DifferentialReport:
             },
             "agreements": self.agreements,
             "disagreements": self.disagreements,
+            "skipped": self.skipped,
             "elapsedSeconds": round(self.elapsed, 3),
             "ok": self.ok,
         }
@@ -211,7 +217,12 @@ def run_differential(
     start = time.time()
     for index in range(trials):
         rng = trial_rng(seed, index)
-        disagreement = runners[name](caps, rng, negated)
+        try:
+            disagreement = runners[name](caps, rng, negated)
+        except CorrespondenceError:
+            # raised only for a counterpart past the state cap or the array budget
+            report.skipped += 1
+            continue
         if disagreement is None:
             report.agreements += 1
         else:

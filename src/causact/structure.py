@@ -11,9 +11,10 @@ A structure keeps `codes`, each state's value indices (one row per state,
 one column per variable), built as it validates the states; its value
 columns are read off them.  It answers every query from two things it
 builds on first use:
-`near`, the order's n x n matrix of dense ranks (row s ranks every state
-from base s), and `extension(phi)`, the boolean mask over `states` of
-where phi holds, cached per formula.  `phi ~> psi` holds at s when every
+`near`, the order's n x n int32 matrix of dense ranks (row s ranks every
+state from base s; a matrix past `_ARRAY_BUDGET` raises StructureError
+instead), and `extension(phi)`, the boolean mask over `states` of where
+phi holds, cached per formula.  `phi ~> psi` holds at s when every
 closest phi-state, the phi-states of least rank in row s, satisfies psi:
 exactly when the least rank of a phi-state is strictly below the least
 rank of a (phi & !psi)-state, so the test (`_ranked_box_arrows`) takes two
@@ -45,8 +46,15 @@ class StructureError(ValueError):
     """Raised for malformed structures or structure files."""
 
 
-_MASKED = np.iinfo(np.int64).max  # stands in for states outside a mask
+_MASKED = np.iinfo(np.int32).max  # stands in for states outside a mask
 _NO_INTERVENTIONS = "interventions are not evaluable in counterfactual structures"
+
+# The bytes that the arrays one structure or correspondence check holds at
+# once are sized against.  The rank matrix of n states takes n * n * 4 of
+# them, and past this budget the structure raises StructureError instead.
+# So n^2 stays at most 2^29, every dense rank at most n^2, and twice a rank
+# plus one inside int32.
+_ARRAY_BUDGET = 2 << 30
 
 
 class ClosenessOrder:
@@ -63,12 +71,12 @@ class ClosenessOrder:
         """R[i, j] < R[i, k] iff states[j] is strictly closer to states[i]
         than states[k] is.  The entries are dense ranks over all keys
         (unranked states get one more than the largest), so they are exact
-        whatever the keys are and far below `_MASKED`."""
+        whatever the keys are and at most n^2, far below `_MASKED`."""
         ranks = [[self.rank(s, t) for t in states] for s in states]
         level = {r: i for i, r in enumerate(sorted({r for row in ranks for r in row if r is not None}))}
         far = len(level)
         return np.array(
-            [[far if r is None else level[r] for r in row] for row in ranks], dtype=np.int64
+            [[far if r is None else level[r] for r in row] for row in ranks], dtype=np.int32
         ).reshape(len(states), len(states))
 
 
@@ -141,9 +149,15 @@ class CfStructure:
 
     @property
     def near(self) -> np.ndarray:
-        """The order's rank matrix over `states`, built on first use.  Raises
-        StructureError for relation orders."""
+        """The order's int32 rank matrix over `states`, built on first use.
+        Raises StructureError for relation orders, and where the matrix
+        would take more than `_ARRAY_BUDGET` bytes."""
         if self._near is None:
+            n = len(self.states)
+            if n * n * 4 > _ARRAY_BUDGET:
+                raise StructureError(
+                    f"the rank matrix of {n} states exceeds the budget of {_ARRAY_BUDGET} bytes"
+                )
             self._near = self.order.rank_matrix(self.states)
             self._near.flags.writeable = False  # shared by every query
         return self._near

@@ -406,7 +406,7 @@ class TestFuzzAndCorpus:
         code, out, _ = run(capsys, "fuzz", "--theorem", "1", "--trials", "5", "--seed", "3", "--json")
         assert code == 0
         d = json.loads(out)
-        assert d["ok"] and d["agreements"] == 5
+        assert d["ok"] and d["agreements"] == 5 and d["skipped"] == 0
 
     def test_fuzz_disagreement_exits_3(self, capsys, monkeypatch):
         from causact.harness import DifferentialReport
@@ -440,6 +440,7 @@ class TestFuzzAndCorpus:
                                   "maxParents": DEFAULT_CAPS.max_parents}
         code, out, _ = run(capsys, "fuzz", "--theorem", "1", "--trials", "1", "--seed", "4")
         assert code == 0 and out.rstrip().endswith("(seed 4, caps 4,2,3)")
+        assert "1/1 agree, 0 disagreements, 0 skipped, " in out
         assert asked == [FuzzCaps(5, 2, 3), DEFAULT_CAPS]
 
     @pytest.mark.parametrize("caps", ["5,2", "5,2,3,4", "5,2,x", "", "5;2;3", "0,2,3", "5,0,3", "5,2,1"])

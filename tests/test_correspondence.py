@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from causact.formula import parse_formula
-from causact import correspondence
+from causact import structure
 from causact.cli import main
 from causact.model import parse_model
 from causact.structure import CfStructure, RelationOrder, StructureError, TierOrder, validate_structure
@@ -208,40 +208,55 @@ class TestLargeSignatures:
 
 
 class TestArrayBudget:
-    # At 256 states the conjunction lattices of SIX_BINARY take 729 x 256 x
-    # 8 bytes (1.5 MB) each, and the union keys of its 264,628 conjunction
-    # pairs 32 bytes each (8.5 MB).
+    # At 256 states the rank matrix of SIX_BINARY takes 256 x 256 x 4 bytes
+    # (256 KiB), and condition (c) holds two conjunction lattices of
+    # 729 x 256 x 4 bytes (729 KiB each), one suffix array as large and
+    # three boolean masks: 2.7 MiB at once.
 
     @pytest.fixture
     def six(self):
         m = parse_model(SIX_BINARY)
         return m, build_counterpart(m)[0]
 
-    def test_pair_keys_over_the_budget(self, six, monkeypatch):
+    def test_lattice_over_the_budget(self, six, monkeypatch):
+        # each lattice fits in 2 MiB; what condition (c) holds at once does not
         m, m2 = six
-        monkeypatch.setattr(correspondence, "_ARRAY_BUDGET", 4 << 20)
-        with pytest.raises(CorrespondenceError, match="264628 conjunction pairs .* exceeds the budget"):
+        monkeypatch.setattr(structure, "_ARRAY_BUDGET", 2 << 20)
+        with pytest.raises(CorrespondenceError, match="728 conjunctions and 256 states exceeds the budget"):
             check_correspondence(m2, m, strong=True)
         assert check_correspondence(m2, m).ok
 
-    def test_lattice_over_the_budget(self, six, monkeypatch):
+    def test_rank_matrix_over_the_budget(self, six, monkeypatch):
         m, m2 = six
-        monkeypatch.setattr(correspondence, "_ARRAY_BUDGET", 1 << 20)
-        with pytest.raises(CorrespondenceError, match="728 conjunctions and 256 states exceeds the budget"):
-            check_correspondence(m2, m, strong=True)
+        monkeypatch.setattr(structure, "_ARRAY_BUDGET", 128 << 10)
+        with pytest.raises(StructureError, match="rank matrix of 256 states exceeds the budget"):
+            check_correspondence(m2, m)
+
+    def test_condition_a_in_chunks(self, six, monkeypatch):
+        # 700 KiB gathers one Y at a time; the first failure is the same
+        m, m2 = six
+        other = parse_model(SIX_BINARY.replace("eq F = case { E=1 : 1", "eq F = case { E=1 : 0"))
+        whole = check_correspondence(m2, other).to_dict()
+        assert whole["conditionA"]["counterexample"]["Y"] == "F"
+        monkeypatch.setattr(structure, "_ARRAY_BUDGET", 700 << 10)
+        assert check_correspondence(m2, other).to_dict() == whole
 
     def test_cli_exits_3(self, tmp_path, capsys, monkeypatch):
         model = tmp_path / "six.cm"
         model.write_text(SIX_BINARY)
-        structure = str(tmp_path / "six.cfs")
-        assert main(["build-cf", "-m", str(model), "-o", structure]) == 0
-        argv = ["check-correspondence", "-m", str(model), "-s", structure, "--strong"]
-        monkeypatch.setattr(correspondence, "_ARRAY_BUDGET", 4 << 20)
-        capsys.readouterr()
-        assert main(argv) == 3
-        assert "exceeds the budget" in capsys.readouterr().err
-        monkeypatch.undo()
-        assert main(argv) == 0
+        structure_file = str(tmp_path / "six.cfs")
+        assert main(["build-cf", "-m", str(model), "-o", structure_file]) == 0
+        argv = ["check-correspondence", "-m", str(model), "-s", structure_file]
+        for budget, flag, message in [
+            (2 << 20, ["--strong"], "728 conjunctions and 256 states exceeds the budget"),
+            (128 << 10, [], "rank matrix of 256 states exceeds the budget"),
+        ]:
+            monkeypatch.setattr(structure, "_ARRAY_BUDGET", budget)
+            capsys.readouterr()
+            assert main(argv + flag) == 3
+            assert message in capsys.readouterr().err
+            monkeypatch.undo()
+            assert main(argv + flag) == 0
 
 
 class TestConsistencyAndCompatibility:
@@ -391,14 +406,9 @@ def _ref_condition_c(m2, m):
         bad = violates(mask)
         if bad is not None:
             return fail(describe(combo), bad, checked)
-    seen = set()
     for (c1, k1), (c2, k2) in itertools.combinations(conj_masks, 2):
-        mask = k1 | k2
-        if mask.tobytes() in seen:
-            continue
-        seen.add(mask.tobytes())
         checked += 1
-        bad = violates(mask)
+        bad = violates(k1 | k2)
         if bad is not None:
             return fail(f"({describe(c1)}) | ({describe(c2)})", bad, checked)
     return {"ok": True, "counterexample": None}, checked
@@ -534,16 +544,71 @@ class TestRankMatrixAgainstReference:
         with pytest.raises(StructureError, match="relation orders have no numeric ranks"):
             check_correspondence(related, parse_model(CHAIN_COPY))
 
+    def test_condition_a_reports_the_first_y_then_the_first_state(self):
+        # Under a flat order a group fails wherever it holds a state that
+        # breaks Y's equation.  X fails in the groups {t1, t3} and {t2, t4},
+        # and Y fails in {t0, t1}, whose first state comes first.  The report
+        # names X, the first endogenous variable, and its group with the
+        # first state t1, though {t2, t4}'s setting (U=0, Y=0) is the
+        # smaller key.
+        m = parse_model("""\
+model xy
+exo U : { 0, 1 }
+var X : { 0, 1 }
+var Y : { 0, 1 }
+eq X = case { U=1 : 1 ; default : 0 }
+eq Y = case { X=1 : 1 ; default : 0 }
+""")
+        rows = [(1, 1, 0), (1, 1, 1), (0, 0, 0), (1, 0, 1), (0, 1, 0)]
+        interp = {f"t{i}": dict(zip("UXY", map(str, row))) for i, row in enumerate(rows)}
+        flat = {s: [frozenset({s}), frozenset(interp) - {s}] for s in interp}
+        m2 = CfStructure(m.sig, interp, TierOrder(flat))
+        report = _agrees(m2, m, strong=True)
+        assert report["conditionA"]["counterexample"] == {
+            "Y": "X",
+            "setting": {"U": "1", "Y": "1"},
+            "base_state": "t0",
+            "closest_state": "t3",
+            "expected": "1",
+            "got": "0",
+        }
+        _agrees(m2, m, strict=True)
+
     def test_256_state_counterpart(self):
         # Six binary endogenous variables and two binary exogenous ones.
-        # The per-mask checker takes over a minute here; its count was
-        # recorded once.
+        # The per-mask checker takes over a minute here.  Every conjunction
+        # and every pair is checked: 728 + 728 * 727 / 2.
         m = parse_model(SIX_BINARY)
         m2, _ = build_counterpart(m)
         assert len(m2.states) == 256
         report = check_correspondence(m2, m, strong=True)
         assert report.ok
-        assert report.checked_psi_count == 215811
+        assert report.checked_psi_count == 265356
+
+
+class TestChainCounterparts:
+    # One binary exogenous variable U and n binary endogenous ones, each
+    # reading the two variables before it.  Their counterparts strongly
+    # correspond, so every conjunction and every pair is checked.
+
+    @staticmethod
+    def chain(n):
+        names = ["U"] + [f"V{i}" for i in range(1, n + 1)]
+        lines = ["model chain", "exo U : { 0, 1 }"] + [f"var {v} : {{ 0, 1 }}" for v in names[1:]]
+        lines.append("eq V1 = case { U=1 : 1 ; default : 0 }")
+        for a, b, v in zip(names, names[1:], names[2:]):
+            lines.append(f"eq {v} = case {{ {a}=1 & {b}=0 : 1 ; {a}=0 & {b}=1 : 1 ; default : 0 }}")
+        return parse_model("\n".join(lines))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_every_pair_is_counted(self, n):
+        m = self.chain(n)
+        m2, _ = build_counterpart(m)
+        assert len(m2.states) == 2 ** (n + 1)
+        report = check_correspondence(m2, m, strong=True)
+        assert report.ok
+        conjunctions = 3**n - 1
+        assert report.checked_psi_count == conjunctions + conjunctions * (conjunctions - 1) // 2
 
 
 SIX_BINARY = """\

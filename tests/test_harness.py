@@ -1,7 +1,8 @@
 import pytest
 
-from causact import harness
+from causact import harness, structure
 from causact.correspondence import ConditionReport
+from causact.structure import StructureError
 from causact.formula import format_formula, free_endogenous, is_propositional
 from causact.model import model_to_text, parse_model
 from causact.harness import (
@@ -95,6 +96,33 @@ class TestDifferentials:
         bundle = report.disagreements[0]
         assert bundle["correspondence"]["conditionC"]["counterexample"]["psi"] == "V1=0"
         assert bundle["state"] and bundle["index"] == 0
+
+    @pytest.mark.parametrize("name", ["theorem2", "prop3", "theorem5"])
+    def test_counterparts_past_the_state_cap_are_skipped(self, name, monkeypatch):
+        real = harness.build_counterpart
+        monkeypatch.setattr(harness, "build_counterpart", lambda m, state_cap: real(m, state_cap=48))
+        report = run_differential(name, trials=20, seed=123)
+        assert report.ok and 0 < report.skipped < 20, report.to_json()
+        assert report.agreements + report.skipped == 20
+        assert report.to_dict()["skipped"] == report.skipped
+
+    def test_correspondence_past_the_budget_is_skipped(self, monkeypatch):
+        # at most 16 states: every rank matrix fits in 2 KiB, but not every
+        # condition-(c) check
+        caps = FuzzCaps(3, 1, 2)
+        assert run_differential("theorem2", trials=30, seed=5, caps=caps).skipped == 0
+        monkeypatch.setattr(structure, "_ARRAY_BUDGET", 2 << 10)
+        report = run_differential("theorem2", trials=30, seed=5, caps=caps)
+        assert report.ok and 0 < report.skipped < 30, report.to_json()
+        assert report.agreements + report.skipped == 30
+
+    def test_other_errors_end_the_run(self, monkeypatch):
+        def broken(m2, m, strong=False, strict=False):
+            raise StructureError("not a skip")
+
+        monkeypatch.setattr(harness, "check_correspondence", broken)
+        with pytest.raises(StructureError, match="not a skip"):
+            run_differential("theorem2", trials=3, seed=123)
 
     def test_reports_are_deterministic(self):
         a = run_differential("theorem1", trials=15, seed=77)
