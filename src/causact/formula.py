@@ -62,6 +62,11 @@ class Signature:
         return {n: {v: i for i, v in enumerate(self.range_of(n))} for n in self.all_names()}
 
     @cached_property
+    def _events(self) -> dict[tuple[str, str], "Formula"]:
+        """The events `event` has validated, by (variable, value)."""
+        return {}
+
+    @cached_property
     def exo_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.exogenous)
 
@@ -283,13 +288,16 @@ FALSE = Bot()
 
 
 def event(sig: Signature, var: str, val: str) -> Formula:
-    """Primitive or exogenous event for `var`, validated against `sig`."""
+    """Primitive or exogenous event for `var`, validated against `sig`.  An
+    event is built once per signature and kept in `sig._events`; a literal
+    that fails validation is not kept, so it fails the same way each time."""
     val = str(val)
-    if val not in sig.range_of(var):
-        raise FormulaError(f"value {val!r} not in the range of {var}")
-    if sig.is_exogenous(var):
-        return ExoEvent(var, val)
-    return PrimEvent(var, val)
+    ev = sig._events.get((var, val))
+    if ev is None:
+        if val not in sig.range_of(var):
+            raise FormulaError(f"value {val!r} not in the range of {var}")
+        ev = sig._events[var, val] = (ExoEvent if sig.is_exogenous(var) else PrimEvent)(var, val)
+    return ev
 
 
 def conjoin(parts) -> Formula:
@@ -341,30 +349,44 @@ def as_event_conjunction(phi: Formula) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
+# One alternative per token kind, tried in order at each position after any
+# whitespace: an event literal `X=x` or `X!=x` as one token (groups 1-3; the
+# constants `true` and `false` are no variable names), an operator (4), a
+# bare identifier (5) or number (6) as in the malformed literals `X=` or
+# `1=2`, and any other character, which is an error (7).
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>~>)|(?P<gets><-)|(?P<neq>!=)|(?P<op>[()\[\],&|!=])"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>[0-9]+))"
+    rf"\s*(?:(?!(?:true|false)(?![A-Za-z0-9_]))({_NAME})\s*(!?=)\s*({_NAME}|[0-9]+)"
+    r"|(~>|<-|!=|[()\[\],&|!=])"
+    rf"|({_NAME})|([0-9]+)|(\S))"
 )
+_KINDS = {4: "op", 5: "ident", 6: "num"}
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
+def tokenize(text: str) -> list[tuple]:
+    """The tokens of `text`, each (kind, text, position), then ("eof", "",
+    len(text)).  An event literal is one token ("lit", variable, position,
+    operator, operator position, value, value position)."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise FormulaError(f"unexpected character {stripped[0]!r} at position {pos}")
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        k = m.lastindex
+        if k == 3:
+            tokens.append(("lit", m[1], m.start(1), m[2], m.start(2), m[3], m.start(3)))
+        elif k == 7:
+            raise FormulaError(f"unexpected character {m[7]!r} at position {m.start()}")
+        else:
+            tokens.append((_KINDS[k], m[k], m.start(k)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Every token starts with (kind,
+    text, position); an event literal's text is its variable, which is what
+    an error message quotes when the literal stands where the grammar wants
+    something else."""
+
     def __init__(self, text: str, sig: Signature):
         self.sig = sig
         self.tokens = tokenize(text)
@@ -379,13 +401,13 @@ class _Parser:
         return tok
 
     def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise FormulaError(f"expected {value!r} at position {pos}, found {val or 'end of input'!r}")
+        tok = self.next()
+        if tok[1] != value:
+            raise FormulaError(f"expected {value!r} at position {tok[2]}, found {tok[1] or 'end of input'!r}")
 
     def error(self, msg: str):
-        _, val, pos = self.peek()
-        raise FormulaError(f"{msg} at position {pos} (near {val or 'end of input'!r})")
+        tok = self.peek()
+        raise FormulaError(f"{msg} at position {tok[2]} (near {tok[1] or 'end of input'!r})")
 
     # formula := disj [ "~>" disj ]
     def formula(self) -> Formula:
@@ -411,13 +433,26 @@ class _Parser:
         return out
 
     def unary(self) -> Formula:
-        if self.peek()[1] == "!":
-            self.next()
-            return Not(self.unary())
-        return self.atom()
+        # a chain of `!`s is counted, not recursed into
+        start = self.i
+        while self.tokens[self.i][1] == "!":
+            self.i += 1
+        bangs = self.i - start
+        out = self.atom()
+        for _ in range(bangs):
+            out = Not(out)
+        return out
 
     def atom(self) -> Formula:
-        kind, val, pos = self.peek()
+        tok = self.peek()
+        kind, val = tok[0], tok[1]
+        if kind == "lit":
+            self.i += 1
+            try:
+                ev = event(self.sig, val, tok[5])
+            except FormulaError as exc:
+                raise FormulaError(f"{exc} (at position {tok[2]})") from None
+            return ev if tok[3] == "=" else Not(ev)
         if val == "(":
             self.next()
             inner = self.formula()
@@ -442,24 +477,19 @@ class _Parser:
             self.next()
             return FALSE
         if kind in ("ident", "num"):
-            return self.prim()
+            self.literal_error()
         self.error("expected a formula")
 
-    def prim(self) -> Formula:
+    def literal_error(self):
+        """Report a malformed event literal: a well-formed one is a single
+        "lit" token, so the tokens here cannot spell one."""
         kind, name, pos = self.next()
         if kind != "ident":
             raise FormulaError(f"expected a variable name at position {pos}")
-        op_kind, op, op_pos = self.next()
-        if op not in ("=", "!="):
-            raise FormulaError(f"expected '=' or '!=' after {name!r} at position {op_pos}")
-        vkind, value, vpos = self.next()
-        if vkind not in ("ident", "num"):
-            raise FormulaError(f"expected a value at position {vpos}")
-        try:
-            ev = event(self.sig, name, value)
-        except FormulaError as exc:
-            raise FormulaError(f"{exc} (at position {pos})") from None
-        return Not(ev) if op == "!=" else ev
+        op = self.next()
+        if op[1] not in ("=", "!="):
+            raise FormulaError(f"expected '=' or '!=' after {name!r} at position {op[2]}")
+        raise FormulaError(f"expected a value at position {self.peek()[2]}")
 
     def assignments(self) -> tuple[tuple[str, str], ...]:
         out = [self.assignment()]
@@ -468,12 +498,23 @@ class _Parser:
             out.append(self.assignment())
         return tuple(out)
 
+    def bare(self):
+        """The next token, where the grammar wants a bare identifier or
+        value: an event literal there is split back into its variable,
+        operator and value tokens first."""
+        tok = self.tokens[self.i]
+        if tok[0] == "lit":
+            _, name, pos, op, op_pos, value, vpos = tok
+            vkind = "num" if value[0] in "0123456789" else "ident"
+            self.tokens[self.i : self.i + 1] = ("ident", name, pos), ("op", op, op_pos), (vkind, value, vpos)
+        return self.next()
+
     def assignment(self) -> tuple[str, str]:
-        kind, name, pos = self.next()
+        kind, name, pos = self.bare()
         if kind != "ident":
             raise FormulaError(f"expected a variable name at position {pos}")
         self.expect("<-")
-        vkind, value, vpos = self.next()
+        vkind, value, vpos = self.bare()
         if vkind not in ("ident", "num"):
             raise FormulaError(f"expected a value at position {vpos}")
         if not self.sig.is_endogenous(name):
@@ -483,9 +524,9 @@ class _Parser:
         return (name, value)
 
     def end(self):
-        kind, val, pos = self.peek()
-        if kind != "eof":
-            raise FormulaError(f"trailing input at position {pos}: {val!r}")
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise FormulaError(f"trailing input at position {tok[2]}: {tok[1]!r}")
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -59,20 +59,27 @@ class CausalModel:
     to a lookup over its semantic parents (the variables its guards mention
     but that never change its value are dropped), and topologically sorts
     the dependency DAG (raising ModelError with a witness cycle otherwise).
+
+    A table is compiled over the product of its mentioned variables' ranges.
+    Each guard is labelled once with the set of rows where it holds, a
+    bitset with one bit per row, at a few bitset operations per node of
+    the guard; nothing is evaluated row by row.  A table of more than 2^22
+    rows is rejected with ModelError.
     """
 
     def __init__(self, sig: Signature, equations: dict[str, Equation], name: str = "model"):
         self.sig = sig
         self.name = name
         self.equations = dict(equations)
-        self._validate_equations()
-        self._compile()
+        self._compile(self._validate_equations())
         self.topo_order = self._topological_order()
         self._solve_cache: dict = {}
 
     # -- validation and compilation
 
-    def _validate_equations(self):
+    def _validate_equations(self) -> dict[str, set[str]]:
+        """Check every equation against the signature; returns, per
+        variable, the variables its guards mention."""
         sig = self.sig
         missing = [x for x in sig.endo_names if x not in self.equations]
         if missing:
@@ -80,12 +87,14 @@ class CausalModel:
         extra = [x for x in self.equations if not sig.is_endogenous(x)]
         if extra:
             raise ModelError(f"equation for non-endogenous variable {', '.join(extra)}")
+        mentioned = {}
         for x, eq in self.equations.items():
             if eq.target != x:
                 raise ModelError(f"equation registered under {x} targets {eq.target}")
             rng = sig.range_of(x)
             if eq.default not in rng:
                 raise ModelError(f"default value {eq.default!r} outside the range of {x}")
+            names = mentioned[x] = set()
             for guard, value in eq.rows:
                 if value not in rng:
                     raise ModelError(f"row value {value!r} outside the range of {x}")
@@ -93,27 +102,42 @@ class CausalModel:
                     if name == x:
                         raise ModelError(f"equation for {x} may not mention {x} itself")
                     sig.range_of(name)  # raises on unknown variables
+                    names.add(name)
+        return mentioned
 
-    def _compile(self):
+    def _compile(self, mentioned: dict[str, set[str]]):
         """Tabulate each equation over the variables its guards mention,
         then keep as parents those that two rows differing only in them map
-        to different values, and re-key the table over the parents."""
+        to different values, and re-key the table over the parents.
+
+        The rows are the product of the mentioned variables' ranges, in
+        `itertools.product` order.  A set of rows is an int whose bit r
+        stands for row r; each guard's set is labelled bottom-up from the
+        sets of its events, and takes the rows no earlier guard took."""
         self._tables: dict[str, dict[tuple, str]] = {}
         parents = {}
         for x, eq in self.equations.items():
-            mentioned = set()
-            for guard, _ in eq.rows:
-                mentioned |= variables_of(guard)
-            order = tuple(n for n in self.sig.all_names() if n in mentioned)
+            order = tuple(n for n in self.sig.all_names() if n in mentioned[x])
+            ranges = [self.sig.range_of(n) for n in order]
             size = 1
-            for n in order:
-                size *= len(self.sig.range_of(n))
+            for rng in ranges:
+                size *= len(rng)
             if size > 1 << 22:
                 raise ModelError(f"decision table for {x} is too large to tabulate ({size} rows)")
-            table = {}
-            for values in itertools.product(*(self.sig.range_of(n) for n in order)):
-                asgn = dict(zip(order, values))
-                table[values] = next((v for g, v in eq.rows if evaluate_prop(g, asgn)), eq.default)
+            events = _event_rows(order, ranges, size)
+            full = (1 << size) - 1
+            rows_of = {}  # value -> the rows the guards give it
+            still_open = full
+            for guard, value in eq.rows:
+                hit = _guard_rows(guard, events, full) & still_open
+                if hit:
+                    rows_of[value] = rows_of.get(value, 0) | hit
+                    still_open ^= hit
+            column = [eq.default] * size
+            for value, rows in rows_of.items():
+                for r in _members(rows):
+                    column[r] = value
+            table = dict(zip(itertools.product(*ranges), column))
             keep = [i for i in range(len(order)) if _varies(table, i)]
             parents[x] = tuple(order[i] for i in keep)
             self._tables[x] = {tuple(key[i] for i in keep): v for key, v in table.items()}
@@ -336,6 +360,71 @@ class CausalModel:
             if evaluate_prop(ant, asgn):
                 return True
         return False
+
+
+def _event_rows(order, ranges, size: int) -> dict[tuple[str, str], int]:
+    """For each (variable, value) of `order`, the set of rows of the product
+    of `ranges` where the variable has that value, as a bitset.  Variable i
+    repeats each value over `stride` rows, the product of the later ranges,
+    so its first value holds on a block of `stride` rows every `period`
+    rows, and each later value on that pattern shifted by `stride`."""
+    out = {}
+    stride = size
+    for name, rng in zip(order, ranges):
+        period, stride = stride, stride // len(rng)
+        first = _tile((1 << stride) - 1, period, size // period)
+        for k, value in enumerate(rng):
+            out[name, value] = first << (k * stride)
+    return out
+
+
+def _tile(pattern: int, period: int, count: int) -> int:
+    """`count` copies of `pattern`, the j-th shifted by j * period bits,
+    made by doubling the copies and cutting off those past `count`."""
+    out, n = pattern, 1
+    while n < count:
+        out |= out << (n * period)
+        n *= 2
+    return out & ((1 << (count * period)) - 1)
+
+
+def _guard_rows(guard: Formula, events: dict[tuple[str, str], int], full: int) -> int:
+    """The rows where a propositional guard holds, labelled bottom-up from
+    `events` (an event outside it holds nowhere).  `full` is the set of all
+    rows.  The walk keeps its own stacks, so the guard's depth is not
+    bounded by the recursion limit."""
+    walk, stack = [], [guard]
+    while stack:  # operators before their operands
+        node = stack.pop()
+        walk.append(node)
+        kind = type(node)
+        if kind is And or kind is Or:
+            stack += node.left, node.right
+        elif kind is Not:
+            stack.append(node.sub)
+    rows = []
+    for node in reversed(walk):
+        kind = type(node)
+        if kind is PrimEvent or kind is ExoEvent:
+            rows.append(events.get((node.var, node.val), 0))
+        elif kind is And:
+            rows.append(rows.pop() & rows.pop())
+        elif kind is Or:
+            rows.append(rows.pop() | rows.pop())
+        elif kind is Not:
+            rows.append(full ^ rows.pop())
+        else:
+            rows.append(full if kind is Top else 0)
+    return rows[0]
+
+
+def _members(bits: int):
+    """The positions of the set bits of `bits`, lowest first."""
+    digits = bin(bits)[:1:-1]  # least significant first, without "0b"
+    r = digits.find("1")
+    while r >= 0:
+        yield r
+        r = digits.find("1", r + 1)
 
 
 def _varies(table: dict[tuple, str], i: int) -> bool:

@@ -28,6 +28,7 @@ from causact.formula import (
     free_endogenous,
     is_propositional,
     parse_formula,
+    parse_intervention,
     prop_entails,
     prop_equivalent,
     truth_mask,
@@ -91,6 +92,97 @@ class TestParsing:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(FormulaError):
             parse_formula("X=1 X=2", SIG)
+
+    def test_long_negation_chain_parses_and_prints_without_recursion(self):
+        text = "!" * 10**4 + "X=1"
+        phi = parse_formula(text, SIG)
+        assert format_formula(phi) == "!" * (10**4 - 1) + "X!=1"  # the innermost `!` prints as `!=`
+        assert parse_formula(format_formula(phi), SIG) == phi
+        for _ in range(10**4):
+            assert isinstance(phi, Not)
+            phi = phi.sub
+        assert phi == PrimEvent("X", "1")
+
+    def test_events_are_built_once_per_signature(self):
+        phi = parse_formula("X=1 & !(X=1 | U=u0) & X!=1", SIG)
+        first, second = phi.left.left, phi.left.right.sub.left
+        assert first is second is phi.right.sub
+        assert parse_formula("U=u0", SIG) is phi.left.right.sub.right
+
+
+# Every message `tokenize` and the parser give, one malformed text each
+# (positions count from 0; an unexpected character is placed where the
+# whitespace before it starts).
+FORMULA_ERRORS = [
+    ('[X=1] Y=1', "expected '<-' at position 2, found '='"),
+    ('true=1', "trailing input at position 4: '='"),
+    ('X! =1', "expected '=' or '!=' after 'X' at position 1"),
+    ('1=2', 'expected a variable name at position 0'),
+    ('X=', 'expected a value at position 2'),
+    ('X=1=2', "trailing input at position 3: '='"),
+    ('X=@', "unexpected character '@' at position 2"),
+    ('X=1 X=2', "trailing input at position 4: 'X'"),
+    ('Z=1', "unknown variable 'Z' (at position 0)"),
+    ('Y=0 & Y=2', "value '2' not in the range of Y (at position 6)"),
+    ('U=u2', "value 'u2' not in the range of U (at position 0)"),
+    ('[X<-1, X<-2] Y=1', 'intervention assigns the same variable twice'),
+    ('', "expected a formula at position 0 (near 'end of input')"),
+    ('   ', "expected a formula at position 3 (near 'end of input')"),
+    ('X=1 &', "expected a formula at position 5 (near 'end of input')"),
+    ('(X=1', "expected ')' at position 4, found 'end of input'"),
+    ('(X=1) ~> Y=1', "expected '(' at position 9, found 'Y'"),
+    ('(X=1 X=2)', "expected ')' at position 5, found 'X'"),
+    ('((X=1)', "expected ')' at position 6, found 'end of input'"),
+    ('[U<-u0] X=1', "can only intervene on endogenous variables, not 'U' (position 1)"),
+    ('[X<-5] Y=1', "value '5' not in the range of X (position 4)"),
+    ('[X<-] Y=1', 'expected a value at position 4'),
+    ('[1<-0] Y=1', 'expected a variable name at position 1'),
+    ('[X<-1 Y=1', "expected ']' at position 6, found 'Y'"),
+    ('[X<-Y=1] Y=1', "value 'Y' not in the range of X (position 4)"),
+    ('[Y=1', "expected '<-' at position 2, found '='"),
+    ('X = = 1', 'expected a value at position 4'),
+    ('X Y=1', "expected '=' or '!=' after 'X' at position 2"),
+    ('!', "expected a formula at position 1 (near 'end of input')"),
+    ('X=1 )', "trailing input at position 4: ')'"),
+    ('X=1 | | Y=1', "expected a formula at position 6 (near '|')"),
+    ('X ~ 1', "unexpected character '~' at position 1"),
+    ('X=1\t@', "unexpected character '@' at position 3"),
+    ('X<-1', "expected '=' or '!=' after 'X' at position 1"),
+    ('false=0', "trailing input at position 5: '='"),
+    ('X=true', "value 'true' not in the range of X (at position 0)"),
+    ('!=1', "expected a formula at position 0 (near '!=')"),
+    ('X=1 ~> ~> Y=1', "expected a formula at position 7 (near '~>')"),
+    ('X=1, Y=1', "trailing input at position 3: ','"),
+    ('[X<-1] [U<-u1] Y=1', "can only intervene on endogenous variables, not 'U' (position 8)"),
+    ('X=1 & é', "unexpected character 'é' at position 5"),
+    ('X !=', 'expected a value at position 4'),
+    ('X != 1 Y', "trailing input at position 7: 'Y'"),
+]
+
+INTERVENTION_ERRORS = [
+    ('X<-1, X<-2', 'intervention assigns the same variable twice'),
+    ('X=1', "expected '<-' at position 1, found '='"),
+    ('X<-1 Y<-0', "trailing input at position 5: 'Y'"),
+    ('X<-Y=1', "value 'Y' not in the range of X (position 3)"),
+    ('U<-u0', "can only intervene on endogenous variables, not 'U' (position 0)"),
+    ('X<-3', "value '3' not in the range of X (position 3)"),
+    ('', 'expected a variable name at position 0'),
+    ('X<-1,', 'expected a variable name at position 5'),
+]
+
+
+@pytest.mark.parametrize("text, message", FORMULA_ERRORS)
+def test_formula_error_messages(text, message):
+    with pytest.raises(FormulaError) as exc:
+        parse_formula(text, SIG)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", INTERVENTION_ERRORS)
+def test_intervention_error_messages(text, message):
+    with pytest.raises(FormulaError) as exc:
+        parse_intervention(text, SIG)
+    assert str(exc.value) == message
 
 
 def formulas(depth=4):

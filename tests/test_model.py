@@ -424,7 +424,87 @@ def _random_model_text(rng):
     return "\n".join(lines) + "\n"
 
 
+def _ref_compile(m):
+    """The reference tabulation: every assignment of the variables x's
+    guards mention, in `itertools.product` order, reads its value off the
+    rows with `evaluate_prop`; the parents are the positions where two keys
+    that differ only there map to different values, and the table is
+    re-keyed over them."""
+    tables, parents = {}, {}
+    for x, eq in m.equations.items():
+        mentioned = set().union(*(variables_of(g) for g, _ in eq.rows))
+        order = [n for n in m.sig.all_names() if n in mentioned]
+        table = {
+            values: _row_value(eq, dict(zip(order, values)))
+            for values in itertools.product(*(m.sig.range_of(n) for n in order))
+        }
+        keep = []
+        for i in range(len(order)):
+            seen = {}
+            if any(seen.setdefault(k[:i] + k[i + 1 :], v) != v for k, v in table.items()):
+                keep.append(i)
+        parents[x] = tuple(order[i] for i in keep)
+        tables[x] = {tuple(k[i] for i in keep): v for k, v in table.items()}
+    return tables, {x: parents[x] for x in m.sig.endo_names}
+
+
+def _table_model_text(rng, n_parents, kind):
+    """A model whose last variable Y has a decision table over n_parents
+    earlier variables: `full` has one row per assignment of binary parents;
+    `overlap` has random guards of one to three literals that overlap, so
+    row order decides; `connectives` mixes `true`, `false`, `!` and `|`;
+    `narrow` gives some variables a single value."""
+    names = [f"P{i}" for i in range(n_parents)]
+    width = {n: 1 if kind == "narrow" and rng.random() < 0.4 else rng.choice([2, 2, 3]) for n in names}
+    if kind == "full":
+        width = dict.fromkeys(names, 2)
+    dom = {n: [str(k) for k in range(width[n])] for n in names}
+    lit = lambda n: f"{n}{rng.choice(['=', '!='])}{rng.choice(dom[n])}"
+    if kind == "full":
+        guards = [" & ".join(f"{n}={v}" for n, v in zip(names, vals)) for vals in itertools.product("01", repeat=n_parents)]
+    elif kind == "overlap":
+        guards = [" & ".join(lit(n) for n in rng.sample(names, rng.randint(1, 3))) for _ in range(12)]
+    else:
+        atoms = lambda: rng.choice(["true", "false"]) if rng.random() < 0.2 else lit(rng.choice(names))
+        guards = [
+            rng.choice(["{} | {}", "!({} & {})", "!{} & {}", "({} | {}) & !{}"]).format(atoms(), atoms(), atoms())
+            for _ in range(8)
+        ]
+    rows = " ; ".join(f"{g} : {rng.choice('012')}" for g in guards)
+    lines = ["model table", "exo U : { 0, 1 }"]
+    lines += [f"var {n} : {{ {', '.join(dom[n])} }}" for n in names]
+    lines += ["var Y : { 0, 1, 2 }"]
+    lines += [f"eq {n} = case {{ U=1 : {dom[n][-1]} ; default : 0 }}" for n in names]
+    lines += [f"eq Y = case {{ {rows} ; default : {rng.choice('012')} }}"]
+    return "\n".join(lines) + "\n"
+
+
 class TestEquationsAgainstReference:
+    @pytest.mark.parametrize(
+        "kind, n_parents, trials",
+        [("full", 8, 2), ("full", 9, 1), ("full", 10, 1), ("overlap", 6, 20), ("connectives", 5, 30), ("narrow", 6, 20)],
+    )
+    def test_tables_match_the_reference_tabulation(self, kind, n_parents, trials):
+        for i in range(trials):
+            m = parse_model(_table_model_text(trial_rng(n_parents, i), n_parents, kind))
+            assert (m._tables, m.parents) == _ref_compile(m), (kind, i)
+
+    def test_a_guard_of_2000_literals_compiles(self):
+        # the guard is a left-nested chain of 2000 conjunctions; it holds
+        # where A=1, B=0 and C!=2
+        guard = " & ".join(["A=1", "B=0", "C!=2", "A!=0"] * 500)
+        m = parse_model(
+            "model deep\nexo U : { 0, 1 }\nvar A : { 0, 1 }\nvar B : { 0, 1 }\nvar C : { 0, 1, 2 }\n"
+            "var Y : { 0, 1 }\neq A = case { U=1 : 1 ; default : 0 }\neq B = case { default : 0 }\n"
+            f"eq C = case {{ default : 1 }}\neq Y = case {{ {guard} : 1 ; default : 0 }}\n"
+        )
+        assert m.parents["Y"] == ("A", "B", "C")
+        assert m._tables["Y"] == {
+            (a, b, c): "1" if (a, b) == ("1", "0") and c != "2" else "0"
+            for a, b, c in itertools.product("01", "01", "012")
+        }
+        assert m.solve({"U": "1"})["Y"] == "1"
+
     def test_parents_solutions_and_order(self):
         vacuous = 0
         for i in range(150):
