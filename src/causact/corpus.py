@@ -10,6 +10,7 @@ import itertools
 
 from .formula import ExoEvent, parse_formula
 from .model import parse_model, parse_context
+from .correspondence import build_counterpart
 from .structure import CfStructure, TierOrder
 from .hp import is_actual_cause_hp
 from .abstract import (
@@ -122,33 +123,13 @@ def backtracking_structure():
     single closest state to the both-throw actual state is the nobody-throws
     state (context changed to u00, everything 0): backtracking in its purest
     form.  All other states order the rest in one flat tier."""
-    m = rock_throwing_model()
-    sig = m.sig
-    names = sig.all_names()
-    interp = {}
-    for i, values in enumerate(itertools.product(*(sig.range_of(n) for n in names))):
-        interp[f"s{i}"] = dict(zip(names, values))
-
-    def state_of(asgn):
-        for s, a in interp.items():
-            if a == asgn:
-                return s
-        raise AssertionError("assignment not found")
-
-    actual = state_of(m.solve({"U": "u11"}))
-    zero = state_of({"U": "u00", "ST": "0", "BT": "0", "SH": "0", "BH": "0", "BS": "0"})
-    everything = frozenset(interp)
-    tiers = {}
-    for s in interp:
-        if s == actual:
-            tiers[s] = [
-                frozenset({s}),
-                frozenset({zero}),
-                everything - {s, zero},
-            ]
-        else:
-            tiers[s] = [frozenset({s}), everything - {s}]
-    m2 = CfStructure(sig, interp, TierOrder(tiers), name="rt-backtracking")
+    built, state_of = build_counterpart(rock_throwing_model())
+    actual = state_of({"U": "u11"})
+    zero = state_of({"U": "u00"})  # nobody throws, so everything is 0
+    everything = frozenset(built.states)
+    tiers = {s: [frozenset({s}), everything - {s}] for s in built.states}
+    tiers[actual] = [frozenset({actual}), frozenset({zero}), everything - {actual, zero}]
+    m2 = CfStructure._from_codes(built.sig, built.states, built.codes, TierOrder(tiers), "rt-backtracking")
     return m2, actual
 
 

@@ -39,7 +39,6 @@ where the arrays it holds at once would exceed it.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -118,11 +117,11 @@ def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
 
     sig = m.sig
     names = sig.all_names()
-    ranges = [sig.range_of(n) for n in names]
-    interp = {f"s{i}": dict(zip(names, values)) for i, values in enumerate(itertools.product(*ranges))}
+    dims = [len(sig.range_of(n)) for n in names]
+    states = [f"s{i}" for i in range(size)]
     # State i's value indices are the mixed-radix digits of i; the
     # exogenous variables come first.
-    codes = np.array(np.unravel_index(np.arange(size), [len(r) for r in ranges]), dtype=np.intp).T
+    codes = np.array(np.unravel_index(np.arange(size), dims), dtype=np.intp).T
     k = len(sig.exo_names)
 
     n_endo = len(sig.endo_names)
@@ -131,15 +130,12 @@ def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
     # Python ints, exact however far the sums pass 2^63
     viol = ((codes[:, k:] != m.equation_codes(codes)).astype(object) @ weights).tolist()
 
-    order = CounterpartOrder(list(interp), codes[:, :k], viol)
-    m2 = CfStructure(sig, interp, order, name=f"{m.name}-counterpart")
+    order = CounterpartOrder(states, codes[:, :k], viol)
+    m2 = CfStructure._from_codes(sig, states, codes, order, f"{m.name}-counterpart")
 
     def context_state(u: dict) -> str:
         sol = m.solve(u)
-        i = 0
-        for n, rng in zip(names, ranges):
-            i = i * len(rng) + rng.index(sol[n])
-        return f"s{i}"
+        return f"s{np.ravel_multi_index([sig.value_index[n][sol[n]] for n in names], dims)}"
 
     return m2, context_state
 
@@ -457,17 +453,14 @@ def strongly_consistent(
     holds and s agrees with u on the exogenous variables."""
     if not check_correspondence(m2, m, strong=True, strict=strict).ok:
         return False
-    ctx = m.validate_context(u)
-    return all(m2.interp[s][n] == ctx[n] for n in m.sig.exo_names)
+    return m.validate_context(u).items() <= m2.interp[s].items()
 
 
 def compatible(m: CausalModel, m2: CfStructure, strict: bool = False) -> bool:
-    """Every context has a strongly consistent state and vice versa."""
-    if not check_correspondence(m2, m, strong=True, strict=strict).ok:
-        return False
-    names = m.sig.exo_names
-    contexts = {tuple(u[n] for n in names) for u in m.sig.assignments(names)}
-    return contexts == {tuple(m2.interp[s][n] for n in names) for s in m2.states}
+    """Every context has a strongly consistent state and vice versa.  Under
+    strong correspondence every assignment, and so every context, is some
+    state's (condition b), and every state's context is one of the model's."""
+    return check_correspondence(m2, m, strong=True, strict=strict).ok
 
 
 def compatible_K(m: CausalModel, m2: CfStructure, K: list[dict], K2: list[str]) -> bool:
@@ -477,5 +470,5 @@ def compatible_K(m: CausalModel, m2: CfStructure, K: list[dict], K2: list[str]) 
         return False
     exo_names = m.sig.exo_names
     k_keys = {tuple(m.validate_context(u)[n] for n in exo_names) for u in K}
-    k2_keys = {tuple(m2.interp[s][n] for n in exo_names) for s in K2}
+    k2_keys = {tuple(map(m2.interp[s].get, exo_names)) for s in K2}
     return k_keys == k2_keys

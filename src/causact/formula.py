@@ -374,7 +374,7 @@ def tokenize(text: str) -> list[tuple]:
         if k == 3:
             tokens.append(("lit", m[1], m.start(1), m[2], m.start(2), m[3], m.start(3)))
         elif k == 7:
-            raise FormulaError(f"unexpected character {m[7]!r} at position {m.start()}")
+            raise FormulaError(f"unexpected character {m[7]!r} at position {m.start(7)}")
         else:
             tokens.append((_KINDS[k], m[k], m.start(k)))
     tokens.append(("eof", "", len(text)))

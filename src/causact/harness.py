@@ -17,7 +17,8 @@ are supposed to agree against each other:
   theorem4   interventionist explanation vs. abstract explanation with
              conjunctive witnesses, relative to the same contexts;
   theorem5   interventionist explanation vs. abstract explanation with
-             pair-extended witnesses on the counterpart structure.
+             pair-extended witnesses on the counterpart structure, which
+             must also strongly correspond to M.
 
 A trial whose counterpart has more states than the harness's cap, or whose
 correspondence check would take more memory than the array budget, is
@@ -298,17 +299,19 @@ def _random_K(m, rng, max_size=4):
 
 def _explanation_trial(caps, rng, place):
     """Interventionist explanation vs. abstract explanation for a random
-    query; `place(m, K)` gives the abstract check's settings, its language
-    and the bundle fields that say where it ran."""
+    query; `place(m, K)` gives the abstract check's settings, its language,
+    the bundle fields that say where it ran, and whether the settings meet
+    the theorem's hypothesis.  Settings that do not are a disagreement
+    whatever the verdicts."""
     m = gen_random_model(caps, rng)
     K = _random_K(m, rng)
     anchor = m.solve(rng.choice(K))
     cand = random_event_conjunction(m, rng, prefer_actual=anchor)
     effect = random_prop_formula(m, rng, caps.formula_depth)
     hp = is_explanation_hp(m, K, cand, effect)
-    settings, lang, where = place(m, K)
+    settings, lang, where, holds = place(m, K)
     ab = is_explanation_abstract(settings, cand, effect, lang)
-    if (hp.is_explanation, hp.nontrivial) == (ab.is_explanation, ab.nontrivial):
+    if holds and (hp.is_explanation, hp.nontrivial) == (ab.is_explanation, ab.nontrivial):
         return None
     contexts = {f"K[{i}]": dict(u) for i, u in enumerate(K)}
     return _bundle(m, contexts, candidate=format_formula(cand), effect=format_formula(effect), **where,
@@ -316,14 +319,17 @@ def _explanation_trial(caps, rng, place):
 
 
 def _trial_theorem4(caps, rng, negated):
-    place = lambda m, K: ([CausalSetting(m, u) for u in K], conj_language(), {})
+    place = lambda m, K: ([CausalSetting(m, u) for u in K], conj_language(), {}, True)
     return _explanation_trial(caps, rng, place)
 
 
 def _trial_theorem5(caps, rng, negated):
     def place(m, K):
         m2, ctx_state = build_counterpart(m, state_cap=10**4)
+        # the hypothesis of Theorem 5: the structure strongly corresponds to m
+        report = check_correspondence(m2, m, strong=True)
         settings = [CfSetting(m2, ctx_state(u)) for u in K]
-        return settings, pair_language(), {"states": [st.state for st in settings]}
+        where = {"states": [st.state for st in settings], "correspondence": report.to_dict()}
+        return settings, pair_language(), where, report.ok
 
     return _explanation_trial(caps, rng, place)

@@ -7,10 +7,13 @@ counterpart builder's derived order), or as an arbitrary explicit relation
 through the comparator API.  States a base state does not rank are treated
 as strictly farther than all ranked ones.
 
-A structure keeps `codes`, each state's value indices (one row per state,
-one column per variable), built as it validates the states; its value
-columns are read off them.  It answers every query from two things it
-builds on first use:
+A structure stores each state once, as its row of `codes`: the state's
+value indices, one column per variable.  The constructor builds the rows
+as it validates the states' assignments, and the counterpart builder
+hands over the rows it computes (`CfStructure._from_codes`).  `interp` is
+a read-only view that builds a state's assignment afresh from its row at
+every lookup, and the value columns are read off `codes` too.  A
+structure answers every query from two things it builds on first use:
 `near`, the order's n x n int32 matrix of dense ranks (row s ranks every
 state from base s; a matrix past `_ARRAY_BUDGET` raises StructureError
 instead), and `extension(phi)`, the boolean mask over `states` of where
@@ -33,6 +36,7 @@ there `&` and `|` skip an operand they do not need.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,30 +122,46 @@ class RelationOrder(ClosenessOrder):
 
 
 class CfStructure:
+    """A structure over the states of `interp`, a mapping from each state
+    name to its assignment.  The assignments are checked and kept only as
+    `codes`; `interp` is a read-only view that builds each one afresh."""
+
     def __init__(
         self,
         sig: Signature,
-        interp: dict[str, dict],
+        interp: Mapping[str, Mapping],
         order: ClosenessOrder,
         name: str = "structure",
     ):
-        self.sig = sig
-        self.name = name
-        self.states = tuple(interp)
-        self.interp = {s: dict(a) for s, a in interp.items()}
-        self.order = order
         names = sig.all_names()
         # each state's value indices, one column per variable of `all_names()`
-        asgns = list(self.interp.values())
+        asgns = list(interp.values())
         try:
             columns = [[ix[asgn[n]] for asgn in asgns] for n, ix in sig.value_index.items()]
         except (KeyError, TypeError):  # a missing variable, or a value outside its range
-            _reject_states(sig, self.interp)
+            _reject_states(sig, interp)
         if any(len(asgn) > len(names) for asgn in asgns):
-            _reject_states(sig, self.interp)
-        self.codes = np.array(columns, dtype=np.intp).reshape(len(names), len(asgns)).T
+            _reject_states(sig, interp)
+        codes = np.array(columns, dtype=np.intp).reshape(len(names), len(asgns)).T
+        self._adopt(sig, tuple(interp), codes, order, name)
+
+    @classmethod
+    def _from_codes(cls, sig: Signature, states, codes: np.ndarray, order: ClosenessOrder, name: str):
+        """The structure whose state states[i] has the value indices
+        codes[i], one column per variable of `all_names()`, unchecked."""
+        m = cls.__new__(cls)
+        m._adopt(sig, tuple(states), codes, order, name)
+        return m
+
+    def _adopt(self, sig, states, codes, order, name):
+        self.sig = sig
+        self.name = name
+        self.states = states
+        self.order = order
+        self.codes = codes
         self.codes.flags.writeable = False
-        self._position = {s: i for i, s in enumerate(self.states)}
+        self._position = {s: i for i, s in enumerate(states)}
+        self.interp = _Assignments(self)
         self._near: np.ndarray | None = None
         self._extensions: dict[Formula, np.ndarray] = {}
 
@@ -249,6 +269,27 @@ class CfStructure:
              for t, ok in zip(self.states, mask)],
             dtype=bool,
         )
+
+
+class _Assignments(Mapping):
+    """`CfStructure.interp`: each state's assignment, a new dict built from
+    its row of `codes` at every lookup."""
+
+    def __init__(self, m: CfStructure):
+        # m's parts, not m, so that the view makes no reference cycle
+        self._states, self._codes, self._position = m.states, m.codes, m._position
+        self._names = m.sig.all_names()
+        self._ranges = [m.sig.range_of(x) for x in self._names]
+
+    def __getitem__(self, s: str) -> dict:
+        row = self._codes[self._position[s]].tolist()
+        return {x: rng[c] for x, rng, c in zip(self._names, self._ranges, row)}
+
+    def __iter__(self):
+        return iter(self._states)
+
+    def __len__(self):
+        return len(self._states)
 
 
 def _ranked_box_arrows(ranks: np.ndarray, outside: np.ndarray, allow_vacuous: bool) -> np.ndarray:
@@ -445,13 +486,17 @@ def structure_to_text(m: CfStructure, over: str | None = None) -> str:
         out.append(f"exo {n} : {{ {', '.join(rng)} }}")
     for n, rng in m.sig.endogenous:
         out.append(f"var {n} : {{ {', '.join(rng)} }}")
-    for s in m.states:
-        asgn = ", ".join(f"{n}={m.interp[s][n]}" for n in m.sig.all_names())
+    for s, values in m.interp.items():
+        asgn = ", ".join(f"{n}={v}" for n, v in values.items())
         out.append(f"state {s} {{ {asgn} }}")
     if isinstance(m.order, TierOrder):
         for s in m.states:
-            tiers = m.order.tiers.get(s, [])
-            rest = [t for t in tiers if t != frozenset({s})]
+            # the file puts {s} first and names s nowhere else, which
+            # TierOrder's one-rank-per-state check then guarantees
+            first, *rest = m.order.tiers.get(s) or [None]
+            if first != frozenset({s}):
+                raise StructureError(f"the order for {s} does not start with the tier {{ {s} }} alone,"
+                                     " which the structure file cannot express")
             if rest:
                 text = " ; ".join("{ " + ", ".join(sorted(t)) + " }" for t in rest)
                 out.append(f"order {s} : {text}")

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,25 @@ class TestBuilder:
             assert type(cost) is int
             assert cost == viol(m2.interp[m2.states[j]])
         assert m2.order.viol[every_violation] == 15 * 16**15 > 2**63
+
+    def test_peak_memory_of_a_large_counterpart(self):
+        # 65,536 states of fifteen binary variables: the builder makes the
+        # value codes and no dict per state
+        names = [f"V{i}" for i in range(1, 16)]
+        m = parse_model("\n".join(
+            ["model flat", "exo U : { 0, 1 }"]
+            + [f"var {v} : {{ 0, 1 }}" for v in names]
+            + [f"eq {v} = case {{ U=1 : 1 ; default : 0 }}" for v in names]
+        ))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            m2, _ = build_counterpart(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m2.states) == 65536
+        assert peak < 50 * 10**6
 
     def test_cap_enforced(self, rt):
         with pytest.raises(CorrespondenceError):

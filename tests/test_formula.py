@@ -111,8 +111,8 @@ class TestParsing:
 
 
 # Every message `tokenize` and the parser give, one malformed text each
-# (positions count from 0; an unexpected character is placed where the
-# whitespace before it starts).
+# (positions count from 0; an unexpected character is placed at the
+# character itself, after any whitespace before it).
 FORMULA_ERRORS = [
     ('[X=1] Y=1', "expected '<-' at position 2, found '='"),
     ('true=1', "trailing input at position 4: '='"),
@@ -145,8 +145,8 @@ FORMULA_ERRORS = [
     ('!', "expected a formula at position 1 (near 'end of input')"),
     ('X=1 )', "trailing input at position 4: ')'"),
     ('X=1 | | Y=1', "expected a formula at position 6 (near '|')"),
-    ('X ~ 1', "unexpected character '~' at position 1"),
-    ('X=1\t@', "unexpected character '@' at position 3"),
+    ('X ~ 1', "unexpected character '~' at position 2"),
+    ('X=1\t@', "unexpected character '@' at position 4"),
     ('X<-1', "expected '=' or '!=' after 'X' at position 1"),
     ('false=0', "trailing input at position 5: '='"),
     ('X=true', "value 'true' not in the range of X (at position 0)"),
@@ -154,7 +154,7 @@ FORMULA_ERRORS = [
     ('X=1 ~> ~> Y=1', "expected a formula at position 7 (near '~>')"),
     ('X=1, Y=1', "trailing input at position 3: ','"),
     ('[X<-1] [U<-u1] Y=1', "can only intervene on endogenous variables, not 'U' (position 8)"),
-    ('X=1 & é', "unexpected character 'é' at position 5"),
+    ('X=1 & é', "unexpected character 'é' at position 6"),
     ('X !=', 'expected a value at position 4'),
     ('X != 1 Y', "trailing input at position 7: 'Y'"),
 ]

@@ -97,6 +97,24 @@ class TestDifferentials:
         assert bundle["correspondence"]["conditionC"]["counterexample"]["psi"] == "V1=0"
         assert bundle["state"] and bundle["index"] == 0
 
+    def test_theorem5_requires_strong_correspondence(self, monkeypatch):
+        real = harness.check_correspondence
+        asked = []
+
+        def failing(m2, m, strong=False, strict=False):
+            asked.append(strong)
+            report = real(m2, m, strong=strong, strict=strict)
+            report.condition_a = ConditionReport(ok=False, counterexample={"Y": "V1"})
+            return report
+
+        monkeypatch.setattr(harness, "check_correspondence", failing)
+        report = run_differential("theorem5", trials=3, seed=123)
+        assert asked == [True] * 3
+        assert report.agreements == 0 and len(report.disagreements) == 3
+        bundle = report.disagreements[0]
+        assert bundle["correspondence"]["conditionA"]["counterexample"] == {"Y": "V1"}
+        assert bundle["states"] and bundle["index"] == 0
+
     @pytest.mark.parametrize("name", ["theorem2", "prop3", "theorem5"])
     def test_counterparts_past_the_state_cap_are_skipped(self, name, monkeypatch):
         real = harness.build_counterpart

@@ -1,5 +1,6 @@
 """Properties of the three parsers: on any text they fail only with their
-own typed errors, and a model's text reads back as the same model."""
+own typed errors, and a model's or a structure's text reads back as the
+same model or structure."""
 
 import random
 
@@ -9,7 +10,7 @@ from causact.corpus import ROCK_THROWING
 from causact.formula import FormulaError, Signature, parse_formula
 from causact.harness import DEFAULT_CAPS, FuzzCaps, gen_random_model
 from causact.model import ModelError, model_to_text, parse_model
-from causact.structure import StructureError, parse_structure
+from causact.structure import CfStructure, StructureError, TierOrder, parse_structure, structure_to_text
 
 SIG = Signature(
     exogenous=(("U", ("u0", "u1")),),
@@ -90,3 +91,29 @@ def test_model_text_round_trips(caps, seed):
     assert again.parents == m.parents
     assert again._tables == m._tables
     assert again.topo_order == m.topo_order
+
+
+@st.composite
+def tier_structures(draw):
+    """States with random assignments over SIG, each ranking itself first,
+    alone, then some of the others in tiers: the orders the file expresses."""
+    n = draw(st.integers(1, 6))
+    values = st.fixed_dictionaries({x: st.sampled_from(SIG.range_of(x)) for x in SIG.all_names()})
+    states = {f"s{i}": draw(values) for i in draw(st.permutations(range(n)))}
+    tiers = {}
+    for s in states:
+        # tier 0 leaves a state unranked
+        place = {t: draw(st.integers(0, 3)) for t in states if t != s}
+        tiers[s] = [frozenset({s})] + [
+            frozenset(t for t, p in place.items() if p == k) for k in (1, 2, 3) if k in place.values()
+        ]
+    return CfStructure(SIG, states, TierOrder(tiers), name="drawn")
+
+
+@given(tier_structures())
+def test_structure_text_round_trips(m):
+    again = parse_structure(structure_to_text(m))
+    assert again.name == m.name and again.states == m.states
+    assert again.interp == m.interp
+    assert (again.codes == m.codes).all()
+    assert (again.near == m.near).all()

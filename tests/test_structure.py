@@ -149,6 +149,26 @@ class TestSatisfaction:
         assert isinstance(m.satisfies_at("a", phi), bool)
 
 
+class TestStatesAreStoredOnce:
+    def test_handed_out_assignments_are_copies(self):
+        m = make_structure(FLAT)
+        m.interp["a"]["X"] = "1"
+        CfSetting(m, "b").assignment["X"] = "2"
+        assert m.interp["a"] == {"U": "0", "X": "0", "Y": "0"}
+        assert m.codes.tolist() == [[0, 0, 0], [0, 1, 1], [1, 2, 0]]
+        for x in SIG.range_of("X"):
+            phi = parse_formula(f"X={x}", SIG)
+            assert [m.satisfies_at(s, phi) for s in m.states] == m.extension(phi).tolist()
+
+    def test_interp_is_read_only(self):
+        m = make_structure(FLAT)
+        with pytest.raises(TypeError):
+            m.interp["a"] = {"U": "1", "X": "0", "Y": "0"}
+        assert "a" in m.interp and "z" not in m.interp and len(m.interp) == 3
+        with pytest.raises(KeyError):
+            m.interp["z"]
+
+
 class TestValidation:
     def test_flat_structure_ok(self):
         assert validate_structure(make_structure(FLAT)) == []
@@ -393,6 +413,14 @@ class TestFileFormat:
         part = CfStructure(m2.sig, dict(list(m2.interp.items())[1:]), m2.order)
         with pytest.raises(StructureError, match="a CounterpartOrder cannot be written"):
             structure_to_text(part, over="m.cm")
+        # the file puts each base's own tier first, alone, and omits it
+        for plan in [
+            {**FLAT, "a": [frozenset({"b"}), frozenset({"a"})]},  # {a} not first
+            {**FLAT, "a": [frozenset({"a", "b"})]},  # {a} shares its tier
+            {"b": FLAT["b"], "c": FLAT["c"]},  # a has no tiers
+        ]:
+            with pytest.raises(StructureError, match="the structure file cannot express"):
+                structure_to_text(CfStructure(m.sig, m.interp, TierOrder(plan)))
 
     def test_derived_round_trip(self):
         model = gen_random_model(FuzzCaps(max_endogenous=3, max_exogenous=2, max_domain=2), random.Random(4))
