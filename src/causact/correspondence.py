@@ -18,22 +18,30 @@ equation's table.  A state violates Y's equation where the two codes of Y
 differ; the builder weighs those violations, and condition (a) calls such
 states "wrong".
 
-The checker reads the structure's n x n int32 rank matrix `near`,
-transposed so that states gather into blocks of rows.  Condition (a)
+The builder's order ranks t from s by d_s(t), so apart from s itself the
+rank depends on s only through s's exogenous values: one rank row per
+context holds every rank (`CounterpartOrder.rank_rows`), and s ranks
+itself below every other state.  The checker reads the structure's rank
+rows (`CfStructure.rank_rows`), one per class of bases: a tier order's
+are its rank matrix, a counterpart's one per context.  Condition (a)
 groups the states that agree on every variable but Y by one integer key
 per state, sorts the groups of every Y at once and takes each group's
-least rank from every base in one reduction.  Condition (c) keeps, per
-conjunction of endogenous events, the least rank over its states with the
-base's exogenous values and over those with other values.  It reduces the
-states once per conjunction of all endogenous variables, and derives every
-coarser conjunction's minima from its children on the lattice of
-conjunctions, where a free variable's index comes first, as in the order
-conjunctions are checked.  It finds the first failing pairwise disjunction
-from the largest and smallest of those vectors over the later
-conjunctions, and counts the formulas checked (`checkedPsiCount`) from
-the failure's position.  Condition (a) gathers its Ys in chunks that fit
-`structure._ARRAY_BUDGET`, and condition (c) raises CorrespondenceError
-where the arrays it holds at once would exceed it.
+least rank over every class row in one reduction; a base inside a group
+also reads its own rank.  Condition (c) first sets aside the classes
+whose ranks to their own context lie below their ranks to any other,
+where nothing can fail: all of a counterpart's.  For the rest it keeps,
+per conjunction of endogenous events, the least rank over its states
+with the row's exogenous values and over those with other values.  It
+reduces the states once per conjunction of all endogenous variables, and
+derives every coarser conjunction's minima from its children on the
+lattice of conjunctions, where a free variable's index comes first, as
+in the order conjunctions are checked.  It finds the first failing
+pairwise disjunction from the largest and smallest of those vectors over
+the later conjunctions, and counts the formulas checked
+(`checkedPsiCount`) from the failure's position.  Condition (a) gathers
+its Ys in chunks that fit `structure._ARRAY_BUDGET`, and condition (c)
+raises CorrespondenceError where the arrays it holds at once would
+exceed it.
 """
 
 from __future__ import annotations
@@ -61,35 +69,42 @@ DEFAULT_STATE_CAP = 10**6
 
 
 class CounterpartOrder(ClosenessOrder):
-    """The derived order d_s(t), kept as per-state arrays: `exo` holds each
-    state's exogenous value indices (one row per state) and `viol` its
-    violation cost (Python ints, exact at any size)."""
+    """The derived order d_s(t) over the builder's `states`, kept as arrays
+    in the order of `states`: `exo` holds each state's exogenous value
+    indices (one row per state) and `viol` its violation cost (Python ints,
+    exact at any size).  The builder names the state of row i `s{i}`, so a
+    state's name gives its row."""
 
-    def __init__(self, states: list[str], exo: np.ndarray, viol: list[int]):
-        self.index = {s: i for i, s in enumerate(states)}
+    def __init__(self, states: tuple[str, ...], exo: np.ndarray, viol: list[int]):
+        self.states = states
         self.exo = exo
         self.viol = viol
 
     def rank(self, base, other):
-        i, j = self.index[base], self.index[other]
+        i, j = int(base[1:]), int(other[1:])
         return (int(base != other), int(np.count_nonzero(self.exo[i] != self.exo[j])), self.viol[j])
 
-    def rank_matrix(self, states) -> np.ndarray:
-        pos = [self.index[s] for s in states]
-        exo = self.exo[pos]
-        viol = [self.viol[p] for p in pos]
+    def rank_rows(self, states):
+        """One row per context, the k exogenous values that its bases share:
+        a state t ranks at (#exogenous differences from the context + k + 1)
+        * L + level(t) from every base but itself, where level(t) is the
+        dense rank of viol(t) among the L costs.  A base ranks at its own
+        level, below (k + 1) * L.  Every rank is below (2k + 2) n."""
+        rows_of = slice(None) if states is self.states else [int(s[1:]) for s in states]
+        exo = self.exo[rows_of]
+        viol = self.viol if states is self.states else [self.viol[i] for i in rows_of]
         level = {c: i for i, c in enumerate(sorted(set(viol)))}
+        own = np.array([level[c] for c in viol], dtype=np.int32)
         n, k = exo.shape
-        # ([t != s], #exogenous differences, dense rank of viol(t)) in mixed
-        # radix, below (2k + 2) n
-        near = np.zeros((n, n), dtype=np.int32)
+        _, first, cls = np.unique(_row_keys(exo, exo.max(axis=0, initial=0) + 1), return_index=True,
+                                  return_inverse=True)
+        structure._check_rank_rows(len(first), n)
+        rows = np.full((len(first), n), k + 1, dtype=np.int32)
         for col in exo.T:
-            near += col[:, None] != col[None, :]
-        near += k + 1
-        near[np.diag_indices(n)] -= k + 1
-        near *= len(level)
-        near += np.array([level[c] for c in viol], dtype=np.int32)
-        return near
+            rows += col[first, None] != col
+        rows *= len(level)
+        rows += own
+        return cls, rows, own
 
 
 def state_space_size(m: CausalModel) -> int:
@@ -118,7 +133,7 @@ def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
     sig = m.sig
     names = sig.all_names()
     dims = [len(sig.range_of(n)) for n in names]
-    states = [f"s{i}" for i in range(size)]
+    states = tuple(f"s{i}" for i in range(size))
     # State i's value indices are the mixed-radix digits of i; the
     # exogenous variables come first.
     codes = np.array(np.unravel_index(np.arange(size), dims), dtype=np.intp).T
@@ -195,13 +210,11 @@ def check_correspondence(
     if m2.sig != m.sig:
         raise CorrespondenceError("signature mismatch between structure and model")
 
-    # row t, column s: the rank of state t from base s, so that states
-    # grouped by their values gather into blocks of rows
-    near_t = m2.near.T
-    report = CorrespondenceReport(condition_a=_check_condition_a(m2, m, strict, near_t))
+    ranks = m2.rank_rows
+    report = CorrespondenceReport(condition_a=_check_condition_a(m2, m, strict, ranks))
     if strong:
         report.condition_b = _check_condition_b(m2)
-        report.condition_c, report.checked_psi_count = _check_condition_c(m2, near_t)
+        report.condition_c, report.checked_psi_count = _check_condition_c(m2, ranks)
     return report
 
 
@@ -225,32 +238,37 @@ def _row_keys(codes: np.ndarray, dims) -> np.ndarray:
     return key
 
 
-def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, near_t) -> ConditionReport:
+def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, ranks) -> ConditionReport:
     """For every endogenous Y, every group of states that agree on all other
     variables (a setting W_Y = s_Y) and every base state, the base's closest
     states in the group must give Y its equation's value.  A state is
     "wrong" where its Y differs from its own equation value, which depends
     only on the setting.  A base fails a group when the group's least rank
-    in the base's column of `near_t` is that of a wrong state, that is, when
-    the least of 2 * rank + [the state is right] over the group is even.
+    from the base is that of a wrong state, that is, when the least of
+    2 * rank + [the state is right] over the group is even.
 
     The groups of every Y with a wrong state are decided together: one
-    stable sort of the (Y, key) pairs gathers each group's rows, in state
-    order, and one reduction takes every group's least value from every
-    base.  The Ys are gathered in chunks that fit `_ARRAY_BUDGET`.  The
-    report names the first failure in Y, group (by first state), base and
-    candidate order."""
+    stable sort of the (Y, key) pairs gathers each group's states, in state
+    order, and one reduction takes every group's least value over every
+    class row of `ranks` (`CfStructure.rank_rows`).  A base outside the
+    group reads its class's least; a base inside it may be closer to
+    itself, so it reads the least of that and its own value.  The Ys are
+    gathered in chunks that fit `_ARRAY_BUDGET`.  The report names the
+    first failure in Y, group (by first state), base and candidate order."""
+    cls, rows, own = ranks
     sig = m.sig
     names = sig.all_names()
     dims = [len(sig.range_of(x)) for x in names]
     codes = m2.codes
     n, k = codes.shape[0], len(sig.exo_names)
+    c = len(rows)
+    class_size = np.bincount(cls, minlength=c)
     equation = m.equation_codes(codes)
     wrong = codes[:, k:] != equation
     ys = np.flatnonzero(wrong.any(axis=0))
-    # per Y, n gathered rows of n ranks, and up to as many group minima and
+    # per Y, c rows of n gathered ranks, and up to as many group minima and
     # verdicts: 4 + 4 + 1 bytes an entry
-    chunk = max(1, structure._ARRAY_BUDGET // (9 * max(1, n * n)))
+    chunk = max(1, structure._ARRAY_BUDGET // (9 * max(1, n * c)))
     for at in range(0, len(ys), chunk):
         part = ys[at : at + chunk]
         # entry w * n + t: state t's setting for the Y part[w]
@@ -262,23 +280,36 @@ def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, near_t) ->
         edge = np.ones(len(order), dtype=bool)
         edge[1:] = (keys[1:] != keys[:-1]) | (w[1:] != w[:-1])
         starts = np.flatnonzero(edge)
-        broken = wrong[state, part[w]]
-        doubled = near_t[state]
+        group = np.cumsum(edge) - 1
+        right = ~wrong[state, part[w]]
+        # row: a class; column: a gathered state, then a group
+        doubled = rows.take(state, axis=1)
         doubled *= 2
-        doubled += ~broken[:, None]
-        least = np.minimum.reduceat(doubled, starts, axis=0)
-        group_bad = (least & 1) == 0
+        doubled += right
+        least = np.minimum.reduceat(doubled, starts, axis=1)
+        del doubled
+        # each group's members, as bases
+        inside = np.minimum(least[cls[state], group], 2 * own[state] + right)
+        member_bad = (inside & 1) == 0
         if not strict:
             # centering makes s its own closest state when s has the
             # setting but breaks Y's equation
-            hit = np.flatnonzero(broken)
-            group_bad[(np.cumsum(edge) - 1)[hit], state[hit]] = False
-        failing = np.flatnonzero(group_bad.any(axis=1))
+            member_bad &= right
+        # each class's verdict for its bases outside the group, of which a
+        # class with every state inside the group has none
+        class_bad = (least & 1) == 0
+        groups = len(starts)
+        met, count = np.unique(cls[state] * groups + group, return_counts=True)
+        class_bad.flat[met[count == class_size[met // groups]]] = False
+        failing = np.flatnonzero(class_bad.any(axis=0) | np.logical_or.reduceat(member_bad, starts))
         if failing.size:
             g = failing[np.lexsort((state[starts[failing]], w[starts[failing]]))[0]]
-            i = np.flatnonzero(group_bad[g])[0]
-            r = starts[g] + np.argmax(doubled[starts[g] :, i] == least[g, i])
-            j, first, t = part[w[r]], state[starts[g]], state[r]
+            span = slice(starts[g], starts[g + 1] if g + 1 < groups else len(order))
+            base_bad = class_bad[cls, g]
+            base_bad[state[span]] = member_bad[span]
+            i = np.argmax(base_bad)
+            values = 2 * m2.ranks_from(i)[state[span]] + right[span]
+            j, first, t = part[w[starts[g]]], state[starts[g]], state[span][np.argmax(values == values.min())]
             y = sig.endo_names[j]
             s_y = m2.interp[m2.states[first]]
             return ConditionReport(
@@ -334,7 +365,44 @@ def _lattice(full: np.ndarray, reduce) -> np.ndarray:
     return full
 
 
-def _check_condition_c(m2: CfStructure, near_t):
+def _open_columns(exo: np.ndarray, cls, rows, own):
+    """The rank columns condition (c) must decide: the row of `rows` each
+    column reads, the bases whose own rank it holds at their own column,
+    and the column each base reads (-1 for none).
+
+    Split each class of bases by context, the states' exogenous values.  A
+    part is closed when every rank of its row to a state of its context is
+    below every rank to a state of another.  From a base of a closed part,
+    whose own rank is no higher than its row's, the closest states of any
+    psi with a state of the base's context lie in that context, so no
+    conjunction and no pair fails there.  A counterpart's classes are all
+    closed: ranks to the own context lie below (k + 2) * L and ranks to any
+    other at or above it.  An open part gets one column for its bases whose
+    own rank is the row's, and a base closer to itself than its row says
+    gets a column of its own."""
+    n = len(cls)
+    part, row_of, split = cls, np.arange(len(rows)), rows
+    part_exo = np.zeros(len(rows), dtype=exo.dtype)
+    part_exo[cls] = exo
+    if (part_exo[cls] != exo).any():
+        _, context = np.unique(exo, return_inverse=True)
+        _, first, part = np.unique(cls * (n + 1) + context, return_index=True, return_inverse=True)
+        row_of, part_exo = cls[first], exo[first]
+        split = rows[row_of]
+    same = part_exo[:, None] == exo
+    top = np.maximum.reduce(split, axis=1, where=same, initial=-1)
+    np.logical_not(same, out=same)
+    opened = (top >= np.minimum.reduce(split, axis=1, where=same, initial=_MASKED))[part]
+    del same, split
+    solo = np.flatnonzero(opened & (own < rows[cls, np.arange(n)]))
+    opened[solo] = False
+    col_of = np.full(n, -1)
+    shared, col_of[opened] = np.unique(part[opened], return_inverse=True)
+    col_of[solo] = len(shared) + np.arange(len(solo))
+    return np.concatenate([row_of[shared], cls[solo]]), solo, col_of
+
+
+def _check_condition_c(m2: CfStructure, ranks):
     """Exogenous values must be preserved in the closest psi-states, for all
     conjunctions of endogenous events and all pairwise disjunctions of such
     conjunctions.
@@ -345,13 +413,15 @@ def _check_condition_c(m2: CfStructure, near_t):
     psi-state with other exogenous values.  So each conjunction needs two
     vectors over the bases: `min_same[s]`, the least rank from s over
     psi-states with s's exogenous values, and `min_diff[s]`, the least
-    rank over the others.  The conjunctions of all endogenous variables
-    take them from one reduction over the states grouped by their
-    endogenous values; any other conjunction is the disjunction of its
-    children at a variable it leaves free, so its vectors are the minima
-    of theirs (`_lattice`).  The lattice's order, each variable's free
-    index first, is the `itertools.product` order in which conjunctions
-    are checked and reported.
+    rank over the others.  Bases that read one rank row share them, and
+    only the columns of `_open_columns` can fail, so the vectors run over
+    those columns, none for a counterpart.  The conjunctions of all
+    endogenous variables take them from one reduction over the states
+    grouped by their endogenous values; any other conjunction is the
+    disjunction of its children at a variable it leaves free, so its
+    vectors are the minima of theirs (`_lattice`).  The lattice's order,
+    each variable's free index first, is the `itertools.product` order in
+    which conjunctions are checked and reported.
 
     Those of psi1 | psi2 are the elementwise minimum of its disjuncts'.
     So once every conjunction has passed, a disjunction fails at s only
@@ -360,11 +430,13 @@ def _check_condition_c(m2: CfStructure, near_t):
     `min_diff`: elsewhere min(same1, same2) <= same_i < diff_i for both i.
     The largest `min_same` and smallest `min_diff` over the later
     conjunctions find the first failing pair in `itertools.combinations`
-    order.
+    order.  The base reported is the first state that reads a failing
+    column.
 
     The count returned is that of the conjunctions and then the pairs
     checked in those orders, up to and including the first failure, or
     all of them: C + C(C - 1) / 2 for C conjunctions that all pass."""
+    cls, rows, own = ranks
     sig = m2.sig
     states = m2.states
     n = len(states)
@@ -372,14 +444,20 @@ def _check_condition_c(m2: CfStructure, near_t):
     k = len(sig.exo_names)
     shape = tuple(len(sig.range_of(y)) + 1 for y in sig.endo_names)
     size = math.prod(shape)  # the conjunctions and, first, the empty one
+    count = size - 1
+    exo = _row_keys(m2.codes[:, :k], [len(sig.range_of(x)) for x in sig.exo_names])
+    col_cls, solo, col_of = _open_columns(exo, cls, rows, own)
+    width = len(col_cls)
+    if not width:
+        return ConditionReport(ok=True), count + count * (count - 1) // 2
     # live at once: the two int32 lattices and one int32 suffix array, and
-    # three boolean masks as large
-    if size * n * 15 > structure._ARRAY_BUDGET:
+    # three boolean masks as large; the states' int32 ranks and boolean
+    # masks before them
+    if (size * 15 + n * 5) * width > structure._ARRAY_BUDGET:
         raise CorrespondenceError(
-            f"condition (c) over {size - 1} conjunctions and {n} states exceeds"
+            f"condition (c) over {count} conjunctions and {width} rank rows exceeds"
             f" the budget of {structure._ARRAY_BUDGET} bytes"
         )
-    exo = _row_keys(m2.codes[:, :k], [len(sig.range_of(x)) for x in sig.exo_names])
 
     # each state's conjunction of all endogenous variables, and the states
     # sorted by it
@@ -389,11 +467,18 @@ def _check_condition_c(m2: CfStructure, near_t):
     present = full[grouped[starts]]
 
     def minima(ranks):
-        lattice = np.full((size, n), inf, dtype=np.int32)
+        lattice = np.full((size, width), inf, dtype=np.int32)
         lattice[present] = np.minimum.reduceat(ranks, starts, axis=0)
-        return _lattice(lattice.reshape(shape + (n,)), np.minimum.reduce).reshape(size, n)[1:]
+        return _lattice(lattice.reshape(shape + (width,)), np.minimum.reduce).reshape(size, width)[1:]
 
-    sub, same = near_t[grouped], exo[grouped, None] == exo
+    # row r, column j: the rank of state grouped[r] from the bases of column j
+    sub = rows.T[np.ix_(grouped, col_cls)]
+    position = np.empty(n, dtype=np.intp)
+    position[grouped] = np.arange(n)
+    sub[position[solo], width - len(solo) + np.arange(len(solo))] = own[solo]
+    col_exo = np.empty(width, dtype=exo.dtype)
+    col_exo[col_of[col_of >= 0]] = exo[col_of >= 0]
+    same = exo[grouped, None] == col_exo
     conj_same = minima(np.where(same, sub, inf))
     np.copyto(sub, inf, where=same)
     conj_diff = minima(sub)
@@ -403,16 +488,16 @@ def _check_condition_c(m2: CfStructure, near_t):
         wanted = np.unravel_index(row + 1, shape)
         return " & ".join(f"{y}={sig.range_of(y)[v - 1]}" for y, v in zip(sig.endo_names, wanted) if v)
 
-    def failed(psi, base, checked):
+    def failed(psi, columns, checked):
+        base = np.argmax(np.append(columns, False)[col_of])  # -1 reads the appended False
         return ConditionReport(ok=False, counterexample={"psi": psi, "base_state": states[base]}), checked
 
     bad = (conj_same >= conj_diff) & (conj_same != inf)
-    rows = np.flatnonzero(bad.any(axis=1))
-    if rows.size:
-        i = int(rows[0])
-        return failed(describe(i), np.flatnonzero(bad[i])[0], i + 1)
+    hits = np.flatnonzero(bad.any(axis=1))
+    if hits.size:
+        i = int(hits[0])
+        return failed(describe(i), bad[i], i + 1)
     del bad
-    count = size - 1
 
     # At each base, row i of `tail` is first the largest min_same over the
     # conjunctions i, i+1, ... not lonely there (-1 if none), then the
@@ -429,17 +514,17 @@ def _check_condition_c(m2: CfStructure, near_t):
     np.copyto(mate, False, where=lonely[:-1])
     partnered |= mate
     del tail, lonely, mate
-    rows = np.flatnonzero(partnered.any(axis=1))
+    hits = np.flatnonzero(partnered.any(axis=1))
     del partnered
-    if not rows.size:
+    if not hits.size:
         return ConditionReport(ok=True), count + count * (count - 1) // 2
-    i = int(rows[0])
+    i = int(hits[0])
     pair_same = np.minimum(conj_same[i], conj_same[i + 1 :])
     bad = (pair_same >= np.minimum(conj_diff[i], conj_diff[i + 1 :])) & (pair_same != inf)
     j = int(np.flatnonzero(bad.any(axis=1))[0])
     # the pairs before row i in `itertools.combinations` order, then (i, i + 1 + j)
     checked = count + i * (2 * count - i - 1) // 2 + j + 1
-    return failed(f"({describe(i)}) | ({describe(i + 1 + j)})", np.flatnonzero(bad[j])[0], checked)
+    return failed(f"({describe(i)}) | ({describe(i + 1 + j)})", bad[j], checked)
 
 
 # ---------------------------------------------------------------------------

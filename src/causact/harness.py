@@ -264,7 +264,7 @@ def _trial_theorem1(caps, rng, negated):
 
 def _trial_theorem2(caps, rng, negated):
     def place(m, u):
-        m2, ctx_state = build_counterpart(m, state_cap=10**4)
+        m2, ctx_state = build_counterpart(m, state_cap=10**5)
         # the hypothesis of Theorem 2: the structure strongly corresponds to m
         report = check_correspondence(m2, m, strong=True)
         where = {"state": ctx_state(u), "correspondence": report.to_dict()}
@@ -279,7 +279,7 @@ _PROP3_FORMULAS = 50  # random formulas compared per model
 def _trial_prop3(caps, rng, negated):
     m = gen_random_model(caps, rng)
     u = random_context(m, rng)
-    m2, ctx_state = build_counterpart(m, state_cap=10**4)
+    m2, ctx_state = build_counterpart(m, state_cap=10**5)
     s = ctx_state(u)
     for _ in range(_PROP3_FORMULAS):
         phi = random_intervention_formula(m, rng, caps.formula_depth)

@@ -12,25 +12,33 @@ value indices, one column per variable.  The constructor builds the rows
 as it validates the states' assignments, and the counterpart builder
 hands over the rows it computes (`CfStructure._from_codes`).  `interp` is
 a read-only view that builds a state's assignment afresh from its row at
-every lookup, and the value columns are read off `codes` too.  A
-structure answers every query from two things it builds on first use:
-`near`, the order's n x n int32 matrix of dense ranks (row s ranks every
-state from base s; a matrix past `_ARRAY_BUDGET` raises StructureError
-instead), and `extension(phi)`, the boolean mask over `states` of where
-phi holds, cached per formula.  `phi ~> psi` holds at s when every
-closest phi-state, the phi-states of least rank in row s, satisfies psi:
-exactly when the least rank of a phi-state is strictly below the least
-rank of a (phi & !psi)-state, so the test (`_ranked_box_arrows`) takes two
-masked minima per antecedent and builds no closest set.  Relation orders
-have no ranks and find closest states through `leq`.
+every lookup, and the value columns are read off `codes` too.
+
+A structure answers every query from two things it builds on first use.
+`rank_rows` holds the order's int32 ranks as one row per class of bases
+(`ClosenessOrder.rank_rows`; rows past `_ARRAY_BUDGET` raise
+StructureError instead): from a base s, every other state t ranks at its
+entry in s's class row, and s itself at s's own rank, never above that
+row's entry for s.  So the least rank from s over a mask is the least of
+the class row over the mask, and s's own rank if s lies in it.  A tier
+order has one class per base, its rank matrix; a counterpart has one per
+context, Lewis's spheres shared by every world of a context.
+`extension(phi)` is the boolean mask over `states` of where phi holds,
+cached per formula.  `phi ~> psi` holds at s when every closest
+phi-state, the phi-states of least rank from s, satisfies psi: exactly
+when the least rank of a phi-state is strictly below the least rank of a
+(phi & !psi)-state, so the test (`_ranked_box_arrows`) takes two masked
+minima per antecedent and builds no closest set.  Relation orders have no
+ranks and find closest states through `leq`.
 
 Masks are built bottom-up from the cached masks of their operands
 (`formula.truth_mask`): an event compares one value column, a connective
-combines masks, and a box-arrow takes the masked row minima of `near` for
-all states at once.  Every operand is labelled at every state, so an
-intervention anywhere in a formula whose mask is needed raises
-FormulaError; only `satisfies_at` evaluates its formula at one state, and
-there `&` and `|` skip an operand they do not need.
+combines masks, and a box-arrow takes the masked minima of every class
+row, then gives each base in the antecedent its own rank.  Every operand
+is labelled at every state, so an intervention anywhere in a formula
+whose mask is needed raises FormulaError; only `satisfies_at` evaluates
+its formula at one state, and there `&` and `|` skip an operand they do
+not need.
 """
 
 from __future__ import annotations
@@ -52,13 +60,24 @@ class StructureError(ValueError):
 
 _MASKED = np.iinfo(np.int32).max  # stands in for states outside a mask
 _NO_INTERVENTIONS = "interventions are not evaluable in counterfactual structures"
+_BASES_KEPT = 16  # `CfStructure.ranks_from` keeps this many bases' rows
 
 # The bytes that the arrays one structure or correspondence check holds at
-# once are sized against.  The rank matrix of n states takes n * n * 4 of
-# them, and past this budget the structure raises StructureError instead.
-# So n^2 stays at most 2^29, every dense rank at most n^2, and twice a rank
-# plus one inside int32.
+# once are sized against.  The rank rows of C classes over n states take
+# C * n * 4 of them, and past this budget the order raises StructureError
+# instead (`_check_rank_rows`).  A rank matrix (C = n) therefore has
+# n^2 <= 2^29, so every dense rank is at most n^2, and twice a rank plus
+# one stays inside int32.
 _ARRAY_BUDGET = 2 << 30
+
+
+def _check_rank_rows(classes: int, n: int):
+    """Raise StructureError where `classes` rank rows over n states would
+    take more than `_ARRAY_BUDGET` bytes."""
+    if classes * n * 4 > _ARRAY_BUDGET:
+        raise StructureError(
+            f"the rank rows of {classes} classes over {n} states exceed the budget of {_ARRAY_BUDGET} bytes"
+        )
 
 
 class ClosenessOrder:
@@ -82,6 +101,17 @@ class ClosenessOrder:
         return np.array(
             [[far if r is None else level[r] for r in row] for row in ranks], dtype=np.int32
         ).reshape(len(states), len(states))
+
+    def rank_rows(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cls, rows, own): the int32 ranks from every base, compared as in
+        `rank_matrix`, held as one row per class of bases.  From states[s],
+        every other state states[t] ranks at rows[cls[s], t], and states[s]
+        itself at own[s] <= rows[cls[s], s].  Here every base is its own
+        class and `rows` is the rank matrix."""
+        n = len(states)
+        _check_rank_rows(n, n)
+        near = self.rank_matrix(states)
+        return np.arange(n), near, near.diagonal()
 
 
 class TierOrder(ClosenessOrder):
@@ -162,25 +192,38 @@ class CfStructure:
         self.codes.flags.writeable = False
         self._position = {s: i for i, s in enumerate(states)}
         self.interp = _Assignments(self)
-        self._near: np.ndarray | None = None
         self._extensions: dict[Formula, np.ndarray] = {}
+        self._ranks_from: dict[int, np.ndarray] = {}
 
     # -- queries
 
-    @property
-    def near(self) -> np.ndarray:
-        """The order's int32 rank matrix over `states`, built on first use.
-        Raises StructureError for relation orders, and where the matrix
-        would take more than `_ARRAY_BUDGET` bytes."""
-        if self._near is None:
-            n = len(self.states)
-            if n * n * 4 > _ARRAY_BUDGET:
-                raise StructureError(
-                    f"the rank matrix of {n} states exceeds the budget of {_ARRAY_BUDGET} bytes"
-                )
-            self._near = self.order.rank_matrix(self.states)
-            self._near.flags.writeable = False  # shared by every query
-        return self._near
+    @cached_property
+    def rank_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The order's (cls, rows, own) over `states`, built on first use
+        (`ClosenessOrder.rank_rows`) and read-only.  Raises StructureError
+        for relation orders, and where the rows would take more than
+        `_ARRAY_BUDGET` bytes."""
+        ranks = self.order.rank_rows(self.states)
+        for part in ranks:
+            part.flags.writeable = False  # shared by every query
+        return ranks
+
+    def ranks_from(self, i: int) -> np.ndarray:
+        """The rank of every state from states[i]: its class row, with its
+        own rank at column i.  The rows of the last `_BASES_KEPT` bases
+        asked for are kept."""
+        row = self._ranks_from.get(i)
+        if row is None:
+            cls, rows, own = self.rank_rows
+            row = rows[cls[i]]
+            if row[i] != own[i]:
+                row = row.copy()
+                row[i] = own[i]
+                row.flags.writeable = False
+            if len(self._ranks_from) == _BASES_KEPT:
+                del self._ranks_from[next(iter(self._ranks_from))]
+            self._ranks_from[i] = row
+        return row
 
     def index_of(self, s: str) -> int:
         """The position of state s in `states`; StructureError if s is not
@@ -231,11 +274,12 @@ class CfStructure:
         return evaluate_prop(phi, self.interp[self.states[i]], modal)
 
     def _box_arrows(self, i, antecedents, consequent, allow_vacuous):
-        """`box_arrows` from states[i]: by `_ranked_box_arrows` over row i of
-        `near`, or, for relation orders, from the closest states."""
+        """`box_arrows` from states[i]: by `_ranked_box_arrows` over its
+        ranks, or, for relation orders, from the closest states."""
         if self.order.ranked:
-            ranks = np.where(antecedents, self.near[i], _MASKED)
-            return _ranked_box_arrows(ranks, ~consequent, allow_vacuous)
+            ranks = np.where(antecedents, self.ranks_from(i), _MASKED)
+            least, failing = _least_ranks(ranks, ~consequent)
+            return _ranked_box_arrows(least, failing, allow_vacuous)
         closest = self._closest(i, antecedents)
         passes = ~(closest & ~consequent).any(axis=-1)
         return passes if allow_vacuous else passes & closest.any(axis=-1)
@@ -247,18 +291,24 @@ class CfStructure:
         if isinstance(node, Intervene):
             raise FormulaError(_NO_INTERVENTIONS)
         ant, cons = masks
-        if self.order.ranked:  # every row of `near` over the antecedent states
-            return _ranked_box_arrows(self.near.compress(ant, axis=1), ~cons[ant], True)
+        if self.order.ranked:
+            # every class row's two minima over the antecedent states, then
+            # each base inside the antecedent at its own rank
+            cls, rows, own = self.rank_rows
+            least, failing = (part[cls] for part in _least_ranks(rows.compress(ant, axis=1), ~cons[ant]))
+            np.minimum(least, own, out=least, where=ant)
+            np.minimum(failing, own, out=failing, where=ant & ~cons)
+            return _ranked_box_arrows(least, failing, True)
         n = len(self.states)
         return np.array([self._box_arrows(i, ant, cons, True) for i in range(n)], dtype=bool).reshape(n)
 
     def _closest(self, i: int, mask: np.ndarray) -> np.ndarray:
         """The states in `mask` to which no state in `mask` is strictly
-        closer from states[i]: the least ranks of row i of `near`, or, for
+        closer from states[i]: those of least rank from it, or, for
         relation orders, the minimal elements under `leq`.  For a matrix of
         masks, one such row per mask."""
         if self.order.ranked:
-            ranks = np.where(mask, self.near[i], _MASKED)
+            ranks = np.where(mask, self.ranks_from(i), _MASKED)
             return mask & (ranks == ranks.min(axis=-1, initial=_MASKED, keepdims=True))
         if mask.ndim == 2:
             return np.array([self._closest(i, row) for row in mask], dtype=bool).reshape(mask.shape)
@@ -292,17 +342,22 @@ class _Assignments(Mapping):
         return len(self._states)
 
 
-def _ranked_box_arrows(ranks: np.ndarray, outside: np.ndarray, allow_vacuous: bool) -> np.ndarray:
-    """The box-arrow test of a ranked order, per row of `ranks`: the ranks
-    of the antecedent's states from one base (`_MASKED`, or no column, for
-    the other states), with `outside` marking the columns that fail the
-    consequent.  Every closest antecedent state satisfies the consequent
-    exactly when the least rank over the antecedent is strictly below the
-    least rank over its columns outside the consequent.  A row with no
-    antecedent state has least rank `_MASKED`, and passes only with
-    `allow_vacuous`."""
-    least = np.minimum.reduce(ranks, axis=-1, initial=_MASKED)
-    passes = least < np.minimum.reduce(ranks.compress(outside, axis=-1), axis=-1, initial=_MASKED)
+def _least_ranks(ranks: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `ranks`, the ranks of the antecedent's states from one
+    base (`_MASKED`, or no column, for the other states): the least rank,
+    and the least over the columns `outside` marks, those that fail the
+    consequent."""
+    return (np.minimum.reduce(ranks, axis=-1, initial=_MASKED),
+            np.minimum.reduce(ranks.compress(outside, axis=-1), axis=-1, initial=_MASKED))
+
+
+def _ranked_box_arrows(least: np.ndarray, failing: np.ndarray, allow_vacuous: bool) -> np.ndarray:
+    """The box-arrow test of a ranked order from `_least_ranks`: every
+    closest antecedent state satisfies the consequent exactly when the
+    least rank over the antecedent is strictly below the least rank over
+    its states outside the consequent.  With no antecedent state the least
+    rank is `_MASKED`, and the test passes only with `allow_vacuous`."""
+    passes = least < failing
     return passes | (least == _MASKED) if allow_vacuous else passes
 
 
@@ -334,23 +389,27 @@ class OrderViolation:
 def validate_structure(m: CfStructure) -> list[OrderViolation]:
     """Check reflexivity/transitivity and centering; an empty report means ok.
     For rank-based orders reflexivity and transitivity hold by construction,
-    so only centering is checked, on the rank matrix: it reports every state
+    so only centering is checked, on the rank rows: it reports every state
     its own order leaves unranked, up to the first state s that ranks some
     other state at least as close as s itself.  Explicit relation orders get
     the full triple check."""
     order = m.order
     if order.ranked:
+        n = len(m.states)
         unranked = [i for i, s in enumerate(m.states) if order.rank(s, s) is None]
-        near = m.near
-        crowded = near <= np.diag(near)[:, None]
-        np.fill_diagonal(crowded, False)
+        cls, rows, own = m.rank_rows
+        # the least rank from each base to another state: the least of its
+        # class row, or the next one up where the base itself holds the least
+        two = np.partition(rows, 1, axis=1)[:, :2] if n > 1 else np.full((len(rows), 2), _MASKED)
+        least, after = two[cls, 0], two[cls, 1]
+        crowded = np.where(rows[cls, np.arange(n)] == least, after, least) <= own
         crowded[unranked] = False
-        rows = np.flatnonzero(crowded.any(axis=1))
-        end = rows[0] if rows.size else len(m.states)
+        end = int(np.argmax(crowded)) if crowded.any() else n
         violations = [OrderViolation("unranked-self", (m.states[i],)) for i in unranked if i < end]
-        if rows.size:
-            t = np.flatnonzero(crowded[end])[0]
-            violations.append(OrderViolation("centering", (m.states[end], m.states[t])))
+        if end < n:
+            rivals = m.ranks_from(end) <= own[end]
+            rivals[end] = False
+            violations.append(OrderViolation("centering", (m.states[end], m.states[np.argmax(rivals)])))
         return violations
     for s in m.states:
         for t in m.states:
@@ -497,6 +556,10 @@ def structure_to_text(m: CfStructure, over: str | None = None) -> str:
             if first != frozenset({s}):
                 raise StructureError(f"the order for {s} does not start with the tier {{ {s} }} alone,"
                                      " which the structure file cannot express")
+            outside = sorted(t for tier in rest for t in tier if t not in m._position)
+            if outside:
+                raise StructureError(f"the order for {s} names {outside[0]}, not a state of the structure,"
+                                     " which the structure file cannot express")
             if rest:
                 text = " ; ".join("{ " + ", ".join(sorted(t)) + " }" for t in rest)
                 out.append(f"order {s} : {text}")
@@ -504,7 +567,7 @@ def structure_to_text(m: CfStructure, over: str | None = None) -> str:
         from .correspondence import CounterpartOrder  # correspondence imports this module
 
         # the file can only ask for the derived order over all assignments
-        if not (isinstance(m.order, CounterpartOrder) and m.states == tuple(m.order.index)):
+        if not (isinstance(m.order, CounterpartOrder) and m.states == m.order.states):
             raise StructureError(f"a {type(m.order).__name__} cannot be written as a structure file")
         if over is None:
             raise StructureError("a derived order is written only `over` the model file it is derived from")

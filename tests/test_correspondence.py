@@ -12,9 +12,18 @@ from causact.formula import parse_formula
 from causact import structure
 from causact.cli import main
 from causact.model import parse_model
-from causact.structure import CfStructure, RelationOrder, StructureError, TierOrder, validate_structure
+from causact.structure import (
+    CfStructure,
+    ClosenessOrder,
+    RelationOrder,
+    StructureError,
+    TierOrder,
+    structure_to_text,
+    validate_structure,
+)
 from causact.correspondence import (
     CorrespondenceError,
+    CounterpartOrder,
     build_counterpart,
     check_correspondence,
     compatible,
@@ -127,6 +136,29 @@ class TestBuilder:
         assert len(m2.states) == 65536
         assert peak < 50 * 10**6
 
+    def test_strong_correspondence_of_a_large_counterpart(self):
+        # 65,536 states of fifteen binary variables in two contexts: two
+        # rank rows of 256 KiB where the rank matrix would take 16 GiB
+        names = [f"V{i}" for i in range(1, 16)]
+        m = parse_model("\n".join(
+            ["model flat", "exo U : { 0, 1 }"]
+            + [f"var {v} : {{ 0, 1 }}" for v in names]
+            + [f"eq {v} = case {{ U=1 : 1 ; default : 0 }}" for v in names]
+        ))
+        m2, _ = build_counterpart(m)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = check_correspondence(m2, m, strong=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        conjunctions = 3**15 - 1
+        assert report.ok
+        assert report.checked_psi_count == conjunctions + conjunctions * (conjunctions - 1) // 2
+        assert m2.rank_rows[1].shape == (2, 65536)
+        assert peak < 150 * 10**6
+
     def test_cap_enforced(self, rt):
         with pytest.raises(CorrespondenceError):
             build_counterpart(rt, state_cap=100)
@@ -211,7 +243,7 @@ class TestLargeSignatures:
             "t2": [frozenset({"t2"}), frozenset({"t0", "t1"})],
         }
         m2 = CfStructure(m.sig, interp, TierOrder(tiers))
-        m2.near
+        m2.rank_rows
         start = time.perf_counter()
         report = check_correspondence(m2, m)
         assert time.perf_counter() - start < 0.5
@@ -228,55 +260,73 @@ class TestLargeSignatures:
 
 
 class TestArrayBudget:
-    # At 256 states the rank matrix of SIX_BINARY takes 256 x 256 x 4 bytes
-    # (256 KiB), and condition (c) holds two conjunction lattices of
-    # 729 x 256 x 4 bytes (729 KiB each), one suffix array as large and
-    # three boolean masks: 2.7 MiB at once.
+    # SIX_BINARY's counterpart has 256 states in 4 contexts: its rank rows
+    # take 4 x 256 x 4 bytes (4 KiB), and condition (a) gathers 9 bytes per
+    # state and row for each Y (9 KiB).  Its classes are all closed, so
+    # condition (c) holds no lattice.  The flat tier order over the same
+    # states has one rank row per state (256 KiB), and condition (c) holds
+    # two conjunction lattices of 729 x 256 x 4 bytes (729 KiB each), one
+    # suffix array as large and three boolean masks: 2.9 MiB at once.
 
     @pytest.fixture
     def six(self):
         m = parse_model(SIX_BINARY)
         return m, build_counterpart(m)[0]
 
+    @staticmethod
+    def flat(m2):
+        order = TierOrder({s: [frozenset({s}), frozenset(m2.states) - {s}] for s in m2.states})
+        return CfStructure(m2.sig, m2.interp, order)
+
     def test_lattice_over_the_budget(self, six, monkeypatch):
         # each lattice fits in 2 MiB; what condition (c) holds at once does not
         m, m2 = six
+        flat = self.flat(m2)
         monkeypatch.setattr(structure, "_ARRAY_BUDGET", 2 << 20)
-        with pytest.raises(CorrespondenceError, match="728 conjunctions and 256 states exceeds the budget"):
-            check_correspondence(m2, m, strong=True)
-        assert check_correspondence(m2, m).ok
+        with pytest.raises(CorrespondenceError, match="728 conjunctions and 256 rank rows exceeds the budget"):
+            check_correspondence(flat, m, strong=True)
+        assert not check_correspondence(flat, m).ok
+        assert check_correspondence(m2, m, strong=True).ok
 
     def test_rank_matrix_over_the_budget(self, six, monkeypatch):
+        # the tier order's rows are its rank matrix; the counterpart's are
+        # one row per context
         m, m2 = six
-        monkeypatch.setattr(structure, "_ARRAY_BUDGET", 128 << 10)
-        with pytest.raises(StructureError, match="rank matrix of 256 states exceeds the budget"):
+        monkeypatch.setattr(structure, "_ARRAY_BUDGET", 2 << 10)
+        with pytest.raises(StructureError, match="rank rows of 4 classes over 256 states exceed the budget"):
             check_correspondence(m2, m)
+        monkeypatch.setattr(structure, "_ARRAY_BUDGET", 128 << 10)
+        with pytest.raises(StructureError, match="rank rows of 256 classes over 256 states exceed the budget"):
+            check_correspondence(self.flat(m2), m)
+        assert check_correspondence(m2, m, strong=True).ok
 
     def test_condition_a_in_chunks(self, six, monkeypatch):
-        # 700 KiB gathers one Y at a time; the first failure is the same
+        # 16 KiB gathers one Y at a time; the first failure is the same
         m, m2 = six
         other = parse_model(SIX_BINARY.replace("eq F = case { E=1 : 1", "eq F = case { E=1 : 0"))
         whole = check_correspondence(m2, other).to_dict()
         assert whole["conditionA"]["counterexample"]["Y"] == "F"
-        monkeypatch.setattr(structure, "_ARRAY_BUDGET", 700 << 10)
+        monkeypatch.setattr(structure, "_ARRAY_BUDGET", 16 << 10)
         assert check_correspondence(m2, other).to_dict() == whole
 
-    def test_cli_exits_3(self, tmp_path, capsys, monkeypatch):
+    def test_cli_exits_3(self, six, tmp_path, capsys, monkeypatch):
         model = tmp_path / "six.cm"
         model.write_text(SIX_BINARY)
-        structure_file = str(tmp_path / "six.cfs")
-        assert main(["build-cf", "-m", str(model), "-o", structure_file]) == 0
-        argv = ["check-correspondence", "-m", str(model), "-s", structure_file]
-        for budget, flag, message in [
-            (2 << 20, ["--strong"], "728 conjunctions and 256 states exceeds the budget"),
-            (128 << 10, [], "rank matrix of 256 states exceeds the budget"),
+        derived = str(tmp_path / "six.cfs")
+        assert main(["build-cf", "-m", str(model), "-o", derived]) == 0
+        tiers = tmp_path / "flat.cfs"
+        tiers.write_text(structure_to_text(self.flat(six[1])))
+        for path, budget, flag, message in [
+            (str(tiers), 2 << 20, ["--strong"], "728 conjunctions and 256 rank rows exceeds the budget"),
+            (derived, 2 << 10, [], "rank rows of 4 classes over 256 states exceed the budget"),
         ]:
+            argv = ["check-correspondence", "-m", str(model), "-s", path] + flag
             monkeypatch.setattr(structure, "_ARRAY_BUDGET", budget)
             capsys.readouterr()
-            assert main(argv + flag) == 3
+            assert main(argv) == 3
             assert message in capsys.readouterr().err
             monkeypatch.undo()
-            assert main(argv + flag) == 0
+            assert main(argv) == 0
 
 
 class TestConsistencyAndCompatibility:
@@ -456,6 +506,23 @@ def _agrees(m2, m, **kw):
     return got
 
 
+class _CostOrder(ClosenessOrder):
+    """A counterpart's states by violation cost alone, whatever their
+    context: one rank row for every base, each base first from itself."""
+
+    def __init__(self, counterpart: CounterpartOrder):
+        self.viol = counterpart.viol
+
+    def rank(self, base, other):
+        return (int(base != other), 0, self.viol[int(other[1:])])
+
+    def rank_rows(self, states):
+        viol = [self.viol[int(s[1:])] for s in states]
+        level = {c: i for i, c in enumerate(sorted(set(viol)))}
+        own = np.array([level[c] for c in viol], dtype=np.int32)
+        return np.zeros(len(states), dtype=np.intp), (own + len(level))[None], own
+
+
 def _random_tier_structure(m, rng):
     """A centered tier order over random copies of the assignments (none,
     one or two of each).  Centered, because on an order that is not, the
@@ -524,6 +591,26 @@ class TestRankMatrixAgainstReference:
             _agrees(CfStructure(m.sig, kept, m2.order), m, strong=True)
         if shape in (1, 2):
             assert domains & {3, 4}
+
+    def test_one_rank_row_for_every_context(self):
+        # An order by violation cost alone shares one row among all bases,
+        # whatever their contexts, and ranks each base first from itself:
+        # condition (c) splits the row by context and gives each base a
+        # column of its own.
+        outcomes = set()
+        for trial in range(40):
+            rng = trial_rng(60, trial)
+            m = gen_random_model(_SHAPES[trial % len(_SHAPES)], rng)
+            m2, _ = build_counterpart(m)
+            kept = {s: a for s, a in m2.interp.items() if rng.random() < 0.7} or dict(m2.interp)
+            for interp in (m2.interp, kept):
+                cheap = CfStructure(m.sig, interp, _CostOrder(m2.order))
+                assert validate_structure(cheap) == []
+                report = _agrees(cheap, m, strong=True)
+                _agrees(cheap, m, strong=True, strict=True)
+                c = report["conditionC"]
+                outcomes.add("c-ok" if c["ok"] else "c-pair" if "|" in c["counterexample"]["psi"] else "c-conj")
+        assert {"c-ok", "c-conj"} <= outcomes
 
     def test_backtracking_structure(self, rt):
         m2, _ = backtracking_structure()

@@ -1,7 +1,7 @@
 import pytest
 
 from causact import harness, structure
-from causact.correspondence import ConditionReport
+from causact.correspondence import ConditionReport, CorrespondenceError
 from causact.structure import StructureError
 from causact.formula import format_formula, free_endogenous, is_propositional
 from causact.model import model_to_text, parse_model
@@ -125,11 +125,21 @@ class TestDifferentials:
         assert report.to_dict()["skipped"] == report.skipped
 
     def test_correspondence_past_the_budget_is_skipped(self, monkeypatch):
-        # at most 16 states: every rank matrix fits in 2 KiB, but not every
-        # condition-(c) check
+        # A counterpart's condition (c) holds no lattice, so even a 2 KiB
+        # budget stops no check of these counterparts of at most 16 states;
+        # a check that does exceed the budget raises CorrespondenceError,
+        # and its trial is skipped.
         caps = FuzzCaps(3, 1, 2)
-        assert run_differential("theorem2", trials=30, seed=5, caps=caps).skipped == 0
         monkeypatch.setattr(structure, "_ARRAY_BUDGET", 2 << 10)
+        assert run_differential("theorem2", trials=30, seed=5, caps=caps).skipped == 0
+        real = harness.check_correspondence
+
+        def bounded(m2, m, strong=False, strict=False):
+            if len(m2.states) > 8:
+                raise CorrespondenceError(f"condition (c) over {len(m2.states)} states exceeds the budget")
+            return real(m2, m, strong=strong, strict=strict)
+
+        monkeypatch.setattr(harness, "check_correspondence", bounded)
         report = run_differential("theorem2", trials=30, seed=5, caps=caps)
         assert report.ok and 0 < report.skipped < 30, report.to_json()
         assert report.agreements + report.skipped == 30

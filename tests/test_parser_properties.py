@@ -116,4 +116,4 @@ def test_structure_text_round_trips(m):
     assert again.name == m.name and again.states == m.states
     assert again.interp == m.interp
     assert (again.codes == m.codes).all()
-    assert (again.near == m.near).all()
+    assert all((a == b).all() for a, b in zip(again.rank_rows, m.rank_rows))

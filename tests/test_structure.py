@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causact.abstract import CfSetting
-from causact.correspondence import CounterpartOrder, build_counterpart, check_correspondence
+from causact.abstract import CfSetting, conj_language, is_actual_cause_abstract, pair_language
+from causact.correspondence import CounterpartOrder, build_counterpart, check_correspondence, state_space_size
 from causact.corpus import backtracking_structure, bomb_structures
 from causact.formula import (
     FALSE,
@@ -26,7 +26,7 @@ from causact.formula import (
     format_formula,
     parse_formula,
 )
-from causact.harness import FuzzCaps, gen_random_model
+from causact.harness import DEFAULT_CAPS, FuzzCaps, gen_random_model, random_context
 from causact.model import ModelError
 from causact.structure import (
     CfStructure,
@@ -418,6 +418,7 @@ class TestFileFormat:
             {**FLAT, "a": [frozenset({"b"}), frozenset({"a"})]},  # {a} not first
             {**FLAT, "a": [frozenset({"a", "b"})]},  # {a} shares its tier
             {"b": FLAT["b"], "c": FLAT["c"]},  # a has no tiers
+            {**FLAT, "a": [frozenset({"a"}), frozenset({"b", "d"})]},  # d is no state
         ]:
             with pytest.raises(StructureError, match="the structure file cannot express"):
                 structure_to_text(CfStructure(m.sig, m.interp, TierOrder(plan)))
@@ -431,7 +432,7 @@ class TestFileFormat:
         again = parse_structure(text, load_model=lambda path: loaded.append(path) or model)
         assert loaded == ["models/m.cm"]
         assert again.states == m2.states and again.interp == m2.interp
-        assert (again.near == m2.near).all()
+        assert all((a == b).all() for a, b in zip(again.rank_rows, m2.rank_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -644,22 +645,109 @@ class TestAgainstPerStateReference:
         assert validate_structure(m2) == [] == _ref_validate(m2)
 
     def test_rank_matrix_is_built_once_and_lazily(self, monkeypatch):
+        # a tier order's rank rows are its rank matrix; a counterpart's are
+        # built from its arrays, once
         calls = []
-        original = CounterpartOrder.rank_matrix
 
-        def counted(order, states):
-            calls.append(len(states))
-            return original(order, states)
+        def counted(method):
+            def wrapper(order, states):
+                calls.append((type(order).__name__, len(states)))
+                return method(order, states)
+            return wrapper
 
-        monkeypatch.setattr(CounterpartOrder, "rank_matrix", counted)
+        monkeypatch.setattr(TierOrder, "rank_matrix", counted(TierOrder.rank_matrix))
+        monkeypatch.setattr(CounterpartOrder, "rank_rows", counted(CounterpartOrder.rank_rows))
         model = gen_random_model(FuzzCaps(max_endogenous=3, max_exogenous=2, max_domain=2), random.Random(8))
         m2, state_of = build_counterpart(model)
+        flat = CfStructure(model.sig, m2.interp,
+                           TierOrder({s: [frozenset({s}), frozenset(m2.states) - {s}] for s in m2.states}))
         assert calls == []
+        for m in (m2, flat):
+            assert validate_structure(m) == []
+            check_correspondence(m, model, strong=True)
+            s = m.states[0]
+            m.closest_states(s, PrimEvent(model.sig.endo_names[0], "0"))
+        assert calls == [("CounterpartOrder", len(m2.states)), ("TierOrder", len(m2.states))]
+
+    def test_counterpart_queries_build_no_rank_matrix(self, monkeypatch):
+        def refuse(order, states):
+            raise AssertionError(f"a rank matrix of {len(states)} states")
+
+        monkeypatch.setattr(CounterpartOrder, "rank_matrix", refuse)
+        model = gen_random_model(FuzzCaps(max_endogenous=3, max_exogenous=2, max_domain=3), random.Random(5))
+        m2, state_of = build_counterpart(model)
         assert validate_structure(m2) == []
         assert check_correspondence(m2, model, strong=True).ok
-        s = m2.states[0]
-        m2.closest_states(s, PrimEvent(model.sig.endo_names[0], "0"))
-        assert calls == [len(m2.states)]
+        check_correspondence(m2, model, strong=True, strict=True)
+        x, y = model.sig.endo_names[:2]
+        box = BoxArrow(PrimEvent(x, "1"), PrimEvent(y, "0"))
+        s = state_of(random_context(model, random.Random(5)))
+        m2.closest_states(s, PrimEvent(x, "1"))
+        m2.satisfies_at(s, Not(box))
+        m2.extension(BoxArrow(box, PrimEvent(x, "0")))
+        m2.box_arrows(s, np.ones((2, len(m2.states)), dtype=bool), m2.extension(box), False)
+        setting = CfSetting(m2, s)
+        for lang in (conj_language(), pair_language()):
+            is_actual_cause_abstract(setting, PrimEvent(x, m2.interp[s][x]), PrimEvent(y, m2.interp[s][y]), lang)
+
+
+class TestRankRows:
+    """`rank_rows` against the rank matrix that `rank()` gives: the rows,
+    with each base's own rank at its own column, order every base's states
+    as its row of the matrix does."""
+
+    @staticmethod
+    def assembled(m):
+        cls, rows, own = m.rank_rows
+        n = len(m.states)
+        near = rows[cls]
+        assert (own <= near[np.arange(n), np.arange(n)]).all()
+        near[np.arange(n), np.arange(n)] = own
+        return near
+
+    def test_counterparts(self):
+        tested = 0
+        for trial in range(60):
+            rng = random.Random(f"rank-rows:{trial}")
+            model = gen_random_model(DEFAULT_CAPS, rng)
+            if state_space_size(model) > 150:
+                continue
+            m2, _ = build_counterpart(model)
+            kept = {s: a for s, a in m2.interp.items() if rng.random() < 0.7} or dict(m2.interp)
+            for m in (m2, CfStructure(model.sig, kept, m2.order)):
+                dense = np.unique(self.assembled(m), return_inverse=True)[1].reshape(len(m.states), -1)
+                assert (dense == m.order.rank_matrix(m.states)).all()
+                assert len(m.rank_rows[1]) == len({tuple(m.interp[s][x] for x in model.sig.exo_names)
+                                                   for s in m.states})
+            tested += 1
+        assert tested >= 20
+
+    def test_counterparts_at_the_widest_caps(self):
+        # too large for `rank_matrix`: a few bases' rows against `rank()`
+        widest = FuzzCaps(max_endogenous=6, max_exogenous=2, max_domain=4)
+        sizes = []
+        for trial in range(12):
+            rng = random.Random(f"rank-rows-wide:{trial}")
+            model = gen_random_model(widest, rng)
+            if state_space_size(model) > 20000:
+                continue
+            m2, _ = build_counterpart(model, state_cap=10**5)
+            sizes.append(len(m2.states))
+            for s in rng.sample(m2.states, 3):
+                keys = [m2.order.rank(s, t) for t in m2.states]
+                level = {key: i for i, key in enumerate(sorted(set(keys)))}
+                got = np.unique(m2.ranks_from(m2.index_of(s)), return_inverse=True)[1]
+                assert got.tolist() == [level[key] for key in keys]
+        assert max(sizes) > 1000
+
+    @pytest.mark.parametrize("centered", [True, False])
+    def test_tier_orders_keep_their_rank_matrix(self, centered):
+        for trial in range(40):
+            m = _random_tier_structure(random.Random(f"rank-rows-tiers:{trial}"), centered)
+            cls, rows, own = m.rank_rows
+            n = len(m.states)
+            assert (cls == np.arange(n)).all() and (rows == m.order.rank_matrix(m.states)).all()
+            assert (self.assembled(m) == rows).all()
 
 
 class TestBoxArrowByTwoMinima:
