@@ -46,8 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .formula import (
     And,
@@ -70,7 +69,9 @@ from .formula import (
     prop_entails_given,
 )
 from .model import CausalModel
-from .structure import CfStructure
+
+if TYPE_CHECKING:  # structures, and numpy with them, load only where one is used
+    from .structure import CfStructure
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ class CfSetting:
         whose closest states from this state all lie in the mask
         `consequent`, or None.  A row with no closest states passes only
         with `allow_vacuous`."""
-        hits = np.flatnonzero(self.structure.box_arrows(self.state, antecedents, consequent, allow_vacuous))
+        hits = self.structure.box_arrows(self.state, antecedents, consequent, allow_vacuous).nonzero()[0]
         return hits[0] if hits.size else None
 
 
@@ -515,6 +516,8 @@ def _ac2_at_state(setting, phi, effect, lang, allow_vacuous):
     first row, the member true, is decided alone, before the option masks
     are built; the rest are decided in blocks of `_BLOCK_ROWS`, each by one
     box-arrow query.  Only the winning tau becomes a formula."""
+    import numpy as np  # a structure is in use, so numpy is loaded already
+
     m2, sig, actual = setting.structure, setting.sig, setting.assignment
     base = m2.extension(Not(phi))
     for pin in lang.pins:

@@ -17,7 +17,6 @@ import sys
 
 from .formula import ExoEvent, FormulaError, format_formula, parse_formula, parse_intervention
 from .model import CausalModel, ModelError, parse_context, parse_model
-from .structure import StructureError, parse_structure, structure_to_text, validate_structure
 from .hp import is_actual_cause_hp
 from .abstract import (
     CausalSetting,
@@ -26,13 +25,10 @@ from .abstract import (
     parse_language,
 )
 from .explanation import is_explanation_abstract, is_explanation_hp
-from .correspondence import (
-    CorrespondenceError,
-    build_counterpart,
-    check_correspondence,
-)
-from .harness import DEFAULT_CAPS, FuzzCaps, run_differential
-from .corpus import MODELS, run_corpus
+
+# Structures, correspondence, the harness and the corpus need numpy: the
+# commands that use them import them, so the model-only commands load none
+# of it.
 
 
 class CliError(Exception):
@@ -47,6 +43,8 @@ def _load_model(path: str) -> CausalModel:
 
 
 def _load_structure(path: str):
+    from .structure import parse_structure
+
     with open(path) as f:
         text = f.read()
     return parse_structure(
@@ -206,6 +204,9 @@ def cmd_closest(args):
 
 
 def cmd_build_cf(args):
+    from .correspondence import build_counterpart
+    from .structure import structure_to_text
+
     m = _load_model(args.model)
     m2, ctx_state = build_counterpart(m, state_cap=args.state_cap)
     mapping = {}
@@ -224,6 +225,9 @@ def cmd_build_cf(args):
 
 
 def cmd_check_correspondence(args):
+    from .correspondence import check_correspondence
+    from .structure import validate_structure
+
     m = _load_model(args.model)
     m2 = _load_structure(args.structure)
     violations = validate_structure(m2)
@@ -249,6 +253,8 @@ _THEOREM_NAMES = {"1": "theorem1", "2": "theorem2", "3": "prop3", "4": "theorem4
 def _parse_caps(text):
     """`--caps E,X,D`: the most endogenous and exogenous variables, and the
     largest domain, of a generated model; the harness's defaults if None."""
+    from .harness import DEFAULT_CAPS, FuzzCaps
+
     if text is None:
         return DEFAULT_CAPS
     try:
@@ -261,6 +267,8 @@ def _parse_caps(text):
 
 
 def cmd_fuzz(args):
+    from .harness import run_differential
+
     name = _THEOREM_NAMES.get(str(args.theorem))
     if name is None:
         raise CliError(f"unknown theorem {args.theorem!r} (1-5)", 2)
@@ -279,6 +287,8 @@ def cmd_fuzz(args):
 
 
 def cmd_corpus(args):
+    from .corpus import MODELS, run_corpus
+
     if args.dump:
         if args.dump not in MODELS:
             raise CliError(f"unknown builtin model {args.dump!r} (choose from {sorted(MODELS)})", 2)
@@ -374,6 +384,17 @@ def build_parser():
     return p
 
 
+def _loaded_semantic_errors() -> tuple[type[Exception], ...]:
+    """StructureError and CorrespondenceError, of those of their modules
+    that are loaded: a module that is not cannot have raised its error."""
+    return tuple(
+        getattr(sys.modules[module], error)
+        for module, error in ((f"{__package__}.structure", "StructureError"),
+                              (f"{__package__}.correspondence", "CorrespondenceError"))
+        if module in sys.modules
+    )
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -385,7 +406,7 @@ def main(argv=None):
     except FormulaError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (ModelError, StructureError, CorrespondenceError) as e:
+    except (ModelError, *_loaded_semantic_errors()) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except FileNotFoundError as e:

@@ -13,10 +13,10 @@ ones, which makes intervened solutions beat backtracked alternatives.
 
 Builder and checker work on integer value codes: the structure's `codes`,
 one row per state holding each variable's index in its range, and
-`CausalModel.equation_codes`, which maps those rows through every
-equation's table.  A state violates Y's equation where the two codes of Y
-differ; the builder weighs those violations, and condition (a) calls such
-states "wrong".
+`equation_codes` (below), which lays each equation out as a table of
+value indices over its parents' and maps those rows through it.  A state
+violates Y's equation where the two codes of Y differ; the builder weighs
+those violations, and condition (a) calls such states "wrong".
 
 The builder's order ranks t from s by d_s(t), so apart from s itself the
 rank depends on s only through s's exogenous values: one rank row per
@@ -25,11 +25,12 @@ itself below every other state.  The checker reads the structure's rank
 rows (`CfStructure.rank_rows`), one per class of bases: a tier order's
 are its rank matrix, a counterpart's one per context.  Condition (a)
 groups the states that agree on every variable but Y by one integer key
-per state, sorts the groups of every Y at once and takes each group's
-least rank over every class row in one reduction; a base inside a group
-also reads its own rank.  Condition (c) first sets aside the classes
-whose ranks to their own context lie below their ranks to any other,
-where nothing can fail: all of a counterpart's.  For the rest it keeps,
+per state (where it fits in int64, the mixed-radix key of all the
+variables less Y's digit), sorts the groups of every Y at once and takes
+each group's least rank over every class row in one reduction; a base
+inside a group also reads its own rank.  Condition (c) first sets aside
+the classes whose ranks to their own context lie below their ranks to any
+other, where nothing can fail: all of a counterpart's.  For the rest it keeps,
 per conjunction of endogenous events, the least rank over its states
 with the row's exogenous values and over those with other values.  It
 reduces the states once per conjunction of all endogenous variables, and
@@ -47,14 +48,18 @@ exceed it.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import structure
 from .model import CausalModel
 from .structure import _MASKED, CfStructure, ClosenessOrder
+# after the line above, which binds `structure` on the package: importing
+# it here first would ask the package's lazy `__getattr__` for it while
+# this module is half loaded
+from . import structure
 
 
 class CorrespondenceError(ValueError):
@@ -83,6 +88,9 @@ class CounterpartOrder(ClosenessOrder):
     def rank(self, base, other):
         i, j = int(base[1:]), int(other[1:])
         return (int(base != other), int(np.count_nonzero(self.exo[i] != self.exo[j])), self.viol[j])
+
+    def unranked(self, states):
+        return []  # every state ranks itself, at its level
 
     def rank_rows(self, states):
         """One row per context, the k exogenous values that its bases share:
@@ -123,6 +131,27 @@ def endo_depths(m: CausalModel) -> dict[str, int]:
     return depth
 
 
+def equation_codes(m: CausalModel, codes: np.ndarray) -> np.ndarray:
+    """Every equation of m applied to every row of `codes`, a matrix of
+    value indices with one column per variable of `sig.all_names()`: row
+    r, column j is the index in Y's range of F_Y(row r), for the j-th
+    endogenous Y.  Each equation is read through its table of value
+    indices, laid out densely over its parents' value indices, which the
+    model's compile-time size check bounds."""
+    sig = m.sig
+    column = {n: c for c, n in enumerate(sig.all_names())}
+    out = np.empty((len(codes), len(sig.endo_names)), dtype=np.intp)
+    for j, x in enumerate(sig.endo_names):
+        index, equation = sig.value_index[x], m._tables[x]
+        ranges = [sig.range_of(p) for p in m.parents[x]]
+        table = np.array([index[equation[key]] for key in itertools.product(*ranges)], dtype=np.intp)
+        row = np.zeros(len(codes), dtype=np.intp)
+        for p, rng in zip(m.parents[x], ranges):
+            row = row * len(rng) + codes[:, column[p]]
+        out[:, j] = table[row]
+    return out
+
+
 def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
     """All-assignments counterfactual structure for m, with the weighted
     violation cost order.  Returns (structure, context -> state id map)."""
@@ -143,7 +172,7 @@ def build_counterpart(m: CausalModel, state_cap: int = DEFAULT_STATE_CAP):
     depth = endo_depths(m)
     weights = np.array([(n_endo + 1) ** (n_endo - depth[y]) for y in sig.endo_names], dtype=object)
     # Python ints, exact however far the sums pass 2^63
-    viol = ((codes[:, k:] != m.equation_codes(codes)).astype(object) @ weights).tolist()
+    viol = ((codes[:, k:] != equation_codes(m, codes)).astype(object) @ weights).tolist()
 
     order = CounterpartOrder(states, codes[:, :k], viol)
     m2 = CfStructure._from_codes(sig, states, codes, order, f"{m.name}-counterpart")
@@ -263,17 +292,27 @@ def _check_condition_a(m2: CfStructure, m: CausalModel, strict: bool, ranks) -> 
     n, k = codes.shape[0], len(sig.exo_names)
     c = len(rows)
     class_size = np.bincount(cls, minlength=c)
-    equation = m.equation_codes(codes)
+    equation = equation_codes(m, codes)
     wrong = codes[:, k:] != equation
     ys = np.flatnonzero(wrong.any(axis=0))
+    # where the mixed-radix key of all the variables fits, a Y's setting
+    # key is that key less Y's digit: equal where, and ordered as, the keys
+    # `_row_keys` gives the other columns
+    stride = None
+    if math.prod(dims) <= _KEY_LIMIT:
+        stride = np.array([math.prod(dims[i + 1 :]) for i in range(len(dims))], dtype=np.int64)
+        full = codes @ stride
     # per Y, c rows of n gathered ranks, and up to as many group minima and
     # verdicts: 4 + 4 + 1 bytes an entry
     chunk = max(1, structure._ARRAY_BUDGET // (9 * max(1, n * c)))
     for at in range(0, len(ys), chunk):
         part = ys[at : at + chunk]
         # entry w * n + t: state t's setting for the Y part[w]
-        keys = np.concatenate([_row_keys(np.delete(codes, k + j, axis=1), dims[: k + j] + dims[k + j + 1 :])
-                               for j in part])
+        if stride is None:
+            keys = np.concatenate([_row_keys(np.delete(codes, k + j, axis=1), dims[: k + j] + dims[k + j + 1 :])
+                                   for j in part])
+        else:
+            keys = (full - codes[:, k + part].T * stride[k + part, None]).ravel()
         order = np.lexsort((keys, np.repeat(np.arange(len(part)), n)))
         w, state = np.divmod(order, n)
         keys = keys[order]

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-import numpy as np
-
 
 class FormulaError(ValueError):
     """Raised for malformed formulas: syntax errors, unknown variables,
@@ -654,58 +652,6 @@ def evaluate_prop(phi: Formula, assignment: dict, modal=None) -> bool:
     if modal is not None and isinstance(phi, (Intervene, BoxArrow)):
         return modal(phi)
     raise FormulaError(f"formula is not propositional: contains {type(phi).__name__}")
-
-
-def truth_mask(phi: Formula, columns: dict, n: int, modal=None, cache: dict | None = None) -> np.ndarray:
-    """The boolean mask over n rows of where phi holds, labelled bottom-up
-    (Clarke, Emerson & Sistla, TOPLAS 1986): X=x compares the value column
-    `columns[X]` with x, and `!`, `&`, `|`, `true` and `false` combine
-    masks.  Interventions and box-arrows are handed to `modal(node, *masks)`
-    with the masks of their operands (the body, or the antecedent and the
-    consequent); without a hook they raise FormulaError.  Every operand is
-    evaluated: nothing short-circuits.
-
-    The mask of every subformula is read from and stored in `cache`, as a
-    read-only array.  The walk keeps its own stack, so the depth of phi is
-    not bounded by Python's recursion limit."""
-    if cache is None:
-        cache = {}
-    mask = cache.get(phi)
-    stack = [phi] if mask is None else []
-    while stack:
-        node = stack[-1]
-        if node in cache:
-            stack.pop()
-            continue
-        parts = _operands(node)
-        masks = [cache.get(p) for p in parts]
-        todo = [p for p, mask in zip(parts, masks) if mask is None]
-        if todo:
-            stack.extend(reversed(todo))  # the leftmost operand first
-            continue
-        stack.pop()
-        if isinstance(node, (PrimEvent, ExoEvent)):
-            column = columns.get(node.var)
-            if column is None:
-                raise FormulaError(f"unknown variable {node.var!r}")
-            mask = column == node.val
-        elif isinstance(node, Top):
-            mask = np.ones(n, dtype=bool)
-        elif isinstance(node, Bot):
-            mask = np.zeros(n, dtype=bool)
-        elif isinstance(node, Not):
-            mask = ~masks[0]
-        elif isinstance(node, And):
-            mask = masks[0] & masks[1]
-        elif isinstance(node, Or):
-            mask = masks[0] | masks[1]
-        elif modal is not None and isinstance(node, (Intervene, BoxArrow)):
-            mask = modal(node, *masks)
-        else:
-            raise FormulaError(f"formula is not propositional: contains {type(node).__name__}")
-        mask.flags.writeable = False
-        cache[node] = mask
-    return mask  # phi's: the walk computes it last
 
 
 def event_literals(phi: Formula, sig: Signature):

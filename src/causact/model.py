@@ -11,9 +11,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from .formula import (
     And,
@@ -146,35 +143,6 @@ class CausalModel:
     def equation_value(self, x: str, assignment: dict) -> str:
         """F_X applied to an assignment of (at least) X's parents."""
         return self._tables[x][tuple(assignment[n] for n in self.parents[x])]
-
-    def equation_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Every equation applied to every row of `codes`, a matrix of value
-        indices with one column per variable of `sig.all_names()`: row r,
-        column j is the index in Y's range of F_Y(row r), for the j-th
-        endogenous Y."""
-        out = np.empty((len(codes), len(self.sig.endo_names)), dtype=np.intp)
-        for j, (table, columns, dims) in enumerate(self._code_tables):
-            row = np.zeros(len(codes), dtype=np.intp)
-            for c, d in zip(columns, dims):
-                row = row * d + codes[:, c]
-            out[:, j] = table[row]
-        return out
-
-    @cached_property
-    def _code_tables(self) -> list[tuple[np.ndarray, list[int], list[int]]]:
-        """Per endogenous variable, its equation as a table of value indices
-        laid out densely over its parents' value indices (which the
-        compile-time size check bounds), with the parents' columns in
-        `sig.all_names()` and their range sizes."""
-        sig = self.sig
-        column = {n: c for c, n in enumerate(sig.all_names())}
-        tables = []
-        for x in sig.endo_names:
-            index = sig.value_index[x]
-            ranges = [sig.range_of(p) for p in self.parents[x]]
-            table = np.array([index[self._tables[x][key]] for key in itertools.product(*ranges)], dtype=np.intp)
-            tables.append((table, [column[p] for p in self.parents[x]], [len(r) for r in ranges]))
-        return tables
 
     def _topological_order(self) -> tuple[str, ...]:
         """Repeatedly place the first endogenous variable, in signature

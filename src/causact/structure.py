@@ -32,7 +32,7 @@ minima per antecedent and builds no closest set.  Relation orders have no
 ranks and find closest states through `leq`.
 
 Masks are built bottom-up from the cached masks of their operands
-(`formula.truth_mask`): an event compares one value column, a connective
+(`truth_mask`, below): an event compares one value column, a connective
 combines masks, and a box-arrow takes the masked minima of every class
 row, then gives each base in the antecedent its own rank.  Every operand
 is labelled at every state, so an intervention anywhere in a formula
@@ -50,7 +50,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .formula import Formula, FormulaError, Intervene, Signature, evaluate_prop, truth_mask
+from .formula import (
+    And,
+    BoxArrow,
+    Bot,
+    ExoEvent,
+    Formula,
+    FormulaError,
+    Intervene,
+    Not,
+    Or,
+    PrimEvent,
+    Signature,
+    Top,
+    _operands,
+    evaluate_prop,
+)
 from .model import _parse_declaration, _split_statements  # shared with the model DSL
 
 
@@ -89,6 +104,11 @@ class ClosenessOrder:
 
     def rank(self, base: str, other: str):
         raise NotImplementedError
+
+    def unranked(self, states) -> list[int]:
+        """The positions in `states` of the bases that leave themselves
+        unranked."""
+        return [i for i, s in enumerate(states) if self.rank(s, s) is None]
 
     def rank_matrix(self, states) -> np.ndarray:
         """R[i, j] < R[i, k] iff states[j] is strictly closer to states[i]
@@ -321,6 +341,59 @@ class CfStructure:
         )
 
 
+def truth_mask(phi: Formula, columns: dict, n: int, modal=None, cache: dict | None = None) -> np.ndarray:
+    """The boolean mask over n rows of where phi holds, labelled bottom-up
+    (Clarke, Emerson & Sistla, TOPLAS 1986): X=x compares the value column
+    `columns[X]` with x, and `!`, `&`, `|`, `true` and `false` combine
+    masks.  Interventions and box-arrows are handed to `modal(node, *masks)`
+    with the masks of their operands (the body, or the antecedent and the
+    consequent); without a hook they raise FormulaError.  Every operand is
+    evaluated: nothing short-circuits.
+
+    The mask of every subformula is read from and stored in `cache`, as a
+    read-only array.  The walk keeps its own stack, so the depth of phi is
+    not bounded by Python's recursion limit."""
+    if cache is None:
+        cache = {}
+    mask = cache.get(phi)
+    stack = [phi] if mask is None else []
+    while stack:
+        node = stack[-1]
+        if node in cache:
+            stack.pop()
+            continue
+        parts = _operands(node)
+        masks = [cache.get(p) for p in parts]
+        todo = [p for p, mask in zip(parts, masks) if mask is None]
+        if todo:
+            stack.extend(reversed(todo))  # the leftmost operand first
+            continue
+        stack.pop()
+        if isinstance(node, (PrimEvent, ExoEvent)):
+            column = columns.get(node.var)
+            if column is None:
+                raise FormulaError(f"unknown variable {node.var!r}")
+            mask = column == node.val
+        elif isinstance(node, Top):
+            mask = np.ones(n, dtype=bool)
+        elif isinstance(node, Bot):
+            mask = np.zeros(n, dtype=bool)
+        elif isinstance(node, Not):
+            mask = ~masks[0]
+        elif isinstance(node, And):
+            mask = masks[0] & masks[1]
+        elif isinstance(node, Or):
+            mask = masks[0] | masks[1]
+        elif modal is not None and isinstance(node, (Intervene, BoxArrow)):
+            mask = modal(node, *masks)
+        else:
+            raise FormulaError(f"formula is not propositional: contains {type(node).__name__}")
+        mask.flags.writeable = False
+        cache[node] = mask
+    return mask  # phi's: the walk computes it last
+
+
+
 class _Assignments(Mapping):
     """`CfStructure.interp`: each state's assignment, a new dict built from
     its row of `codes` at every lookup."""
@@ -396,7 +469,7 @@ def validate_structure(m: CfStructure) -> list[OrderViolation]:
     order = m.order
     if order.ranked:
         n = len(m.states)
-        unranked = [i for i, s in enumerate(m.states) if order.rank(s, s) is None]
+        unranked = order.unranked(m.states)
         cls, rows, own = m.rank_rows
         # the least rank from each base to another state: the least of its
         # class row, or the next one up where the base itself holds the least

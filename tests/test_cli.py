@@ -414,23 +414,24 @@ class TestFuzzAndCorpus:
         def one_disagreement(name, trials, seed=0, caps=None, negated=False):
             return DifferentialReport(name, trials, seed, trials - 1, [{"trial": 0}])
 
-        monkeypatch.setattr("causact.cli.run_differential", one_disagreement)
+        # `fuzz` imports the harness when it runs
+        monkeypatch.setattr("causact.harness.run_differential", one_disagreement)
         code, out, _ = run(capsys, "fuzz", "--theorem", "3", "--trials", "2", "--json")
         assert code == 3
         assert not json.loads(out)["ok"]
 
     def test_fuzz_caps(self, capsys, monkeypatch):
-        from causact import cli
+        from causact import harness
         from causact.harness import DEFAULT_CAPS, FuzzCaps
 
         asked = []
-        differential = cli.run_differential
+        differential = harness.run_differential
 
         def recording(*args, **kwargs):
             asked.append(kwargs["caps"])
             return differential(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_differential", recording)
+        monkeypatch.setattr(harness, "run_differential", recording)
         code, out, _ = run(capsys, "fuzz", "--theorem", "2", "--trials", "3", "--caps", "5,2,3", "--json")
         report = json.loads(out)
         assert code == 0 and report["agreements"] == 3

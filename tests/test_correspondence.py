@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from causact.formula import parse_formula
-from causact import structure
+from causact import correspondence, structure
 from causact.cli import main
 from causact.model import parse_model
 from causact.structure import (
@@ -643,6 +643,24 @@ class TestRankMatrixAgainstReference:
             outcomes.add("a" if not report["conditionA"]["ok"] else "a-ok")
             outcomes.add("c-ok" if c["ok"] else "c-pair" if "|" in c["counterexample"]["psi"] else "c-conj")
         assert outcomes == {"a", "a-ok", "c-ok", "c-conj", "c-pair"}
+
+    def test_setting_keys_with_and_without_the_full_key(self, monkeypatch):
+        # Condition (a) keys each Y's settings by the mixed-radix key of all
+        # the variables less Y's digit where that key fits in `_KEY_LIMIT`,
+        # and by `_row_keys` of the other columns where it does not.
+        cases = []
+        for trial in range(30):
+            rng = trial_rng(93, trial)
+            m = gen_random_model(_SHAPES[trial % len(_SHAPES)], rng)
+            m2, _ = build_counterpart(m)
+            other = gen_random_model(_SHAPES[trial % len(_SHAPES)], rng)
+            cases += [(m2, m), (_random_tier_structure(m, rng), m)]
+            cases += [(m2, other)] if other.sig == m.sig else []
+        full = [check_correspondence(m2, m, strict=strict).to_dict() for m2, m in cases for strict in (False, True)]
+        assert {r["conditionA"]["ok"] for r in full} == {False, True}
+        monkeypatch.setattr(correspondence, "_KEY_LIMIT", 1 << 3)
+        assert [check_correspondence(m2, m, strict=strict).to_dict()
+                for m2, m in cases for strict in (False, True)] == full
 
     def test_relation_order_has_no_ranks(self):
         sig = parse_model(CHAIN_COPY).sig

@@ -31,9 +31,9 @@ from causact.formula import (
     parse_intervention,
     prop_entails,
     prop_equivalent,
-    truth_mask,
     variables_of,
 )
+from causact.structure import truth_mask
 
 
 SIG = Signature(
