@@ -589,9 +589,5 @@ def _pin_negated_conjuncts(tau, actual, cause_vars):
 def extract_abstract_witness(sig, cause: Formula, hp_witness) -> Formula:
     """The conditioning formula matching an AC2 witness (W, w*, x'):
     W = w*  and  (X = x or X = x')."""
-    pairs = as_event_conjunction(cause)
-    xvars = [v for v, _ in pairs]
     w_part = [PrimEvent(v, s) for v, s in zip(hp_witness.w, hp_witness.wstar)]
-    pos = conjoin([PrimEvent(v, x) for v, x in pairs])
-    alt = conjoin([PrimEvent(v, a) for v, a in zip(xvars, hp_witness.xprime)])
-    return conjoin(w_part + [Or(pos, alt)])
+    return conjoin(w_part + [_pair_disjunct(as_event_conjunction(cause), hp_witness.xprime)])

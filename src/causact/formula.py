@@ -654,6 +654,68 @@ def evaluate_prop(phi: Formula, assignment: dict, modal=None) -> bool:
     raise FormulaError(f"formula is not propositional: contains {type(phi).__name__}")
 
 
+def label(phi: Formula, leaf, full, modal=None, cache=None):
+    """The set of rows where phi holds, labelled bottom-up (Clarke, Emerson
+    & Sistla, TOPLAS 1986) in any algebra where `full ^ x`, `x & y` and
+    `x | y` are complement, intersection and union (ints as bitsets,
+    boolean masks).  An event's set is `leaf(event)`.  Interventions and
+    box-arrows go to `modal(node, *sets)` with their operands' sets, or
+    raise FormulaError without it.  Every operand is labelled, left to
+    right: nothing short-circuits.  A `cache` (with `get` and item
+    assignment) supplies the set of any subformula found in it, which the
+    walk then does not enter, and receives every set computed; a
+    subformula repeated in phi and not found there is labelled at each
+    occurrence.  The walk
+    keeps its own stacks, so phi's depth is not bounded by the recursion
+    limit."""
+    # operators before their operands, right operands first; a subformula
+    # found in the cache stands in the walk as its set
+    walk, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        if cache is not None:
+            known = cache.get(node)
+            if known is not None:
+                walk.append(known)
+                continue
+        walk.append(node)
+        kind = type(node)
+        if kind is And or kind is Or:
+            stack += node.left, node.right
+        elif kind is Not:
+            stack.append(node.sub)
+        elif kind is BoxArrow or kind is Intervene:
+            stack += _operands(node)
+    sets = []
+    push, pop = sets.append, sets.pop
+    for node in reversed(walk):  # operands before their operators
+        kind = type(node)
+        if kind is PrimEvent or kind is ExoEvent:
+            out = leaf(node)
+        elif kind is And:
+            out = pop() & pop()
+        elif kind is Or:
+            out = pop() | pop()
+        elif kind is Not:
+            out = full ^ pop()
+        elif kind is Top:
+            out = full
+        elif kind is Bot:
+            out = full ^ full
+        elif kind is BoxArrow or kind is Intervene:
+            if modal is None:
+                raise FormulaError(f"formula is not propositional: contains {kind.__name__}")
+            parts = [pop() for _ in _operands(node)]
+            out = modal(node, *reversed(parts))
+        else:  # a set from the cache
+            push(node)
+            continue
+        if cache is not None:
+            cache[node] = out
+        push(out)
+    return sets[0]
+
+
 def event_literals(phi: Formula, sig: Signature):
     """A conjunction of events and `true` as the frozenset of its (var,
     value) literals, leaving out the valid ones (their variable's range has

@@ -30,6 +30,7 @@ from .formula import (
     format_formula,
     free_endogenous,
     is_propositional,
+    label,
     parse_formula,
     variables_of,
 )
@@ -59,8 +60,9 @@ class CausalModel:
 
     A table is compiled over the product of its mentioned variables' ranges.
     Each guard is labelled once with the set of rows where it holds, a
-    bitset with one bit per row, at a few bitset operations per node of
-    the guard; nothing is evaluated row by row.  A table of more than 2^22
+    bitset with one bit per row, by `formula.label`, the bottom-up labeller
+    structures use for their state masks: a few bitset operations per node
+    of the guard, nothing evaluated row by row.  A table of more than 2^22
     rows is rejected with ModelError.
     """
 
@@ -109,8 +111,9 @@ class CausalModel:
 
         The rows are the product of the mentioned variables' ranges, in
         `itertools.product` order.  A set of rows is an int whose bit r
-        stands for row r; each guard's set is labelled bottom-up from the
-        sets of its events, and takes the rows no earlier guard took."""
+        stands for row r; `label` builds each guard's set bottom-up from
+        the sets of its events, and the guard takes the rows of it that no
+        earlier guard took."""
         self._tables: dict[str, dict[tuple, str]] = {}
         parents = {}
         for x, eq in self.equations.items():
@@ -123,10 +126,11 @@ class CausalModel:
                 raise ModelError(f"decision table for {x} is too large to tabulate ({size} rows)")
             events = _event_rows(order, ranges, size)
             full = (1 << size) - 1
+            leaf = lambda ev: events.get((ev.var, ev.val), 0)  # an event outside the table holds nowhere
             rows_of = {}  # value -> the rows the guards give it
             still_open = full
             for guard, value in eq.rows:
-                hit = _guard_rows(guard, events, full) & still_open
+                hit = label(guard, leaf, full) & still_open
                 if hit:
                     rows_of[value] = rows_of.get(value, 0) | hit
                     still_open ^= hit
@@ -190,19 +194,19 @@ class CausalModel:
     def solve(self, u: dict, interventions: dict | None = None) -> dict:
         """The unique simultaneous solution in context u, optionally under an
         intervention that pins some endogenous variables."""
-        return self._solve(self.validate_context(u), interventions or {})
+        return dict(self._solve(self.validate_context(u), interventions or {}))
 
     def _solve(self, ctx: dict, inter: dict) -> dict:
-        """`solve` for a context `validate_context` has already returned."""
+        """`solve` for a context `validate_context` has already returned,
+        as the cached solution itself: callers only read it."""
         key = (tuple(ctx[n] for n in self.sig.exo_names), tuple(sorted(inter.items())))
-        cached = self._solve_cache.get(key)
-        if cached is not None:
-            return dict(cached)
-        asgn = dict(ctx)
-        # The base topological order stays valid: intervening only removes edges.
-        for x in self.topo_order:
-            asgn[x] = inter[x] if x in inter else self.equation_value(x, asgn)
-        self._solve_cache[key] = dict(asgn)
+        asgn = self._solve_cache.get(key)
+        if asgn is None:
+            asgn = dict(ctx)
+            # The base topological order stays valid: intervening only removes edges.
+            for x in self.topo_order:
+                asgn[x] = inter[x] if x in inter else self.equation_value(x, asgn)
+            self._solve_cache[key] = asgn
         return asgn
 
     def relevant(self, moved, targets) -> set[str]:
@@ -356,36 +360,6 @@ def _tile(pattern: int, period: int, count: int) -> int:
     return out & ((1 << (count * period)) - 1)
 
 
-def _guard_rows(guard: Formula, events: dict[tuple[str, str], int], full: int) -> int:
-    """The rows where a propositional guard holds, labelled bottom-up from
-    `events` (an event outside it holds nowhere).  `full` is the set of all
-    rows.  The walk keeps its own stacks, so the guard's depth is not
-    bounded by the recursion limit."""
-    walk, stack = [], [guard]
-    while stack:  # operators before their operands
-        node = stack.pop()
-        walk.append(node)
-        kind = type(node)
-        if kind is And or kind is Or:
-            stack += node.left, node.right
-        elif kind is Not:
-            stack.append(node.sub)
-    rows = []
-    for node in reversed(walk):
-        kind = type(node)
-        if kind is PrimEvent or kind is ExoEvent:
-            rows.append(events.get((node.var, node.val), 0))
-        elif kind is And:
-            rows.append(rows.pop() & rows.pop())
-        elif kind is Or:
-            rows.append(rows.pop() | rows.pop())
-        elif kind is Not:
-            rows.append(full ^ rows.pop())
-        else:
-            rows.append(full if kind is Top else 0)
-    return rows[0]
-
-
 def _members(bits: int):
     """The positions of the set bits of `bits`, lowest first."""
     digits = bin(bits)[:1:-1]  # least significant first, without "0b"
@@ -419,20 +393,12 @@ def parse_model(text: str, name_hint: str = "model") -> CausalModel:
 
     '#' starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    body = "\n".join(lines)
-
     name = name_hint
     exo: list[tuple[str, tuple[str, ...]]] = []
     endo: list[tuple[str, tuple[str, ...]]] = []
-    eq_texts: list[tuple[str, str]] = []
+    eq_texts: dict[str, str] = {}
 
-    statements = _split_statements(body)
-    for stmt in statements:
+    for stmt in _split_statements(text):
         if stmt.startswith("model "):
             name = stmt.split(None, 1)[1].strip()
         elif stmt.startswith("exo ") or stmt.startswith("var "):
@@ -442,26 +408,33 @@ def parse_model(text: str, name_hint: str = "model") -> CausalModel:
             if "=" not in rest:
                 raise ModelError(f"malformed equation: {stmt!r}")
             var, table = rest.split("=", 1)
-            eq_texts.append((_identifier(var, stmt), table.strip()))
+            var = _identifier(var, stmt)
+            if var in eq_texts:
+                raise ModelError(f"two equations for {var}")
+            eq_texts[var] = table.strip()
         else:
             raise ModelError(f"unrecognized statement: {stmt!r}")
 
     sig = Signature(tuple(exo), tuple(endo))
     equations = {}
-    for var, table in eq_texts:
+    for var, table in eq_texts.items():
         if not sig.is_endogenous(var):
             raise ModelError(f"equation for unknown endogenous variable {var!r}")
         equations[var] = _parse_case(var, table, sig)
     return CausalModel(sig, equations, name=name)
 
 
-def _split_statements(body: str) -> list[str]:
-    """Statements start with a keyword; braces may span lines."""
+def _split_statements(text: str) -> list[str]:
+    """The statements of a model or structure file: '#' starts a comment,
+    a statement starts with a keyword, and braces may span lines."""
     statements = []
     current: list[str] = []
     depth = 0
-    for line in body.splitlines():
-        starts = line.split(None, 1)[0] if line else ""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        starts = line.split(None, 1)[0]
         if depth == 0 and starts in ("model", "exo", "var", "eq", "structure", "state", "order"):
             if current:
                 statements.append(" ".join(current))
@@ -538,16 +511,18 @@ def _parse_case(var: str, text: str, sig: Signature) -> Equation:
 
 def model_to_text(m: CausalModel) -> str:
     """Serialize back to the model DSL (stable, deterministic output)."""
-    out = [f"model {m.name}"]
-    for n, rng in m.sig.exogenous:
-        out.append(f"exo {n} : {{ {', '.join(rng)} }}")
-    for n, rng in m.sig.endogenous:
-        out.append(f"var {n} : {{ {', '.join(rng)} }}")
+    out = [f"model {m.name}", *_declarations(m.sig)]
     for n in m.sig.endo_names:
         eq = m.equations[n]
         rows = "".join(f"{format_formula(g)} : {v} ; " for g, v in eq.rows)
         out.append(f"eq {n} = case {{ {rows}default : {eq.default} }}")
     return "\n".join(out) + "\n"
+
+
+def _declarations(sig: Signature) -> list[str]:
+    """The `exo` and `var` lines that declare sig's variables."""
+    return [f"{kw} {n} : {{ {', '.join(rng)} }}"
+            for kw, part in (("exo", sig.exogenous), ("var", sig.endogenous)) for n, rng in part]
 
 
 def parse_context(text: str, sig: Signature) -> dict:

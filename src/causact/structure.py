@@ -31,8 +31,9 @@ when the least rank of a phi-state is strictly below the least rank of a
 minima per antecedent and builds no closest set.  Relation orders have no
 ranks and find closest states through `leq`.
 
-Masks are built bottom-up from the cached masks of their operands
-(`truth_mask`, below): an event compares one value column, a connective
+Masks are built bottom-up (`truth_mask`, below) from the cached masks
+of their operands by `formula.label`, the labeller that also compiles a
+model's guards: an event compares one value column, a connective
 combines masks, and a box-arrow takes the masked minima of every class
 row, then gives each base in the antecedent its own rank.  Every operand
 is labelled at every state, so an intervention anywhere in a formula
@@ -50,23 +51,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .formula import (
-    And,
-    BoxArrow,
-    Bot,
-    ExoEvent,
-    Formula,
-    FormulaError,
-    Intervene,
-    Not,
-    Or,
-    PrimEvent,
-    Signature,
-    Top,
-    _operands,
-    evaluate_prop,
-)
-from .model import _parse_declaration, _split_statements  # shared with the model DSL
+from .formula import Formula, FormulaError, Intervene, Signature, evaluate_prop, label
+from .model import _declarations, _parse_declaration, _split_statements  # shared with the model DSL
 
 
 class StructureError(ValueError):
@@ -258,7 +244,10 @@ class CfStructure:
         formula and built from the cached masks of phi's operands: every
         operand is evaluated at every state, so an intervention anywhere
         in phi raises FormulaError."""
-        return truth_mask(phi, self._columns, len(self.states), self._modal_mask, self._extensions)
+        mask = self._extensions.get(phi)
+        if mask is None:
+            mask = truth_mask(phi, self._columns, len(self.states), self._modal_mask, self._extensions)
+        return mask
 
     def satisfies_at(self, s: str, phi: Formula) -> bool:
         """Evaluate a counterfactual formula at state s.  Interventions are a
@@ -343,55 +332,31 @@ class CfStructure:
 
 def truth_mask(phi: Formula, columns: dict, n: int, modal=None, cache: dict | None = None) -> np.ndarray:
     """The boolean mask over n rows of where phi holds, labelled bottom-up
-    (Clarke, Emerson & Sistla, TOPLAS 1986): X=x compares the value column
-    `columns[X]` with x, and `!`, `&`, `|`, `true` and `false` combine
-    masks.  Interventions and box-arrows are handed to `modal(node, *masks)`
-    with the masks of their operands (the body, or the antecedent and the
-    consequent); without a hook they raise FormulaError.  Every operand is
-    evaluated: nothing short-circuits.
+    by `formula.label`: X=x compares the value column `columns[X]` with x.
+    Interventions and box-arrows are handed to `modal(node, *masks)` with
+    the masks of their operands; without a hook they raise FormulaError.
+    Every operand is evaluated: nothing short-circuits.  The mask of every
+    subformula is read from and stored in `cache`, as a read-only array."""
 
-    The mask of every subformula is read from and stored in `cache`, as a
-    read-only array.  The walk keeps its own stack, so the depth of phi is
-    not bounded by Python's recursion limit."""
-    if cache is None:
-        cache = {}
-    mask = cache.get(phi)
-    stack = [phi] if mask is None else []
-    while stack:
-        node = stack[-1]
-        if node in cache:
-            stack.pop()
-            continue
-        parts = _operands(node)
-        masks = [cache.get(p) for p in parts]
-        todo = [p for p, mask in zip(parts, masks) if mask is None]
-        if todo:
-            stack.extend(reversed(todo))  # the leftmost operand first
-            continue
-        stack.pop()
-        if isinstance(node, (PrimEvent, ExoEvent)):
-            column = columns.get(node.var)
-            if column is None:
-                raise FormulaError(f"unknown variable {node.var!r}")
-            mask = column == node.val
-        elif isinstance(node, Top):
-            mask = np.ones(n, dtype=bool)
-        elif isinstance(node, Bot):
-            mask = np.zeros(n, dtype=bool)
-        elif isinstance(node, Not):
-            mask = ~masks[0]
-        elif isinstance(node, And):
-            mask = masks[0] & masks[1]
-        elif isinstance(node, Or):
-            mask = masks[0] | masks[1]
-        elif modal is not None and isinstance(node, (Intervene, BoxArrow)):
-            mask = modal(node, *masks)
-        else:
-            raise FormulaError(f"formula is not propositional: contains {type(node).__name__}")
+    def leaf(ev):
+        column = columns.get(ev.var)
+        if column is None:
+            raise FormulaError(f"unknown variable {ev.var!r}")
+        return column == ev.val
+
+    return label(phi, leaf, np.ones(n, dtype=bool), modal, _ReadOnly({} if cache is None else cache))
+
+
+class _ReadOnly:
+    """A cache of masks for `label` that makes each mask read-only as it
+    stores it."""
+
+    def __init__(self, masks: dict):
+        self.masks, self.get = masks, masks.get
+
+    def __setitem__(self, phi: Formula, mask: np.ndarray):
         mask.flags.writeable = False
-        cache[node] = mask
-    return mask  # phi's: the walk computes it last
-
+        self.masks[phi] = mask
 
 
 class _Assignments(Mapping):
@@ -521,13 +486,6 @@ def parse_structure(
     space, the only one the derived order is defined on, so the structure
     must be `over` a model.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    body = "\n".join(lines)
-
     name = name_hint
     model = None
     exo: list[tuple[str, tuple[str, ...]]] = []
@@ -536,7 +494,7 @@ def parse_structure(
     tiers: dict[str, list[list[str]]] = {}
     derived = False
 
-    for stmt in _split_statements(body):
+    for stmt in _split_statements(text):
         head = stmt.split(None, 1)[0]
         if head == "structure":
             parts = stmt.split()
@@ -561,7 +519,10 @@ def parse_structure(
             if assigns:
                 for pair in assigns.split(","):
                     var, _, val = pair.partition("=")
-                    asgn[var.strip()] = val.strip()
+                    var = var.strip()
+                    if var in asgn:
+                        raise StructureError(f"state {sid} assigns {var} twice")
+                    asgn[var] = val.strip()
             states[sid] = asgn
         elif head == "order":
             rest = stmt[5:].strip()
@@ -613,11 +574,7 @@ def parse_structure(
 def structure_to_text(m: CfStructure, over: str | None = None) -> str:
     """The structure file for m; `over` names the model file the first line
     refers to, which a derived order requires."""
-    out = [f"structure {m.name}" + (f" over {over}" if over is not None else "")]
-    for n, rng in m.sig.exogenous:
-        out.append(f"exo {n} : {{ {', '.join(rng)} }}")
-    for n, rng in m.sig.endogenous:
-        out.append(f"var {n} : {{ {', '.join(rng)} }}")
+    out = [f"structure {m.name}" + (f" over {over}" if over is not None else ""), *_declarations(m.sig)]
     for s, values in m.interp.items():
         asgn = ", ".join(f"{n}={v}" for n, v in values.items())
         out.append(f"state {s} {{ {asgn} }}")

@@ -70,6 +70,14 @@ class TestSolveEval:
         assert code == 3
         assert out == "" and "expected a variable name" in err
 
+    def test_second_equation_for_a_variable_is_semantic_error(self, capsys, tmp_path):
+        path = tmp_path / "m.cm"
+        path.write_text("model m\nexo U : { 0, 1 }\nvar X : { 0, 1 }\n"
+                        "eq X = case { U=1 : 1 ; default: 0 }\neq X = case { default: 1 }\n")
+        code, out, err = run(capsys, "solve", "-m", str(path), "-u", "U=0")
+        assert code == 3
+        assert out == "" and err == "error: two equations for X\n"
+
     @pytest.mark.parametrize("argv", [["solve"], ["eval", "Y=1"], ["cause", "--cause", "X=1", "--effect", "Y=1"]])
     def test_blank_context_is_the_empty_context(self, capsys, tmp_path, argv):
         path = tmp_path / "m.cm"

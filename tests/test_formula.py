@@ -27,6 +27,7 @@ from causact.formula import (
     format_formula,
     free_endogenous,
     is_propositional,
+    label,
     parse_formula,
     parse_intervention,
     prop_entails,
@@ -250,6 +251,24 @@ class TestHashing:
 
 ROWS = list(SIG.assignments(SIG.all_names()))  # every assignment of SIG
 COLUMNS = {x: np.array([row[x] for row in ROWS]) for x in SIG.all_names()}
+# the same rows as bitsets: bit r stands for ROWS[r]
+FULL = (1 << len(ROWS)) - 1
+BITS = {(x, v): sum(1 << r for r, row in enumerate(ROWS) if row[x] == v) for x, v in
+        [(x, v) for x in SIG.all_names() for v in SIG.range_of(x)]}
+
+
+def bit_label(phi, modal=None, cache=None):
+    return label(phi, lambda ev: BITS[ev.var, ev.val], FULL, modal, cache)
+
+
+def as_bits(mask):
+    return sum(1 << r for r, b in enumerate(mask) if b)
+
+
+def with_repeats(phi):
+    """phi with its subformulas repeated: `psi & psi` and `!psi | psi` hold
+    where psi does, and `true` everywhere."""
+    return st.sampled_from([phi & phi, ~phi | phi, (phi & phi) | (~phi & phi), ~(~phi | phi) | (phi & ~phi)])
 
 
 class TestTruthMask:
@@ -259,6 +278,42 @@ class TestTruthMask:
         mask = truth_mask(phi, COLUMNS, len(ROWS), cache=cache)
         assert mask.tolist() == [evaluate_prop(phi, row) for row in ROWS]
         assert cache[phi] is mask and not mask.flags.writeable
+
+    @given(formulas())
+    def test_bitsets_match_evaluate_prop_per_row(self, phi):
+        cache = {}
+        bits = bit_label(phi, cache=cache)
+        assert bits == as_bits(evaluate_prop(phi, row) for row in ROWS)
+        assert cache[phi] == bits
+
+    @given(formulas().flatmap(with_repeats))
+    def test_repeated_subformulas(self, phi):
+        truth = [evaluate_prop(phi, row) for row in ROWS]
+        assert bit_label(phi) == bit_label(phi, cache={}) == as_bits(truth)
+        masks = {}
+        assert truth_mask(phi, COLUMNS, len(ROWS), cache=masks).tolist() == truth
+        assert all(not m.flags.writeable for m in masks.values())
+
+    @given(formulas(), formulas())
+    def test_a_cache_filled_for_some_subtrees(self, phi, psi):
+        # the cache holds psi's and its subformulas' sets already, and phi's
+        # events are found there in the middle of the walk
+        cache = {}
+        bit_label(psi, cache=cache)
+        masks = {}
+        truth_mask(psi, COLUMNS, len(ROWS), cache=masks)
+        for both in (phi & psi, psi | ~phi, ~(psi & (phi | psi))):
+            truth = [evaluate_prop(both, row) for row in ROWS]
+            assert bit_label(both, cache=cache) == as_bits(truth)
+            assert truth_mask(both, COLUMNS, len(ROWS), cache=masks).tolist() == truth
+        assert bit_label(phi, cache=cache) == as_bits(evaluate_prop(phi, row) for row in ROWS)
+
+    def test_a_cached_set_is_taken_as_it_is(self):
+        # a wrong set planted in the cache shows that the walk stops there
+        phi = parse_formula("X=1 & !(Y=0 | U=u1)", SIG)
+        assert bit_label(phi, cache={phi.right: FULL}) == BITS["X", "1"]
+        assert bit_label(phi, cache={phi.right.sub: 0}) == BITS["X", "1"]
+        assert bit_label(phi, cache={phi: 5}) == 5
 
     def test_modal_nodes_go_to_the_hook_with_their_operands_masks(self):
         seen = []
@@ -275,6 +330,20 @@ class TestTruthMask:
         assert seen[1][1] == [column("U", "u1")]
         with pytest.raises(FormulaError, match="not propositional: contains BoxArrow"):
             truth_mask(phi, COLUMNS, len(ROWS))
+
+    def test_modal_nodes_get_their_operands_bitsets(self):
+        seen = []
+
+        def modal(node, *sets):
+            seen.append((type(node).__name__, sets))
+            return FULL ^ sets[0]
+
+        phi = parse_formula("((X=1 | U=u0) ~> (Y=0)) | [X<-2] !U=u1", SIG)
+        assert bit_label(phi, modal) == (FULL ^ (BITS["X", "1"] | BITS["U", "u0"])) | BITS["U", "u1"]
+        assert seen == [("BoxArrow", (BITS["X", "1"] | BITS["U", "u0"], BITS["Y", "0"])),
+                        ("Intervene", (FULL ^ BITS["U", "u1"],))]
+        with pytest.raises(FormulaError, match="not propositional: contains Intervene"):
+            bit_label(parse_formula("Y=1 | [X<-2] U=u1", SIG))
 
 
 class TestPropositional:

@@ -108,6 +108,18 @@ class TestParsing:
             parse_model("model m\nexo U : { 0 }\nvar X : { a b, c }\neq X = case { default: c }\n")
 
 
+    def test_second_equation_for_a_variable_rejected(self):
+        with pytest.raises(ModelError, match="^two equations for X$"):
+            parse_model(
+                "model m\nexo U : { 0, 1 }\nvar X : { 0, 1 }\n"
+                "eq X = case { U=1 : 1 ; default: 0 }\n"
+                "eq X = case { default: 1 }\n"
+            )
+
+    def test_comments_and_blank_lines_are_skipped(self, rt):
+        text = model_to_text(rt).replace("\n", "  # a comment\n\n", 2)
+        assert model_to_text(parse_model("# leading comment\n\n" + text)) == model_to_text(rt)
+
     @pytest.mark.parametrize(
         "text",
         [

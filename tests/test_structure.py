@@ -374,6 +374,11 @@ class TestFileFormat:
         with pytest.raises(StructureError):
             parse_structure(bad)
 
+    def test_variable_assigned_twice_in_a_state_rejected(self):
+        bad = STRUCT_TEXT.replace("state a { U=0, X=0, Y=0 }", "state a { U=0, X=1, Y=0, X=0 }")
+        with pytest.raises(StructureError, match="^state a assigns X twice$"):
+            parse_structure(bad)
+
     def test_empty_value_set_rejected(self):
         bad = STRUCT_TEXT.replace("var Y : { 0, 1 }", "var Y :")
         with pytest.raises(ModelError, match="expected a value set in braces"):
