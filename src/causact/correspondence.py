@@ -13,10 +13,11 @@ ones, which makes intervened solutions beat backtracked alternatives.
 
 Builder and checker work on integer value codes: the structure's `codes`,
 one row per state holding each variable's index in its range, and
-`equation_codes` (below), which lays each equation out as a table of
-value indices over its parents' and maps those rows through it.  A state
-violates Y's equation where the two codes of Y differ; the builder weighs
-those violations, and condition (a) calls such states "wrong".
+`equation_codes` (below), which reads each equation's column of value
+indices (`CausalModel` keeps each equation as one) at every row's
+mixed-radix index of its parents' codes.  A state violates Y's equation
+where the two codes of Y differ; the builder weighs those violations,
+and condition (a) calls such states "wrong".
 
 The builder's order ranks t from s by d_s(t), so apart from s itself the
 rank depends on s only through s's exogenous values: one rank row per
@@ -48,7 +49,6 @@ exceed it.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,18 +116,14 @@ class CounterpartOrder(ClosenessOrder):
 
 
 def state_space_size(m: CausalModel) -> int:
-    size = 1
-    for _, rng in m.sig.exogenous + m.sig.endogenous:
-        size *= len(rng)
-    return size
+    return math.prod(len(rng) for _, rng in m.sig.exogenous + m.sig.endogenous)
 
 
 def endo_depths(m: CausalModel) -> dict[str, int]:
     """Longest path from a source of the endogenous dependency DAG."""
     depth = {}
-    for x in m.topo_order:
-        endo_parents = [p for p in m.parents[x] if m.sig.is_endogenous(p)]
-        depth[x] = max((depth[p] + 1 for p in endo_parents), default=0)
+    for x in m.topo_order:  # an endogenous parent comes first, an exogenous one never
+        depth[x] = max((depth[p] + 1 for p in m.parents[x] if p in depth), default=0)
     return depth
 
 
@@ -135,20 +131,18 @@ def equation_codes(m: CausalModel, codes: np.ndarray) -> np.ndarray:
     """Every equation of m applied to every row of `codes`, a matrix of
     value indices with one column per variable of `sig.all_names()`: row
     r, column j is the index in Y's range of F_Y(row r), for the j-th
-    endogenous Y.  Each equation is read through its table of value
-    indices, laid out densely over its parents' value indices, which the
-    model's compile-time size check bounds."""
+    endogenous Y.  Each equation's column of value indices over its
+    parents' product is read in place at each row's mixed-radix index of
+    its parents' codes."""
     sig = m.sig
     column = {n: c for c, n in enumerate(sig.all_names())}
     out = np.empty((len(codes), len(sig.endo_names)), dtype=np.intp)
     for j, x in enumerate(sig.endo_names):
-        index, equation = sig.value_index[x], m._tables[x]
-        ranges = [sig.range_of(p) for p in m.parents[x]]
-        table = np.array([index[equation[key]] for key in itertools.product(*ranges)], dtype=np.intp)
         row = np.zeros(len(codes), dtype=np.intp)
-        for p, rng in zip(m.parents[x], ranges):
-            row = row * len(rng) + codes[:, column[p]]
-        out[:, j] = table[row]
+        for p in m.parents[x]:
+            row = row * len(sig.range_of(p)) + codes[:, column[p]]
+        table = m._columns[x]
+        out[:, j] = np.frombuffer(table, dtype=table.typecode)[row]
     return out
 
 

@@ -662,54 +662,49 @@ def label(phi: Formula, leaf, full, modal=None, cache=None):
     box-arrows go to `modal(node, *sets)` with their operands' sets, or
     raise FormulaError without it.  Every operand is labelled, left to
     right: nothing short-circuits.  A `cache` (with `get` and item
-    assignment) supplies the set of any subformula found in it, which the
-    walk then does not enter, and receives every set computed; a
-    subformula repeated in phi and not found there is labelled at each
-    occurrence.  The walk
-    keeps its own stacks, so phi's depth is not bounded by the recursion
-    limit."""
-    # operators before their operands, right operands first; a subformula
-    # found in the cache stands in the walk as its set
-    walk, stack = [], [phi]
-    while stack:
-        node = stack.pop()
-        if cache is not None:
-            known = cache.get(node)
-            if known is not None:
-                walk.append(known)
-                continue
-        walk.append(node)
-        kind = type(node)
-        if kind is And or kind is Or:
-            stack += node.left, node.right
-        elif kind is Not:
-            stack.append(node.sub)
-        elif kind is BoxArrow or kind is Intervene:
-            stack += _operands(node)
+    assignment) is read as the walk reaches each subformula: one found
+    there stands as its set, and the walk does not enter it.  The cache
+    receives every set computed, so a subformula repeated in phi is
+    labelled once.  The walk keeps its own stack, so phi's depth is not
+    bounded by the recursion limit."""
     sets = []
     push, pop = sets.append, sets.pop
-    for node in reversed(walk):  # operands before their operators
-        kind = type(node)
-        if kind is PrimEvent or kind is ExoEvent:
-            out = leaf(node)
-        elif kind is And:
-            out = pop() & pop()
-        elif kind is Or:
-            out = pop() | pop()
-        elif kind is Not:
-            out = full ^ pop()
-        elif kind is Top:
-            out = full
-        elif kind is Bot:
-            out = full ^ full
-        elif kind is BoxArrow or kind is Intervene:
-            if modal is None:
+    stack = [phi]  # subformulas to enter, and each entered one under a None
+    while stack:
+        node = stack.pop()
+        if node is None:  # the node below is left: its operands' sets are on top
+            node = stack.pop()
+            kind = type(node)
+            if kind is And:
+                out = pop() & pop()
+            elif kind is Or:
+                out = pop() | pop()
+            elif kind is Not:
+                out = full ^ pop()
+            elif modal is None:
                 raise FormulaError(f"formula is not propositional: contains {kind.__name__}")
-            parts = [pop() for _ in _operands(node)]
-            out = modal(node, *reversed(parts))
-        else:  # a set from the cache
-            push(node)
-            continue
+            else:
+                parts = [pop() for _ in _operands(node)]
+                out = modal(node, *reversed(parts))
+        else:
+            if cache is not None:
+                out = cache.get(node)
+                if out is not None:
+                    push(out)
+                    continue
+            kind = type(node)
+            if kind is PrimEvent or kind is ExoEvent:
+                out = leaf(node)
+            elif kind is Top:
+                out = full
+            elif kind is Bot:
+                out = full ^ full
+            else:  # the node and a None, then its operands with the left one on top
+                if kind is And or kind is Or:
+                    stack += node, None, node.right, node.left
+                else:
+                    stack += node, None, *reversed(_operands(node))
+                continue
         if cache is not None:
             cache[node] = out
         push(out)

@@ -9,7 +9,9 @@ of the remaining variables and two values of X change the value of Y.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from array import array
 from dataclasses import dataclass
 
 from .formula import (
@@ -54,15 +56,12 @@ class CausalModel:
     """A recursive causal model over a signature.
 
     Construction validates the equations, compiles each decision table down
-    to a lookup over its semantic parents (the variables its guards mention
+    to a column over its semantic parents (the variables its guards mention
     but that never change its value are dropped), and topologically sorts
     the dependency DAG (raising ModelError with a witness cycle otherwise).
-
-    A table is compiled over the product of its mentioned variables' ranges.
-    Each guard is labelled once with the set of rows where it holds, a
-    bitset with one bit per row, by `formula.label`, the bottom-up labeller
-    structures use for their state masks: a few bitset operations per node
-    of the guard, nothing evaluated row by row.  A table of more than 2^22
+    A column is an `array` of the target's value indices, one for each
+    assignment of the parents in mixed-radix order, the first parent's
+    digit most significant (see `_compile`).  A table of more than 2^22
     rows is rejected with ModelError.
     """
 
@@ -106,47 +105,65 @@ class CausalModel:
 
     def _compile(self, mentioned: dict[str, set[str]]):
         """Tabulate each equation over the variables its guards mention,
-        then keep as parents those that two rows differing only in them map
-        to different values, and re-key the table over the parents.
+        and store its column over its parents.
 
         The rows are the product of the mentioned variables' ranges, in
         `itertools.product` order.  A set of rows is an int whose bit r
         stands for row r; `label` builds each guard's set bottom-up from
         the sets of its events, and the guard takes the rows of it that no
-        earlier guard took."""
-        self._tables: dict[str, dict[tuple, str]] = {}
+        earlier guard took.  A variable is a parent iff the rows of some
+        value but the default change across its digit (the default's rows
+        are the rest).  The column keeps the rows where every other
+        variable takes its first value."""
+        sig = self.sig
+        self._columns: dict[str, array] = {}
         parents = {}
         for x, eq in self.equations.items():
-            order = tuple(n for n in self.sig.all_names() if n in mentioned[x])
-            ranges = [self.sig.range_of(n) for n in order]
-            size = 1
-            for rng in ranges:
-                size *= len(rng)
+            order = tuple(n for n in sig.all_names() if n in mentioned[x])
+            ranges = [sig.range_of(n) for n in order]
+            size = math.prod(map(len, ranges))
             if size > 1 << 22:
                 raise ModelError(f"decision table for {x} is too large to tabulate ({size} rows)")
             events = _event_rows(order, ranges, size)
             full = (1 << size) - 1
             leaf = lambda ev: events.get((ev.var, ev.val), 0)  # an event outside the table holds nowhere
-            rows_of = {}  # value -> the rows the guards give it
+            rows_of = {}  # value -> the rows the guards give it, but for the default
             still_open = full
             for guard, value in eq.rows:
                 hit = label(guard, leaf, full) & still_open
-                if hit:
+                still_open ^= hit
+                if value != eq.default:
                     rows_of[value] = rows_of.get(value, 0) | hit
-                    still_open ^= hit
-            column = [eq.default] * size
+            keep, kept, stride = [], full, size
+            for n, rng in zip(order, ranges):
+                stride //= len(rng)
+                first = events[n, rng[0]]
+                if any((rows >> k * stride) & first != rows & first
+                       for rows in rows_of.values() for k in range(1, len(rng))):
+                    keep.append(n)
+                else:
+                    kept &= first
+            parents[x] = tuple(keep)
+            index = sig.value_index[x]
+            column = array("B" if len(index) <= 256 else "L", [index[eq.default]]) * size
             for value, rows in rows_of.items():
+                code = index[value]
                 for r in _members(rows):
-                    column[r] = value
-            table = dict(zip(itertools.product(*ranges), column))
-            keep = [i for i in range(len(order)) if _varies(table, i)]
-            parents[x] = tuple(order[i] for i in keep)
-            self._tables[x] = {tuple(key[i] for i in keep): v for key, v in table.items()}
-        self.parents: dict[str, tuple[str, ...]] = {x: parents[x] for x in self.sig.endo_names}
+                    column[r] = code
+            if kept != full:
+                column = array(column.typecode, map(column.__getitem__, _members(kept)))
+            self._columns[x] = column
+        self.parents: dict[str, tuple[str, ...]] = {x: parents[x] for x in sig.endo_names}
 
     def equation_value(self, x: str, assignment: dict) -> str:
-        """F_X applied to an assignment of (at least) X's parents."""
-        return self._tables[x][tuple(assignment[n] for n in self.parents[x])]
+        """F_X applied to an assignment of (at least) X's parents: the
+        column of X read at the mixed-radix index of the parents' values."""
+        value_index = self.sig.value_index
+        i = 0
+        for p in self.parents[x]:
+            index = value_index[p]
+            i = i * len(index) + index[assignment[p]]
+        return self.sig.range_of(x)[self._columns[x][i]]
 
     def _topological_order(self) -> tuple[str, ...]:
         """Repeatedly place the first endogenous variable, in signature
@@ -367,16 +384,6 @@ def _members(bits: int):
     while r >= 0:
         yield r
         r = digits.find("1", r + 1)
-
-
-def _varies(table: dict[tuple, str], i: int) -> bool:
-    """Whether two keys of `table` that differ only at position i map to
-    different values."""
-    seen: dict[tuple, str] = {}
-    for key, value in table.items():
-        if seen.setdefault(key[:i] + key[i + 1 :], value) != value:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

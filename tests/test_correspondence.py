@@ -136,6 +136,28 @@ class TestBuilder:
         assert len(m2.states) == 65536
         assert peak < 50 * 10**6
 
+    def test_peak_memory_of_a_wide_equation(self):
+        # one guard over eighteen binary parents: the equation is stored
+        # as a column of 2^18 value codes, with no table keyed by every row
+        names = [f"P{i}" for i in range(18)]
+        text = "\n".join(
+            ["model wide", "exo U : { 0, 1 }"]
+            + [f"var {v} : {{ 0, 1 }}" for v in names + ["Y"]]
+            + [f"eq {v} = case {{ U=1 : 1 ; default : 0 }}" for v in names]
+            + [f"eq Y = case {{ {' & '.join(f'{v}=1' for v in names)} : 1 ; default : 0 }}"]
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            m = parse_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 10**6
+        assert m.parents["Y"] == tuple(names)
+        assert m.solve({"U": "1"})["Y"] == "1"
+        assert m.solve({"U": "0"})["Y"] == "0"
+
     def test_strong_correspondence_of_a_large_counterpart(self):
         # 65,536 states of fifteen binary variables in two contexts: two
         # rank rows of 256 KiB where the rank matrix would take 16 GiB

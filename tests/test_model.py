@@ -460,6 +460,16 @@ def _ref_compile(m):
     return tables, {x: parents[x] for x in m.sig.endo_names}
 
 
+def _tabulate(m):
+    """Each equation of m as `equation_value` gives it at every assignment
+    of its parents, keyed by the parents' values in order."""
+    return {
+        x: {values: m.equation_value(x, dict(zip(m.parents[x], values)))
+            for values in itertools.product(*(m.sig.range_of(p) for p in m.parents[x]))}
+        for x in m.sig.endo_names
+    }
+
+
 def _table_model_text(rng, n_parents, kind):
     """A model whose last variable Y has a decision table over n_parents
     earlier variables: `full` has one row per assignment of binary parents;
@@ -499,7 +509,9 @@ class TestEquationsAgainstReference:
     def test_tables_match_the_reference_tabulation(self, kind, n_parents, trials):
         for i in range(trials):
             m = parse_model(_table_model_text(trial_rng(n_parents, i), n_parents, kind))
-            assert (m._tables, m.parents) == _ref_compile(m), (kind, i)
+            tables, parents = _ref_compile(m)
+            assert m.parents == parents, (kind, i)
+            assert _tabulate(m) == tables, (kind, i)
 
     def test_a_guard_of_2000_literals_compiles(self):
         # the guard is a left-nested chain of 2000 conjunctions; it holds
@@ -511,7 +523,7 @@ class TestEquationsAgainstReference:
             f"eq C = case {{ default : 1 }}\neq Y = case {{ {guard} : 1 ; default : 0 }}\n"
         )
         assert m.parents["Y"] == ("A", "B", "C")
-        assert m._tables["Y"] == {
+        assert _tabulate(m)["Y"] == {
             (a, b, c): "1" if (a, b) == ("1", "0") and c != "2" else "0"
             for a, b, c in itertools.product("01", "01", "012")
         }

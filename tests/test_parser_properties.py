@@ -2,6 +2,7 @@
 own typed errors, and a model's or a structure's text reads back as the
 same model or structure."""
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -89,7 +90,10 @@ def test_model_text_round_trips(caps, seed):
     m = gen_random_model(caps, random.Random(seed))
     again = parse_model(model_to_text(m))
     assert again.parents == m.parents
-    assert again._tables == m._tables
+    for x, parents in m.parents.items():
+        for values in itertools.product(*(m.sig.range_of(p) for p in parents)):
+            asgn = dict(zip(parents, values))
+            assert again.equation_value(x, asgn) == m.equation_value(x, asgn)
     assert again.topo_order == m.topo_order
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from causact.abstract import CfSetting, conj_language, is_actual_cause_abstract, pair_language
 from causact.correspondence import CounterpartOrder, build_counterpart, check_correspondence, state_space_size
-from causact.corpus import backtracking_structure, bomb_structures
+from causact.corpus import backtracking_structure, bomb_structures, rock_throwing_model
 from causact.formula import (
     FALSE,
     TRUE,
@@ -142,6 +142,15 @@ class TestSatisfaction:
         for query in (m.closest_states, m.satisfies_at):
             with pytest.raises(StructureError, match="unknown state 'nosuch'"):
                 query("nosuch", phi)
+
+    def test_a_repeated_subformula_is_labelled_once(self, monkeypatch):
+        m2, _ = build_counterpart(rock_throwing_model())
+        calls = []
+        modal_mask = CfStructure._modal_mask
+        monkeypatch.setattr(CfStructure, "_modal_mask", lambda *args: calls.append(1) or modal_mask(*args))
+        arrow = parse_formula("(ST=0) ~> (BS=1)", m2.sig)
+        assert m2.extension(arrow & arrow).tolist() == m2.extension(arrow).tolist()
+        assert len(calls) == 1
 
     def test_nested_boxarrow_allowed(self):
         m = make_structure(FLAT)
